@@ -23,7 +23,6 @@ mirrored as JSON on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -108,12 +107,15 @@ class _Registry:
     """Remembers each option's default and parser so a JSON config file can
     be merged under explicit flags and unknown keys rejected."""
 
-    def __init__(self, sub):
+    def __init__(self, sub, suppress=False):
         self.sub = sub
+        self.suppress = suppress
         self.defaults = {}
         self.types = {}
 
     def add(self, *names, **kw):
+        if self.suppress:   # only flags actually given reach the namespace
+            kw["default"] = argparse.SUPPRESS
         action = self.sub.add_argument(*names, **kw)
         self.defaults[action.dest] = action.default
         self.types[action.dest] = kw.get("type")
@@ -162,7 +164,8 @@ def _add_builder(reg: _Registry):
                  "(default 2.5 model / 3.0 pump)")
 
 
-def build_parser():
+def build_parser(suppress_defaults=False):
+    """(parser, registries); suppress_defaults leaves unset options out."""
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Joint-spectrum engineering toolkit for "
@@ -172,7 +175,7 @@ def build_parser():
 
     def new(cmd, func, help_text, builder=False):
         sub = subs.add_parser(cmd, help=help_text)
-        reg = _Registry(sub)
+        reg = _Registry(sub, suppress_defaults)
         _add_common(reg)
         if builder:
             _add_builder(reg)
@@ -250,9 +253,10 @@ def build_parser():
     return parser, registries
 
 
-def _merge_config(args, reg: _Registry):
+def _merge_config(args, reg: _Registry, argv=None):
     if not getattr(args, "config", None):
         return
+    given = vars(build_parser(suppress_defaults=True)[0].parse_args(argv))
     with open(args.config, "r") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -261,7 +265,7 @@ def _merge_config(args, reg: _Registry):
         dest = key.replace("-", "_")
         if dest in ("config", "func", "command") or dest not in reg.defaults:
             raise ValidationError(f"unknown config key {key!r}")
-        if getattr(args, dest) != reg.defaults[dest]:
+        if dest in given:
             continue  # explicit flag wins
         parser_fn = reg.types[dest]
         if isinstance(val, str) and parser_fn is not None:
@@ -364,15 +368,18 @@ def _write(path: str, text: str):
     print(f"wrote {path}")
 
 
+def _table_csv(header, rows) -> str:
+    """CSV text: the header line, then one line of %.17g numbers per row."""
+    return "".join([",".join(header) + "\n"] + [
+        ",".join("%.17g" % x for x in row) + "\n" for row in rows])
+
+
 def _surface_csv(grid_s, grid_i, values) -> str:
     out = io.StringIO()
     out.write("# columns: nu_s_rad_s,nu_i_rad_s,value\n")
     out.write("# omega0_s_rad_s=%.17g omega0_i_rad_s=%.17g\n"
               % (grid_s.omega0, grid_i.omega0))
-    w = csv.writer(out, lineterminator="\n")
-    for i, ns in enumerate(grid_s.detunings):
-        for j, ni in enumerate(grid_i.detunings):
-            w.writerow(["%.17g" % ns, "%.17g" % ni, "%.17g" % values[i, j]])
+    spectra.write_grid_rows(out, grid_s.detunings, grid_i.detunings, values)
     return out.getvalue()
 
 
@@ -399,12 +406,8 @@ def cmd_schmidt(args, reg) -> int:
     jsa, extras = _build_jsa(args)
     dec = schmidt.schmidt_svd(jsa)
     out = _outdir(args)
-    rows = io.StringIO()
-    w = csv.writer(rows, lineterminator="\n")
-    w.writerow(["n", "eigenvalue"])
-    for n, lam in enumerate(dec.eigenvalues):
-        w.writerow([n, "%.17g" % lam])
-    _write(os.path.join(out, "schmidt_eigenvalues.csv"), rows.getvalue())
+    _write(os.path.join(out, "schmidt_eigenvalues.csv"),
+           _table_csv(["n", "eigenvalue"], enumerate(dec.eigenvalues)))
     summary = {
         "config": _resolved_config(args, reg),
         "K": dec.K,
@@ -430,15 +433,10 @@ def cmd_homi(args, reg) -> int:
         jsa = spectra.gaussian_model_jsa(model, grid)
         num = interference.two_crystal_homi_numeric(jsa, taus)
     out = _outdir(args)
-    rows = io.StringIO()
-    w = csv.writer(rows, lineterminator="\n")
-    w.writerow(["tau_s", "rate_analytic"] + (["rate_numeric"] if num else []))
-    for i, tau in enumerate(taus):
-        row = ["%.17g" % tau, "%.17g" % ana.rates[i]]
-        if num:
-            row.append("%.17g" % num.rates[i])
-        w.writerow(row)
-    _write(os.path.join(out, "homi.csv"), rows.getvalue())
+    header, cols = ["tau_s", "rate_analytic"], [taus, ana.rates]
+    if num:
+        header, cols = header + ["rate_numeric"], cols + [num.rates]
+    _write(os.path.join(out, "homi.csv"), _table_csv(header, zip(*cols)))
     mu = schmidt.analytic_mu(model)
     summary = {
         "config": _resolved_config(args, reg),
@@ -456,12 +454,7 @@ def cmd_homi(args, reg) -> int:
 
 
 def _make_pair(args, jsa) -> interference.PolarizedPairState:
-    from dataclasses import replace
-    if args.pairing == "transpose":
-        g = replace(jsa, grid_s=jsa.grid_i, grid_i=jsa.grid_s,
-                    values=jsa.values.T.copy())
-    else:
-        g = jsa
+    g = jsa.transposed() if args.pairing == "transpose" else jsa
     sign = getattr(args, "sign", "+")
     return interference.PolarizedPairState(f=jsa, g=g, sign=sign)
 
@@ -471,13 +464,10 @@ def cmd_bell(args, reg) -> int:
     pair = _make_pair(args, jsa)
     taus = np.linspace(-args.tau_max, args.tau_max, args.tau_points)
     out = _outdir(args)
-    rows = io.StringIO()
-    w = csv.writer(rows, lineterminator="\n")
-    w.writerow(["tau_s", "rate_plus", "rate_minus"])
-    for tau in taus:
-        rp, rm = interference.bell_analyzer_rates(pair, float(tau))
-        w.writerow(["%.17g" % tau, "%.17g" % rp, "%.17g" % rm])
-    _write(os.path.join(out, "bell.csv"), rows.getvalue())
+    _write(os.path.join(out, "bell.csv"), _table_csv(
+        ["tau_s", "rate_plus", "rate_minus"],
+        [(tau, *interference.bell_analyzer_rates(pair, float(tau)))
+         for tau in taus]))
     rp0, rm0 = interference.bell_analyzer_rates(pair, 0.0)
     summary = {
         "config": _resolved_config(args, reg),
@@ -496,14 +486,9 @@ def cmd_polcorr(args, reg) -> int:
     pair = _make_pair(args, jsa)
     thetas = np.linspace(0.0, math.pi, args.scan_points)
     out = _outdir(args)
-    rows = io.StringIO()
-    w = csv.writer(rows, lineterminator="\n")
-    w.writerow(["theta_a_rad", "rate"])
-    for th in thetas:
-        w.writerow(["%.17g" % th,
-                    "%.17g" % interference.polarization_fringe(
-                        pair, float(th), args.theta_b)])
-    _write(os.path.join(out, "polcorr.csv"), rows.getvalue())
+    rates = interference.polarization_fringe(pair, thetas, args.theta_b)
+    _write(os.path.join(out, "polcorr.csv"),
+           _table_csv(["theta_a_rad", "rate"], zip(thetas, rates)))
     summary = {
         "config": _resolved_config(args, reg),
         "visibility": interference.fringe_visibility(pair, args.theta_b),
@@ -621,15 +606,12 @@ def _fig1(args, reg, out) -> dict:
 def _fig3(args, reg, out) -> dict:
     sigma = 4e13
     ratios = np.logspace(-2.0, 2.0, 81)   # sigma_F / sigma
-    rows = io.StringIO()
-    w = csv.writer(rows, lineterminator="\n")
-    w.writerow(["sigma_F_rad_s", "visibility", "baseline"])
-    for x in ratios:
-        model = spectra.GaussianSourceModel(sigma=sigma, sigma_F=sigma * x)
-        w.writerow(["%.17g" % (sigma * x),
-                    "%.17g" % interference.homi_visibility_analytic(model),
-                    "%.17g" % interference.homi_baseline_analytic(model)])
-    _write(os.path.join(out, "fig3.csv"), rows.getvalue())
+    models = [spectra.GaussianSourceModel(sigma=sigma, sigma_F=sigma * x)
+              for x in ratios]
+    _write(os.path.join(out, "fig3.csv"), _table_csv(
+        ["sigma_F_rad_s", "visibility", "baseline"],
+        [(m.sigma_F, interference.homi_visibility_analytic(m),
+          interference.homi_baseline_analytic(m)) for m in models]))
     eq = spectra.GaussianSourceModel(sigma=sigma, sigma_F=sigma)
     return {"sigma": sigma,
             "at_equal_widths": {
@@ -665,14 +647,10 @@ def _beam_figure(args, out, tag, L, w0, fwhm_nm) -> dict:
 
 def _fig9(args, reg, out) -> dict:
     mus = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
-    rows = io.StringIO()
-    w = csv.writer(rows, lineterminator="\n")
-    w.writerow(["K", "rate", "trunc_mass"])
-    for mu in mus:
-        res = focksim.ns_sixfold_rate(mu=mu, n_modes=args.n_modes)
-        w.writerow(["%.17g" % res.cooperativity, "%.17g" % res.rate,
-                    "%.17g" % res.truncation_mass])
-    _write(os.path.join(out, "fig9.csv"), rows.getvalue())
+    res = [focksim.ns_sixfold_rate(mu=mu, n_modes=args.n_modes) for mu in mus]
+    _write(os.path.join(out, "fig9.csv"), _table_csv(
+        ["K", "rate", "trunc_mass"],
+        [(r.cooperativity, r.rate, r.truncation_mass) for r in res]))
     return {"mus": mus, "n_modes": args.n_modes}
 
 
@@ -719,7 +697,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        _merge_config(args, registries[args.command])
+        _merge_config(args, registries[args.command], argv)
         return args.func(args, registries[args.command])
     except RegimeError as exc:
         _emit_error(exc, 3)

@@ -28,6 +28,7 @@ term is exactly ``-4 nu_s nu_i / sigma^2``).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -164,6 +165,11 @@ class JointSpectralAmplitude:
             raise ValidationError(
                 f"operation requires a normalized JSA (norm = {self.norm():.3e})"
             )
+
+    def transposed(self) -> "JointSpectralAmplitude":
+        """S(a, b) -> S(b, a) with the grids swapped to match."""
+        return replace(self, grid_s=self.grid_i, grid_i=self.grid_s,
+                       values=self.values.T.copy())
 
 
 def _boundary_leakage(values: np.ndarray) -> float:
@@ -471,6 +477,19 @@ def log_amplitude_quadratic_coeffs(jsa: JointSpectralAmplitude):
 # CSV round-trip
 # ----------------------------------------------------------------------
 
+def write_grid_rows(fh, nu_s, nu_i, values) -> None:
+    """One "nu_s,nu_i,<value>" line per grid cell in %.17g (re,im for complex
+    values), written one grid row at a time so memory stays bounded."""
+    cplx = np.iscomplexobj(values)
+    fields = ",%.17g,%.17g\n" if cplx else ",%.17g\n"
+    # "\0" stands for the row's nu_s; "%.17g" text holds no "%" or "\0"
+    template = "".join("\0,%.17g" % x + fields for x in nu_i)
+    for ns, row in zip(nu_s, values):
+        row = np.ascontiguousarray(row, dtype=complex if cplx else float)
+        fh.write(template.replace("\0", "%.17g" % ns)
+                 % tuple(row.view(np.float64).tolist()))
+
+
 def write_jsa_csv(jsa: JointSpectralAmplitude, path) -> None:
     """Header comments carry the grid; rows are nu_s,nu_i,re,im."""
     gs, gi = jsa.grid_s, jsa.grid_i
@@ -482,28 +501,30 @@ def write_jsa_csv(jsa: JointSpectralAmplitude, path) -> None:
         fh.write(f"# omega0_i_rad_s={gi.omega0:.17g}\n")
         fh.write(f"# normalized={int(jsa.norm_flag)}\n")
         fh.write("nu_s,nu_i,re,im\n")
-        ns, ni = gs.detunings, gi.detunings
-        v = jsa.values
-        for a in range(gs.n_points):
-            for b in range(gi.n_points):
-                fh.write(f"{ns[a]:.17g},{ni[b]:.17g},"
-                         f"{v[a, b].real:.17g},{v[a, b].imag:.17g}\n")
+        write_grid_rows(fh, gs.detunings, gi.detunings,
+                        np.asarray(jsa.values, dtype=complex))
 
 
 def read_jsa_csv(path) -> JointSpectralAmplitude:
+    """Inverse of write_jsa_csv.  Raises ValidationError unless every row
+    has 4 fields, there are exactly n_s * n_i rows, and the nu_s / nu_i
+    columns match the header grid to 1e-9 of its half span."""
     header: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    body_start = 0
-    for i, ln in enumerate(lines):
-        if ln.startswith("#"):
-            for tok in ln[1:].split():
-                if "=" in tok:
-                    k, vv = tok.split("=", 1)
-                    header[k] = vv
-        elif ln.startswith("nu_s"):
-            body_start = i + 1
-            break
+        for ln in fh:
+            if ln.startswith("#"):
+                for tok in ln[1:].split():
+                    if "=" in tok:
+                        k, vv = tok.split("=", 1)
+                        header[k] = vv
+            elif ln.startswith("nu_s"):
+                break
+        try:
+            with warnings.catch_warnings():   # an empty body fails below
+                warnings.simplefilter("ignore", UserWarning)
+                body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:   # ragged or non-numeric rows
+            raise ValidationError(f"{path}: bad JSA data row: {exc}") from None
     try:
         n_s = int(header["n_s"])
         n_i = int(header["n_i"])
@@ -515,16 +536,16 @@ def read_jsa_csv(path) -> JointSpectralAmplitude:
         normalized = bool(int(header.get("normalized", "0")))
     except KeyError as exc:
         raise ValidationError(f"{path}: missing JSA header field {exc}") from None
-    vals = np.zeros((n_s, n_i), dtype=complex)
-    rows = lines[body_start:]
-    if len(rows) < n_s * n_i:
-        raise ValidationError(f"{path}: expected {n_s * n_i} data rows, got {len(rows)}")
-    idx = 0
-    for a in range(n_s):
-        for b in range(n_i):
-            parts = rows[idx].split(",")
-            vals[a, b] = complex(float(parts[2]), float(parts[3]))
-            idx += 1
+    if body.shape != (n_s * n_i, 4):
+        raise ValidationError(f"{path}: expected {n_s * n_i} data rows of 4 "
+                              f"fields, got {body.shape[0]} of {body.shape[1]}")
+    body = body.reshape(n_s, n_i, 4)
+    off_s = np.max(np.abs(body[:, :, 0] - grid_s.detunings[:, None]))
+    off_i = np.max(np.abs(body[:, :, 1] - grid_i.detunings))
+    if max(off_s / grid_s.half_span, off_i / grid_i.half_span) > 1e-9:
+        raise ValidationError(f"{path}: nu_s/nu_i columns disagree with the "
+                              "header grid")
+    vals = np.ascontiguousarray(body[:, :, 2:]).view(complex)[:, :, 0]
     return JointSpectralAmplitude(grid_s, grid_i, vals, norm_flag=normalized)
 
 

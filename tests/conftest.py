@@ -2,7 +2,6 @@
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,13 +73,20 @@ def jsa_factorable(bbo):
     return spectra.build_jsa_noncollinear_gaussian_beam(bbo, pump, beam, grid)
 
 
-def transpose_jsa(jsa):
-    """S(a, b) -> S(b, a) with the grids swapped to match."""
-    return replace(jsa, grid_s=jsa.grid_i, grid_i=jsa.grid_s,
-                   values=jsa.values.T.copy())
-
-
 def random_unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def chirped_jsa(n_s, n_i, omega0_offset=0.0, chirp=0.7, tilt=0.5):
+    """Normalized, frequency-correlated (tilt) and chirped (chirp, in rad)
+    Gaussian JSA on n_s x n_i grids with different half spans, the idler
+    center omega0_offset above the signal center."""
+    gs = spectra.FrequencyGrid(omega0=2.35e15, half_span=1.5e14, n_points=n_s)
+    gi = spectra.FrequencyGrid(omega0=2.35e15 + omega0_offset,
+                               half_span=1.2e14, n_points=n_i)
+    xs, xi = gs.detunings[:, None] / 4e13, gi.detunings[None, :] / 3e13
+    vals = np.exp(-xs**2 - xi**2 - tilt * xs * xi
+                  + 1j * chirp * (xs + 0.3 * xi) ** 2)
+    return spectra.JointSpectralAmplitude(gs, gi, vals).normalized()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from biphoton import design, dispersion, focksim, interference, schmidt, spectra
-from tests.conftest import SUITE_BUDGET_S, transpose_jsa
+from tests.conftest import SUITE_BUDGET_S
 
 
 def _best_time(fn, repeats=20):
@@ -135,7 +135,7 @@ def test_criterion_08_bell_analyzer(bbo, jsa_typeII):
     port at unity, ports summing to one at random delays; an asymmetric
     amplitude paired with itself leaks above 1%."""
     pair = interference.PolarizedPairState(
-        f=jsa_typeII, g=transpose_jsa(jsa_typeII))
+        f=jsa_typeII, g=jsa_typeII.transposed())
     r_plus, r_minus = interference.bell_analyzer_rates(pair, 0.0)
     assert r_plus < 1e-8
     assert r_minus == pytest.approx(1.0, abs=1e-8)
@@ -167,7 +167,7 @@ def test_criterion_09_polarization_fringes(jsa_equal, jsa_typeII):
 
     paired = interference.PolarizedPairState(f=jsa_equal, g=jsa_equal)
     bell_only = interference.PolarizedPairState(
-        f=jsa_typeII, g=transpose_jsa(jsa_typeII))
+        f=jsa_typeII, g=jsa_typeII.transposed())
     v_paired = interference.fringe_visibility(paired)
     v_bell = interference.fringe_visibility(bell_only)
     assert v_paired == pytest.approx(1.0, abs=1e-6)

@@ -221,6 +221,17 @@ def test_config_supplies_defaults_and_flags_win(tmp_path):
     assert doc["config"]["sigma"] == 6e13      # explicit flag beats config
 
 
+def test_explicit_flag_equal_to_default_beats_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": 64, "n-report": 4}))
+    out = tmp_path / "o"
+    assert run(["schmidt", "--grid", "256", "--config", str(cfg),
+                "--out", str(out)]) == 0
+    doc = json.loads((out / "schmidt.json").read_text())
+    assert doc["config"]["grid"] == 256        # the default, given explicitly
+    assert doc["config"]["n_report"] == 4      # not given: config applies
+
+
 def test_config_strings_pass_through_unit_parsers(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     # keys name argument destinations, so --L files under "length"

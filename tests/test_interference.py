@@ -9,7 +9,8 @@ import pytest
 
 from biphoton import interference, schmidt, spectra
 from biphoton.errors import ValidationError
-from tests.conftest import transpose_jsa
+from tests import oracles
+from tests.conftest import chirped_jsa
 
 V_EQUAL = math.sqrt(3.0) / 2.0
 R0_EQUAL = 2.0 / 3.0
@@ -119,6 +120,13 @@ def test_numeric_dip_against_quadruple_sum():
         assert rate == pytest.approx(brute, abs=1e-10)
 
 
+def test_numeric_dip_matches_per_delay_oracle(jsa_typeII):
+    taus = np.linspace(-3e-13, 3e-13, 31)
+    for jsa in (jsa_typeII, chirped_jsa(24, 40, omega0_offset=5e13)):
+        fast = interference.two_crystal_homi_numeric(jsa, taus).rates
+        assert np.max(np.abs(fast - oracles.homi_rates(jsa, taus))) < 1e-14
+
+
 def test_visibility_equals_schmidt_purity(jsa_equal, jsa_typeII):
     for jsa in (jsa_equal, jsa_typeII):
         v = interference.two_crystal_homi_numeric(jsa, [0.0]).visibility
@@ -144,7 +152,7 @@ def test_symmetry_residual_cases(jsa_equal, jsa_typeII):
     assert interference.symmetry_residual(jsa_equal) < 1e-12
     r = interference.symmetry_residual(jsa_typeII)
     assert r > 0.1
-    assert interference.symmetry_residual(transpose_jsa(jsa_typeII)) == \
+    assert interference.symmetry_residual(jsa_typeII.transposed()) == \
         pytest.approx(r, rel=1e-12)
 
 
@@ -178,7 +186,7 @@ def test_effective_mode_residuals_by_source(jsa_equal, jsa_factorable):
 
 def _pair(f, g=None, sign="+"):
     return interference.PolarizedPairState(
-        f=f, g=transpose_jsa(f) if g is None else g, sign=sign)
+        f=f, g=f.transposed() if g is None else g, sign=sign)
 
 
 def test_bell_rates_ideal_pairing(jsa_typeII):
@@ -186,6 +194,22 @@ def test_bell_rates_ideal_pairing(jsa_typeII):
     r_plus, r_minus = interference.bell_analyzer_rates(pair, 0.0)
     assert r_plus < 1e-8
     assert r_minus == pytest.approx(1.0, abs=1e-8)
+
+
+def test_bell_rates_match_full_phase_oracle(jsa_typeII):
+    taus = [0.0, -2e-13, 7e-14, 1.5e-12]
+    pairs = [_pair(jsa_typeII),
+             interference.PolarizedPairState(
+                 f=chirped_jsa(20, 20, omega0_offset=4e13),
+                 g=chirped_jsa(20, 20, omega0_offset=4e13, chirp=-1.1, tilt=0.2),
+                 sign="-")]
+    for pair in pairs:
+        for tau in taus:
+            fast = interference.bell_analyzer_rates(pair, tau)
+            slow = oracles.bell_analyzer_rates(pair, tau)
+            assert np.max(np.abs(np.subtract(fast, slow))) < 1e-14
+    # the phase is exactly 1 at tau = 0, so an ideal pairing gives exactly 0
+    assert interference.bell_analyzer_rates(pairs[0], 0.0)[0] == 0.0
 
 
 def test_bell_rates_sum_to_one(jsa_typeII):
@@ -288,3 +312,22 @@ def test_fringe_visibility_orthogonal_pairing():
 def test_fringe_visibility_unit_when_paired(jsa_equal):
     pair = interference.PolarizedPairState(f=jsa_equal, g=jsa_equal)
     assert interference.fringe_visibility(pair) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_fringe_matches_per_angle_oracle(jsa_typeII):
+    thetas = np.linspace(0.0, math.pi, 37)
+    f = chirped_jsa(16, 16)
+    pairs = [_pair(jsa_typeII), _pair(jsa_typeII, sign="-"),
+             interference.PolarizedPairState(
+                 f=f, g=chirped_jsa(16, 16, chirp=-0.4), sign="-")]
+    for pair in pairs:
+        for tb in (0.3, math.pi / 4):
+            rates = interference.polarization_fringe(pair, thetas, tb)
+            slow = [oracles.polarization_fringe(pair, ta, tb) for ta in thetas]
+            assert np.max(np.abs(rates - slow)) < 1e-14
+            one = interference.polarization_fringe(pair, 0.7, tb)
+            assert isinstance(one, float)
+            assert one == pytest.approx(
+                oracles.polarization_fringe(pair, 0.7, tb), abs=1e-14)
+            assert interference.fringe_visibility(pair, tb) == pytest.approx(
+                oracles.fringe_visibility(pair, tb), abs=1e-14)

@@ -9,7 +9,6 @@ import pytest
 
 from biphoton import schmidt, spectra
 from biphoton.errors import ValidationError
-from tests.conftest import transpose_jsa
 
 MU_EQUAL = 2.0 - math.sqrt(3.0)        # sigma = sigma_F
 K_EQUAL = 2.0 / math.sqrt(3.0)
@@ -58,7 +57,7 @@ def test_reconstruction_matches_input(jsa_typeII):
 
 def test_transpose_swaps_parties_same_spectrum(jsa_typeII):
     a = schmidt.schmidt_svd(jsa_typeII)
-    b = schmidt.schmidt_svd(transpose_jsa(jsa_typeII))
+    b = schmidt.schmidt_svd(jsa_typeII.transposed())
     n = min(a.n_modes, b.n_modes)
     assert np.max(np.abs(a.eigenvalues[:n] - b.eigenvalues[:n])) < 1e-10
     assert b.K == pytest.approx(a.K, rel=1e-10)

@@ -2,14 +2,19 @@
 sinc phase matching, the gaussian-beam factorized builder, filters, and
 the CSV dump format."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from biphoton import design, dispersion, schmidt, spectra
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from biphoton import cli, design, dispersion, schmidt, spectra
 from biphoton.errors import RegimeError, ValidationError
-from tests.conftest import transpose_jsa
+from tests import oracles
+from tests.conftest import chirped_jsa
 
 SIGMA_P_400_10NM = 99989146266381.52    # rad/s, 10 nm FWHM at 400 nm
 GAMMA = 0.19292144696099914
@@ -300,6 +305,113 @@ def test_csv_roundtrip_preserves_cooperativity(tmp_path, jsa_typeII):
     assert abs(k1 - k0) < 1e-9 * k0
 
 
+def _csv_cases(jsa_typeII):
+    rect = chirped_jsa(12, 7, omega0_offset=3e13)
+    raw = spectra.JointSpectralAmplitude(rect.grid_s, rect.grid_i,
+                                         3.7 * rect.values)   # not normalized
+    return [jsa_typeII, rect, raw]
+
+
+def _same_jsa(a, b):
+    return (a.grid_s == b.grid_s and a.grid_i == b.grid_i
+            and a.norm_flag == b.norm_flag
+            and a.values.tobytes() == b.values.tobytes())
+
+
+def test_csv_writer_and_reader_match_per_cell_oracles(tmp_path, jsa_typeII):
+    for k, jsa in enumerate(_csv_cases(jsa_typeII)):
+        fast, slow = tmp_path / f"fast{k}.csv", tmp_path / f"slow{k}.csv"
+        spectra.write_jsa_csv(jsa, fast)
+        oracles.write_jsa_csv(jsa, slow)
+        assert fast.read_bytes() == slow.read_bytes()
+        back = spectra.read_jsa_csv(fast)
+        assert _same_jsa(back, oracles.read_jsa_csv(fast))
+        assert _same_jsa(back, jsa)
+
+
+def test_surface_csv_matches_per_cell_oracle():
+    jsa = chirped_jsa(9, 5, omega0_offset=-2e13)
+    for surf in (np.abs(jsa.values), jsa.values.real):
+        assert cli._surface_csv(jsa.grid_s, jsa.grid_i, surf) == \
+            oracles.surface_csv(jsa.grid_s, jsa.grid_i, surf)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_s=st.integers(2, 9), n_i=st.integers(2, 9),
+       omega0=st.tuples(_finite, _finite),
+       half_span=st.tuples(*[st.floats(1e-300, 1e300)] * 2),
+       normalized=st.booleans(), data=st.data())
+def test_csv_roundtrip_bit_exact_property(tmp_path, n_s, n_i, omega0,
+                                          half_span, normalized, data):
+    vals = data.draw(st.lists(_finite, min_size=2 * n_s * n_i,
+                              max_size=2 * n_s * n_i))
+    jsa = spectra.JointSpectralAmplitude(
+        spectra.FrequencyGrid(omega0[0], half_span[0], n_s),
+        spectra.FrequencyGrid(omega0[1], half_span[1], n_i),
+        np.array(vals).view(complex).reshape(n_s, n_i), norm_flag=normalized)
+    path = tmp_path / "prop.csv"
+    spectra.write_jsa_csv(jsa, path)
+    assert _same_jsa(spectra.read_jsa_csv(path), jsa)
+
+
+def _corrupt(lines, kind):
+    """Damage the data rows (which start at line 6) of a written JSA."""
+    body = lines[6:]
+    if kind == "three_fields":
+        body[4] = body[4].rsplit(",", 1)[0]
+    elif kind == "five_fields":
+        body[4] += ",0"
+    elif kind == "missing_row":
+        body.pop()
+    elif kind == "no_rows":
+        body = []
+    elif kind == "extra_row":
+        body.append(body[-1])
+    else:   # shift one detuning column by 1e-6 of its half span
+        col = 0 if kind == "nu_s_off" else 1
+        fields = body[4].split(",")
+        fields[col] = "%.17g" % (float(fields[col]) + 1.5e8)
+        body[4] = ",".join(fields)
+    return "\n".join(lines[:6] + body) + "\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["three_fields", "five_fields",
+                                  "missing_row", "no_rows", "extra_row",
+                                  "nu_s_off", "nu_i_off"])
+def test_read_jsa_csv_rejects_corrupt_files(tmp_path, capsys, monkeypatch,
+                                            kind):
+    jsa = chirped_jsa(4, 3)
+    good = tmp_path / "good.csv"
+    spectra.write_jsa_csv(jsa, good)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(_corrupt(good.read_text().splitlines(), kind))
+    with pytest.raises(ValidationError):
+        spectra.read_jsa_csv(bad)
+    # a CLI command that loads such a file ends with exit 2 and a JSON error
+    monkeypatch.setattr(cli, "_build_jsa",
+                        lambda args: (spectra.read_jsa_csv(bad), {}))
+    assert cli.main(["jsa", "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and err["exit_code"] == 2
+
+
+def test_read_jsa_csv_tolerates_rounding_in_detuning_columns(tmp_path):
+    jsa = chirped_jsa(4, 3)
+    path = tmp_path / "j.csv"
+    spectra.write_jsa_csv(jsa, path)
+    lines = path.read_text().splitlines()
+    fields = lines[10].split(",")
+    fields[0] = "%.12g" % float(fields[0])   # rounding well inside 1e-9
+    lines[10] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    assert _same_jsa(spectra.read_jsa_csv(path), jsa)
+
+
 def test_metadata_fields(jsa_typeII):
     meta = spectra.jsa_metadata(jsa_typeII)
     assert meta["normalized"] is True
@@ -311,6 +423,6 @@ def test_metadata_fields(jsa_typeII):
 
 
 def test_transpose_helper_preserves_norm(jsa_typeII):
-    t = transpose_jsa(jsa_typeII)
+    t = jsa_typeII.transposed()
     assert t.norm() == pytest.approx(1.0, abs=1e-10)
     assert t.values[3, 5] == jsa_typeII.values[5, 3]
