@@ -128,8 +128,6 @@ def _add_common(reg: _Registry):
             help="JSON file of option defaults for this subcommand")
     reg.add("--materials", default=None,
             help="materials definition file overriding the built-ins")
-    reg.add("--seed", type=int, default=0,
-            help="seed echoed into artifacts (reserved for randomized sweeps)")
 
 
 def _add_builder(reg: _Registry):
@@ -241,7 +239,7 @@ def build_parser(suppress_defaults=False):
     reg.add("--csv", default=None,
             help="CSV of rows label,L_mm,P_W,Rs_Hz,ratio[,R_printed_Hz] "
                  "(default: built-in benchmark table)")
-    reg.add("--rel-tol", type=float, default=0.05,
+    reg.add("--rel-tol", type=float, default=design.ECONOMY_REL_TOL,
             help="relative mismatch against a quoted R before flagging")
 
     reg = new("reproduce", cmd_reproduce, "emit the data behind a figure")
@@ -538,7 +536,7 @@ def cmd_nsgate(args, reg) -> int:
                 "success": cmap.success,
                 "c1_over_c0": cmap.c1 / cmap.c0,
                 "c2_over_c0": cmap.c2 / cmap.c0},
-        "topology": cfg.topology,
+        "topology": focksim.NS_TOPOLOGY,
         "convention": cfg.convention,
     }
     if args.search:
@@ -565,15 +563,9 @@ def cmd_nsgate(args, reg) -> int:
 
 def cmd_economy(args, reg) -> int:
     if args.csv:
-        records = design.load_economy_csv(args.csv)
-        if args.rel_tol != 0.05:
-            records = [design.economy_figure(
-                r.label, r.crystal_length_mm, r.pump_power_w,
-                r.singles_rate_hz, r.coincidence_ratio,
-                r_printed=r.r_printed, rel_tol=args.rel_tol)
-                for r in records]
+        records = design.load_economy_csv(args.csv, rel_tol=args.rel_tol)
     else:
-        records = design.builtin_economy_records()
+        records = design.builtin_economy_records(rel_tol=args.rel_tol)
     out = _outdir(args)
     _write(os.path.join(out, "economy.csv"),
            design.economy_csv_text(records))

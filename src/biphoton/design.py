@@ -25,9 +25,10 @@ from typing import Optional, Sequence
 
 from . import dispersion
 from .errors import ValidationError
-from .spectra import gaussian_sinc_gamma, noncollinear_cut_angle
+from .spectra import gaussian_sinc_gamma
 
 REGIME_FACTOR = 10.0
+ECONOMY_REL_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,6 @@ class DesignReport:
     pump_above_threshold: Optional[bool] = None
 
 
-def _group_slopes(material, pump_um: float, theta: float):
-    """(kp', k', theta_pm): pump extraordinary-at-cut group slope at lambda_p,
-    daughter ordinary group slope at 2 lambda_p, and the solved cut angle."""
-    theta_pm = noncollinear_cut_angle(material, pump_um, theta)
-    kp = dispersion.wave_props(material, pump_um, ("e", theta_pm)).k_prime
-    kd = dispersion.wave_props(material, 2.0 * pump_um, "o").k_prime
-    return kp, kd, theta_pm
-
-
 def factorable_waist(material, pump_um: float, L: float, theta: float) -> float:
     """Pump waist w0 = L sqrt(gamma) (kp' - k' cos theta)/(k' sin theta) that
     balances the longitudinal and transverse spectral widths.  L and the
@@ -75,7 +67,7 @@ def factorable_waist(material, pump_um: float, L: float, theta: float) -> float:
     if theta <= 0.0:
         raise ValidationError(
             "collinear geometry has no transverse lever (theta must be > 0)")
-    kp, kd, _ = _group_slopes(material, pump_um, theta)
+    kp, kd = dispersion.noncollinear_group_slopes(material, pump_um, theta)
     num = kp - kd * math.cos(theta)
     if num <= 0.0:
         raise ValidationError(
@@ -91,7 +83,7 @@ def pump_bandwidth_threshold(material, pump_um: float, L: float,
     sum-frequency width and the factorable design degrades."""
     if L <= 0.0:
         raise ValidationError("crystal length must be positive")
-    kp, kd, _ = _group_slopes(material, pump_um, theta)
+    kp, kd = dispersion.noncollinear_group_slopes(material, pump_um, theta)
     num = kp - kd * math.cos(theta)
     if abs(num) < 1e-18:
         raise ValidationError("vanishing group-slope difference")
@@ -125,7 +117,7 @@ def design_report(material, pump_um: float, L: float, theta: float,
                   sigma_p: Optional[float] = None) -> DesignReport:
     """Run all the design calculators for one configuration.  w0 defaults to
     the factorable waist (margin exactly 1)."""
-    kp, kd, theta_pm = _group_slopes(material, pump_um, theta)
+    theta_pm = dispersion.noncollinear_cut_angle(material, pump_um, theta)
     w0_fact = factorable_waist(material, pump_um, L, theta)
     sp_min = pump_bandwidth_threshold(material, pump_um, L, theta)
     w0_eval = w0_fact if w0 is None else w0
@@ -166,7 +158,7 @@ class EconomyRecord:
 def economy_figure(label: str, crystal_length_mm: float, pump_power_w: float,
                    singles_rate_hz: float, coincidence_ratio: float,
                    r_printed: Optional[float] = None,
-                   rel_tol: float = 0.05) -> EconomyRecord:
+                   rel_tol: float = ECONOMY_REL_TOL) -> EconomyRecord:
     if min(crystal_length_mm, pump_power_w, singles_rate_hz) <= 0.0:
         raise ValidationError("economy inputs must be positive")
     if not 0.0 <= coincidence_ratio <= 1.0:
@@ -181,7 +173,7 @@ def economy_figure(label: str, crystal_length_mm: float, pump_power_w: float,
         r_printed=r_printed, flagged=flagged)
 
 
-def builtin_economy_records() -> list:
+def builtin_economy_records(rel_tol: float = ECONOMY_REL_TOL) -> list:
     """Published bulk-crystal vs waveguide benchmark (quoted R values kept
     for cross-checking; the middle row's quoted figure is about a factor two
     above Rs/(L P) and comes back flagged)."""
@@ -190,13 +182,15 @@ def builtin_economy_records() -> list:
         ("type-II 2 mm BBO", 2.0, 0.465, 1.25e6, 0.26, 2.7e6),
         ("1 mm KTP waveguide", 1.0, 2.2e-5, 7.2e5, 0.185, 3.3e10),
     ]
-    return [economy_figure(*row[:5], r_printed=row[5]) for row in rows]
+    return [economy_figure(*row[:5], r_printed=row[5], rel_tol=rel_tol)
+            for row in rows]
 
 
 _CSV_FIELDS = ("label", "L_mm", "P_W", "Rs_Hz", "ratio", "R_printed_Hz")
 
 
-def load_economy_csv(path_or_text, *, is_text: bool = False) -> list:
+def load_economy_csv(path_or_text, *, is_text: bool = False,
+                     rel_tol: float = ECONOMY_REL_TOL) -> list:
     """Read records from CSV with columns label,L_mm,P_W,Rs_Hz,ratio and an
     optional sixth column R_printed_Hz.  '#' lines are comments; a header
     row matching the field names is skipped."""
@@ -218,7 +212,7 @@ def load_economy_csv(path_or_text, *, is_text: bool = False) -> list:
             printed = float(row[5]) if len(row) == 6 and row[5].strip() else None
             records.append(economy_figure(
                 row[0].strip(), float(row[1]), float(row[2]), float(row[3]),
-                float(row[4]), r_printed=printed))
+                float(row[4]), r_printed=printed, rel_tol=rel_tol))
     return records
 
 

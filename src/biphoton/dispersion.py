@@ -268,41 +268,46 @@ def degenerate_noncollinear_angle(material: Material, pump_um: float,
     return math.acos(ratio)
 
 
-def collinear_degenerate_cut_angle(material: Material, pump_um: float) -> float:
-    """Cut angle theta_pm at which degenerate *collinear* type-I PDC phase
-    matches: n_e(pump, theta_pm) = n_o(2*pump)."""
-    lam0 = 2.0 * pump_um
-    target = refractive_index(material, lam0, "o")
-
-    def f(th):
-        return refractive_index(material, pump_um, ("e", th)) - target
-
+def _cut_angle(f, what: str) -> float:
+    """Root of f(theta_pm) on (0, pi/2), bracketed at the open ends."""
     lo, hi = 1e-9, math.pi / 2 - 1e-9
     if f(lo) * f(hi) > 0:
-        raise PhaseMatchError(
-            f"no collinear degenerate type-I cut angle for {material.name} "
-            f"at pump {pump_um:g} um"
-        )
+        raise PhaseMatchError(f"no cut angle phase-matches {what}")
     return brentq(f, lo, hi, xtol=1e-14)
+
+
+def noncollinear_cut_angle(material: Material, pump_um: float,
+                           theta: float) -> float:
+    """Cut angle theta_pm making degenerate type-I PDC phase-match at internal
+    emission angle theta: n_e(pump, theta_pm) = n_o(2*pump) cos(theta).
+    theta = 0 is the collinear cut."""
+    target = refractive_index(material, 2.0 * pump_um, "o") * math.cos(theta)
+    return _cut_angle(
+        lambda th: refractive_index(material, pump_um, ("e", th)) - target,
+        f"{material.name} type-I at pump {pump_um:g} um, "
+        f"theta={math.degrees(theta):.3f} deg")
+
+
+def noncollinear_group_slopes(material: Material, pump_um: float,
+                              theta: float):
+    """(kp', k'): pump group slope at lambda_p, extraordinary at the cut
+    angle that phase-matches emission angle theta, and daughter ordinary
+    group slope at 2 lambda_p."""
+    theta_pm = noncollinear_cut_angle(material, pump_um, theta)
+    kp = wave_props(material, pump_um, ("e", theta_pm)).k_prime
+    kd = wave_props(material, 2.0 * pump_um, "o").k_prime
+    return kp, kd
 
 
 def typeII_cut_angle(material: Material, degenerate_um: float) -> float:
     """Cut angle for degenerate collinear type-II (e -> o + e) matching:
     2 n_e(lam/2, theta) = n_o(lam) + n_e(lam, theta)."""
     lam = degenerate_um
-    lam_p = 0.5 * lam
-
-    def f(th):
-        return (2.0 * refractive_index(material, lam_p, ("e", th))
-                - refractive_index(material, lam, "o")
-                - refractive_index(material, lam, ("e", th)))
-
-    lo, hi = 1e-9, math.pi / 2 - 1e-9
-    if f(lo) * f(hi) > 0:
-        raise PhaseMatchError(
-            f"no collinear type-II cut angle for {material.name} at {lam:g} um"
-        )
-    return brentq(f, lo, hi, xtol=1e-14)
+    return _cut_angle(
+        lambda th: (2.0 * refractive_index(material, 0.5 * lam, ("e", th))
+                    - refractive_index(material, lam, "o")
+                    - refractive_index(material, lam, ("e", th))),
+        f"{material.name} collinear type-II at {lam:g} um")
 
 
 def _typeII_group_slopes(material: Material, lam_um: float):

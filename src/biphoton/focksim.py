@@ -34,7 +34,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,18 +118,24 @@ class LinearNetwork:
         log = self.elements + ({"type": "phase", "channel": i, "phi": phi},)
         return LinearNetwork(self.n_channels, e @ self.unitary, log)
 
-    def replay(self) -> "LinearNetwork":
-        """Rebuild from the element log; equals self to floating roundoff."""
-        net = LinearNetwork.identity(self.n_channels)
-        for e in self.elements:
+    @classmethod
+    def from_elements(cls, n_channels: int, elements) -> "LinearNetwork":
+        """Apply an element log to the identity: {type: "bs", channels:
+        [i, j], r, convention?} or {type: "phase", channel: i, phi}."""
+        net = cls.identity(int(n_channels))
+        for e in elements:
             if e["type"] == "bs":
-                net = net.bs(e["channels"][0], e["channels"][1], e["r"],
-                             e.get("convention", "std"))
+                net = net.bs(int(e["channels"][0]), int(e["channels"][1]),
+                             float(e["r"]), e.get("convention", "std"))
             elif e["type"] == "phase":
-                net = net.phase(e["channel"], e["phi"])
+                net = net.phase(int(e["channel"]), float(e["phi"]))
             else:
                 raise ValidationError(f"unknown element type {e['type']!r}")
         return net
+
+    def replay(self) -> "LinearNetwork":
+        """Rebuild from the element log; equals self to floating roundoff."""
+        return LinearNetwork.from_elements(self.n_channels, self.elements)
 
 
 def network_json_text(net: LinearNetwork) -> str:
@@ -138,25 +143,12 @@ def network_json_text(net: LinearNetwork) -> str:
                          "elements": list(net.elements)})
 
 
-def load_network_json(path_or_text, *, is_text: bool = False) -> LinearNetwork:
-    """Build a network from {"n_channels": n, "elements": [...]} JSON with
-    elements {type: "bs", channels: [i, j], r, convention?} or
-    {type: "phase", channel: i, phi}."""
-    if is_text:
-        doc = json.loads(path_or_text)
-    else:
-        with open(path_or_text, "r") as fh:
-            doc = json.load(fh)
-    net = LinearNetwork.identity(int(doc["n_channels"]))
-    for e in doc["elements"]:
-        if e["type"] == "bs":
-            net = net.bs(int(e["channels"][0]), int(e["channels"][1]),
-                         float(e["r"]), e.get("convention", "std"))
-        elif e["type"] == "phase":
-            net = net.phase(int(e["channel"]), float(e["phi"]))
-        else:
-            raise ValidationError(f"unknown element type {e['type']!r}")
-    return net
+def load_network_json(path) -> LinearNetwork:
+    """Read a network written by network_json_text:
+    {"n_channels": n, "elements": [...]} (see LinearNetwork.from_elements)."""
+    with open(path, "r") as fh:
+        doc = json.load(fh)
+    return LinearNetwork.from_elements(doc["n_channels"], doc["elements"])
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +198,6 @@ class DetectionPattern:
     resolving in channel space but blind to the spectral label."""
 
     counts: Tuple[int, ...]
-    spectrally_unresolved: bool = True
 
     def __post_init__(self):
         if any(int(c) != c or c < 0 for c in self.counts):
@@ -230,7 +221,6 @@ class SpectralPhotonInput:
     photon_number: int
     norm_sq: float
     truncation_mass: float = 0.0
-    shared_basis: bool = True
 
     @classmethod
     def photons(cls, channel_mode_pairs) -> "SpectralPhotonInput":
@@ -442,14 +432,11 @@ NS_CONVENTIONS = ("explicit_phases", "flipped_element")
 class NSGateConfig:
     r: float = IDEAL_NS_R
     s: float = IDEAL_NS_S
-    topology: str = NS_TOPOLOGY
     convention: str = "explicit_phases"
 
     def __post_init__(self):
         if not (0.0 < self.r < 1.0 and 0.0 < self.s < 1.0):
             raise ValidationError("reflectivities must lie strictly in (0, 1)")
-        if self.topology != NS_TOPOLOGY:
-            raise ValidationError(f"unknown topology {self.topology!r}")
         if self.convention not in NS_CONVENTIONS:
             raise ValidationError(f"unknown convention {self.convention!r}")
 
@@ -616,29 +603,13 @@ def homi_mz_stage_states(phase: float) -> MZStageReport:
 SIXFOLD_PAIRS = ((3, 0), (4, 1), (5, 2))   # (signal, idler) per source
 SIXFOLD_PATTERN = DetectionPattern((1, 1, 1, 1, 1, 1, 0))
 
-_PRESET_CACHE = {}
-
-
-def build_sixfold_network(cfg: Optional[NSGateConfig] = None) -> LinearNetwork:
+def sixfold_network(cfg: Optional[NSGateConfig] = None) -> LinearNetwork:
     """Two balanced splitters on (3, 4) bracketing an NS gate on
     (4, 5, 6): the Mach-Zehnder-with-NS circuit fed by three pair sources."""
     cfg = cfg if cfg is not None else NSGateConfig()
     net = LinearNetwork.identity(7).bs(3, 4, 0.5)
     net = ns_network(cfg, base=net, channels=(4, 5, 6))
     return net.bs(3, 4, 0.5)
-
-
-def sixfold_network(cfg: Optional[NSGateConfig] = None) -> LinearNetwork:
-    """The shipped preset (default config, loaded from package data) or a
-    freshly built network for a custom config."""
-    if cfg is None or (cfg.r == IDEAL_NS_R and cfg.s == IDEAL_NS_S
-                       and cfg.convention == "explicit_phases"):
-        if "default" not in _PRESET_CACHE:
-            text = (resources.files("biphoton.data") / "sixfold_network.json"
-                    ).read_text()
-            _PRESET_CACHE["default"] = load_network_json(text, is_text=True)
-        return _PRESET_CACHE["default"]
-    return build_sixfold_network(cfg)
 
 
 def sixfold_input(mu: float, n_modes: int) -> SpectralPhotonInput:

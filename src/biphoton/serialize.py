@@ -9,6 +9,7 @@ into plain JSON structures.  Parsing back is plain json.loads.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, is_dataclass
 
@@ -36,22 +37,7 @@ def _render(obj, indent: int, level: int) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ch == "\n":
-                out.append("\\n")
-            elif ch == "\t":
-                out.append("\\t")
-            elif ord(ch) < 0x20:
-                out.append("\\u%04x" % ord(ch))
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (np.integer, int)):
         return str(int(obj))
     if isinstance(obj, (np.floating, float)):

@@ -283,22 +283,6 @@ def _center_wavelengths(pump: PumpEnvelope):
     return lam0 * 1e6, 0.5 * lam0 * 1e6
 
 
-def noncollinear_cut_angle(material: Material, pump_um: float, theta: float) -> float:
-    """Cut angle theta_pm making degenerate type-I PDC phase-match at internal
-    emission angle theta: n_e(pump, theta_pm) = n_o(2*pump) cos(theta)."""
-    target = dispersion.refractive_index(material, 2.0 * pump_um, "o") * math.cos(theta)
-
-    def f(th):
-        return dispersion.refractive_index(material, pump_um, ("e", th)) - target
-
-    lo, hi = 1e-9, math.pi / 2 - 1e-9
-    if f(lo) * f(hi) > 0:
-        raise ValidationError(
-            f"no cut angle phase-matches {material.name} type-I at "
-            f"theta={math.degrees(theta):.3f} deg")
-    return brentq(f, lo, hi, xtol=1e-14)
-
-
 def build_jsa_collinear(material: Material, pdc_type: str, L: float,
                         pump: PumpEnvelope, grid_s: FrequencyGrid,
                         grid_i: Optional[FrequencyGrid] = None,
@@ -314,7 +298,7 @@ def build_jsa_collinear(material: Material, pdc_type: str, L: float,
         grid_i = grid_s
     lam0_um, lam_p_um = _center_wavelengths(pump)
     if pdc_type == "I_eoo":
-        th = dispersion.collinear_degenerate_cut_angle(material, lam_p_um) \
+        th = dispersion.noncollinear_cut_angle(material, lam_p_um, 0.0) \
             if theta_pm is None else theta_pm
         ray_s, ray_i = "o", "o"
     elif pdc_type == "II_eoe":
@@ -348,7 +332,8 @@ def build_jsa_noncollinear_sinc(material: Material, L: float, pump: PumpEnvelope
     if grid_i is None:
         grid_i = grid_s
     _, lam_p_um = _center_wavelengths(pump)
-    th_pm = noncollinear_cut_angle(material, lam_p_um, theta) if theta_pm is None else theta_pm
+    th_pm = dispersion.noncollinear_cut_angle(material, lam_p_um, theta) \
+        if theta_pm is None else theta_pm
 
     lam_um = lambda omega: 2.0 * math.pi * C_LIGHT / np.asarray(omega) * 1e6
     omega_s, omega_i = grid_s.omegas, grid_i.omegas
@@ -406,10 +391,8 @@ def noncollinear_gaussian_beam_factors(material: Material, pump: PumpEnvelope,
         grid_i = grid_s
     gam = gaussian_sinc_gamma()
     _, lam_p_um = _center_wavelengths(pump)
-    lam0_um = 2.0 * lam_p_um
-    th_pm = noncollinear_cut_angle(material, lam_p_um, beam.theta)
-    kp_prime = float(dispersion.group_slope(material, lam_p_um, ("e", th_pm)))
-    k_prime = float(dispersion.group_slope(material, lam0_um, "o"))
+    kp_prime, k_prime = dispersion.noncollinear_group_slopes(
+        material, lam_p_um, beam.theta)
 
     ns = grid_s.detunings[:, None]
     ni = grid_i.detunings[None, :]

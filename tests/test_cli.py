@@ -180,6 +180,20 @@ def test_economy_builtin_and_custom(tmp_path, capsys):
     assert doc["records"][0]["flagged"] is False
 
 
+def test_economy_rel_tol_reaches_every_row(tmp_path):
+    # the built-in waveguide row is 0.83 % off its quoted figure
+    assert run(["economy", "--rel-tol", "0.001", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "economy.json").read_text())
+    assert [r["flagged"] for r in doc["records"]] == [False, True, True]
+    # the documented 2 % default flags a 3 % mismatch in a CSV row
+    rows = tmp_path / "rows.csv"
+    rows.write_text("wg,1.0,1.0,1e6,0.2,1.03e6\n")
+    out2 = tmp_path / "custom"
+    assert run(["economy", "--csv", str(rows), "--out", str(out2)]) == 0
+    doc = json.loads((out2 / "economy.json").read_text())
+    assert doc["records"][0]["flagged"] is True
+
+
 def test_reproduce_fig5(tmp_path):
     assert run(["reproduce", "fig5", "--grid", "64",
                 "--out", str(tmp_path)]) == 0

@@ -38,7 +38,7 @@ def test_factorable_waist_five_degrees(bbo):
 
 def test_factorable_waist_from_primitives(bbo):
     # independent reassembly from the dispersion primitives
-    theta_pm = spectra.noncollinear_cut_angle(bbo, 0.4, THETA3)
+    theta_pm = dispersion.noncollinear_cut_angle(bbo, 0.4, THETA3)
     kp = dispersion.wave_props(bbo, 0.4, ("e", theta_pm)).k_prime
     kd = dispersion.wave_props(bbo, 0.8, "o").k_prime
     manual = 1e-3 * math.sqrt(spectra.gaussian_sinc_gamma()) \
@@ -154,7 +154,7 @@ def test_design_report_fields(bbo):
     assert rep.freq_correlated is True       # margin ~17 at this short length
     assert rep.gamma == spectra.gaussian_sinc_gamma()
     assert rep.theta_pm == pytest.approx(
-        spectra.noncollinear_cut_angle(bbo, 0.4, THETA3), rel=1e-12)
+        dispersion.noncollinear_cut_angle(bbo, 0.4, THETA3), rel=1e-12)
     assert rep.pump_above_threshold is None
 
 

@@ -110,7 +110,7 @@ def test_noncollinear_angle_closes_momentum(bbo):
 
 
 def test_collinear_cut_angle_below_noncollinear_cut(bbo):
-    cut = dispersion.collinear_degenerate_cut_angle(bbo, 0.4)
+    cut = dispersion.noncollinear_cut_angle(bbo, 0.4, 0.0)
     assert math.degrees(cut) == pytest.approx(COLLINEAR_CUT_BBO_400, abs=1e-6)
     assert math.degrees(cut) < 30.32
     # independent bisection on kp(e at cut) - 2 k(o) over the cut angle
@@ -133,9 +133,11 @@ def test_collinear_cut_angle_below_noncollinear_cut(bbo):
         bbo, 0.4, cut) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_unmatchable_cut_raises(bbo):
+def test_unmatchable_cut_raises(bbo, ktp):
     with pytest.raises(PhaseMatchError):
         dispersion.degenerate_noncollinear_angle(bbo, 0.4, 0.0)
+    with pytest.raises(PhaseMatchError):
+        dispersion.noncollinear_cut_angle(ktp, 0.45, 0.0)
 
 
 def test_gvm_wavelength_bbo(bbo):

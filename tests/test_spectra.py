@@ -170,7 +170,7 @@ def test_collinear_grid_refinement(bbo):
 
 def test_noncollinear_cut_angle_consistency(bbo):
     theta = math.radians(3.0)
-    cut = spectra.noncollinear_cut_angle(bbo, 0.4, theta)
+    cut = dispersion.noncollinear_cut_angle(bbo, 0.4, theta)
     n_p = dispersion.refractive_index(bbo, 0.4, ("e", cut))
     n_d = dispersion.refractive_index(bbo, 0.8, "o")
     assert n_p == pytest.approx(n_d * math.cos(theta), rel=1e-12)
