@@ -22,10 +22,11 @@ from importlib import resources
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.constants import c as C_LIGHT  # m/s
 from scipy.optimize import brentq
 
 from .errors import PhaseMatchError, RangeError, ValidationError
+
+C_LIGHT = 299792458.0  # m/s, exact by the SI definition of the metre
 
 Ray = Union[str, tuple]
 
@@ -293,7 +294,12 @@ def noncollinear_group_slopes(material: Material, pump_um: float,
     """(kp', k'): pump group slope at lambda_p, extraordinary at the cut
     angle that phase-matches emission angle theta, and daughter ordinary
     group slope at 2 lambda_p."""
-    theta_pm = noncollinear_cut_angle(material, pump_um, theta)
+    return slopes_at_cut(material, pump_um,
+                         noncollinear_cut_angle(material, pump_um, theta))
+
+
+def slopes_at_cut(material: Material, pump_um: float, theta_pm: float):
+    """(kp', k') of noncollinear_group_slopes at a known cut angle."""
     kp = wave_props(material, pump_um, ("e", theta_pm)).k_prime
     kd = wave_props(material, 2.0 * pump_um, "o").k_prime
     return kp, kd

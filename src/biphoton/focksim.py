@@ -7,7 +7,15 @@ photons per channel but do not resolve the spectral label, so distinct
 output spectral contents add incoherently while amplitudes landing in the
 same (channel, mode) occupation add coherently.  Probabilities come from
 permanents of the relevant channel submatrices, one spectral-label
-assignment at a time.
+assignment at a time (`pattern_probability`, the general path).
+
+Pair sources whose idlers go to their own trigger channels, untouched by
+the network and each counted once, have a closed form instead:
+`pair_source_probability` traces the spectrally blind idlers out, leaving
+each signal in a diagonal state, and sums over permutation pairs of the
+signal submatrix weighted by cycle traces of the Schmidt ladders (Tichy,
+PRA 91, 022316 (2015); Shchesnovich, PRA 91, 013844 (2015)).  It refuses
+any input that breaks those preconditions; `ns_sixfold_rate` runs on it.
 
 All sources in one simulation must share a single orthonormal spectral
 basis; for identical Gaussian-model sources the Schmidt bases coincide
@@ -252,24 +260,13 @@ class SpectralPhotonInput:
         """Product of two-photon sources.  pairs[j] = (signal_channel,
         idler_channel); weights[j] = kept Schmidt amplitudes of source j
         (signal and idler of one source share its mode index; all sources
-        share the basis).  Zero weights are dropped.  The truncation mass
-        1 - prod_j sum_n |w_jn|^2 is recorded."""
+        share the basis; a single list serves every source).  Zero weights
+        are dropped.  The truncation mass 1 - prod_j sum_n |w_jn|^2 is
+        recorded."""
         pairs = list(pairs)
-        weights = [np.asarray(w, dtype=complex) for w in weights]
-        if len(weights) == 1 and len(pairs) > 1:
-            weights = weights * len(pairs)
-        if len(weights) != len(pairs):
-            raise ValidationError("need one weight list per source")
-        chans = [c for p in pairs for c in p]
-        if len(set(chans)) != len(chans):
-            raise ValidationError("source channels must be distinct")
-        kept = 1.0
+        weights, kept = _pair_weights(pairs, weights)
         per_source = []
         for (ch_s, ch_i), w in zip(pairs, weights):
-            mass = float(np.sum(np.abs(w) ** 2))
-            if mass > 1.0 + 1e-9:
-                raise ValidationError("source weights exceed unit mass")
-            kept *= mass
             per_source.append([(w[n], ch_s, ch_i, n)
                                for n in range(len(w)) if w[n] != 0.0])
         raw = []
@@ -282,6 +279,27 @@ class SpectralPhotonInput:
                 photons.append((ch_i, n))
             raw.append((amp, photons))
         return cls.superposition(raw, truncation_mass=1.0 - kept)
+
+
+def _pair_weights(pairs, weights):
+    """(per-source complex weight arrays, kept mass prod_j sum_n |w_jn|^2)
+    for pair sources on distinct channels; a single weight list is shared
+    by every source."""
+    weights = [np.asarray(w, dtype=complex) for w in weights]
+    if len(weights) == 1 and len(pairs) > 1:
+        weights = weights * len(pairs)
+    if len(weights) != len(pairs):
+        raise ValidationError("need one weight list per source")
+    chans = [c for p in pairs for c in p]
+    if len(set(chans)) != len(chans):
+        raise ValidationError("source channels must be distinct")
+    kept = 1.0
+    for w in weights:
+        mass = float(np.sum(np.abs(w) ** 2))
+        if mass > 1.0 + 1e-9:
+            raise ValidationError("source weights exceed unit mass")
+        kept *= mass
+    return weights, kept
 
 
 def shared_basis_error(dec_a, dec_b) -> float:
@@ -412,6 +430,84 @@ def total_probability_check(network: LinearNetwork,
     return sum(
         pattern_probability(network, inp, DetectionPattern(c))
         for c in _compositions(inp.photon_number, network.n_channels))
+
+
+def pair_source_probability(network: LinearNetwork, pairs, weights,
+                            pattern: DetectionPattern) -> float:
+    """pattern_probability of from_pair_sources(pairs, weights) when every
+    idler sits on a channel the network leaves alone and is counted there.
+
+    Tracing out the spectrally blind idler detectors leaves signal j in the
+    diagonal state rho_j = sum_n lambda_jn |n><n|, lambda_jn = |w_jn|^2, so
+
+        P = (1 / prod_d m_d!) sum_{sigma, tau in S_n}
+            prod_k M[k, sigma k] conj(M[k, tau k])
+            prod_{cycles C of tau sigma^-1} sum_n prod_{j in C} lambda_jn
+
+    with M the unitary's rows for the pattern's non-idler counts (channel d
+    repeated m_d times) and columns for the signal inputs; the cycles act on
+    source labels (Tichy, PRA 91, 022316; Shchesnovich, PRA 91, 013844).
+    Ladders of unequal length are zero-padded.  Raises ValidationError
+    unless each idler's row and column of the unitary are zero off the
+    diagonal, the pattern counts exactly one photon on each idler channel,
+    the channels are distinct, each source's mass is at most 1, and the
+    pattern carries all 2n photons with 2n <= MAX_PERMANENT."""
+    pairs = [(int(s), int(i)) for s, i in pairs]
+    weights, _ = _pair_weights(pairs, weights)
+    n = len(pairs)
+    if len(pattern.counts) != network.n_channels:
+        raise ValidationError("pattern length must match channel count")
+    if pattern.total != 2 * n:
+        raise ValidationError(
+            f"pattern counts {pattern.total} photons, sources carry {2 * n}")
+    if 2 * n > MAX_PERMANENT:
+        raise ValidationError(f"photon number capped at {MAX_PERMANENT}")
+    if any(not 0 <= c < network.n_channels for p in pairs for c in p):
+        raise ValidationError("source channel out of range")
+    u = network.unitary
+    idlers = [i for _, i in pairs]
+    for i in idlers:
+        if pattern.counts[i] != 1:
+            raise ValidationError(
+                f"pattern must count one photon on idler channel {i}")
+        if np.any(np.delete(u[i], i)) or np.any(np.delete(u[:, i], i)):
+            raise ValidationError(f"network mixes idler channel {i}")
+    lam = np.zeros((n, max(len(w) for w in weights)))
+    for j, w in enumerate(weights):
+        lam[j, :len(w)] = np.abs(w) ** 2
+    rows = [d for d, c in enumerate(pattern.counts) if d not in idlers
+            for _ in range(c)]
+    sub = u[np.ix_(rows, [s for s, _ in pairs])]
+    perms = list(itertools.permutations(range(n)))
+    index = {p: k for k, p in enumerate(perms)}
+    amps = np.array([np.prod(sub[range(n), p]) for p in perms])
+    traces = [math.prod(float(np.sum(np.prod(lam[c], axis=0)))
+                        for c in _cycles(pi)) for pi in perms]
+    # The pi-sums of sum_sigma a_sigma conj(a_{pi sigma}) add up to
+    # |perm M|^2: splitting off the smallest cycle trace that way keeps a
+    # pattern that indistinguishable photons cannot reach dark to roundoff.
+    floor = min(traces)
+    total = floor * abs(np.sum(amps)) ** 2
+    for pi, trace in zip(perms, traces):
+        # tau = pi o sigma, so tau sigma^-1 = pi
+        partner = [index[tuple(pi[k] for k in sigma)] for sigma in perms]
+        total += (trace - floor) * np.vdot(amps[partner], amps)
+    norm = math.prod(math.factorial(c) for c in pattern.counts)
+    return float(np.real(total)) / norm
+
+
+def _cycles(perm):
+    """Cycles of a permutation given as a tuple of images."""
+    seen, out = set(), []
+    for start in range(len(perm)):
+        cycle, j = [], start
+        while j not in seen:
+            seen.add(j)
+            cycle.append(j)
+            j = perm[j]
+        if cycle:
+            out.append(cycle)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -612,18 +708,24 @@ def sixfold_network(cfg: Optional[NSGateConfig] = None) -> LinearNetwork:
     return net.bs(3, 4, 0.5)
 
 
-def sixfold_input(mu: float, n_modes: int) -> SpectralPhotonInput:
-    """Three identical two-photon sources with Schmidt amplitudes
-    sqrt(1 - mu^2) (-mu)^n (anticorrelated-model signs; detection
-    probabilities are sign-independent, which the tests verify)."""
+def _sixfold_amplitudes(mu: float, n_modes: int) -> np.ndarray:
+    """Schmidt amplitudes sqrt(1 - mu^2) (-mu)^n, n < n_modes, of one
+    sixfold source (a single mode at mu = 0)."""
     if not 0.0 <= mu < 1.0:
         raise ValidationError("mu must lie in [0, 1)")
     if n_modes < 1:
         raise ValidationError("need at least one spectral mode")
     n = np.arange(n_modes)
-    amps = math.sqrt(1.0 - mu * mu) * (-mu) ** n if mu > 0.0 \
+    return math.sqrt(1.0 - mu * mu) * (-mu) ** n if mu > 0.0 \
         else np.array([1.0])
-    return SpectralPhotonInput.from_pair_sources(SIXFOLD_PAIRS, [amps])
+
+
+def sixfold_input(mu: float, n_modes: int) -> SpectralPhotonInput:
+    """Three identical two-photon sources with Schmidt amplitudes
+    sqrt(1 - mu^2) (-mu)^n (anticorrelated-model signs; detection
+    probabilities are sign-independent, which the tests verify)."""
+    return SpectralPhotonInput.from_pair_sources(
+        SIXFOLD_PAIRS, [_sixfold_amplitudes(mu, n_modes)])
 
 
 @dataclass(frozen=True)
@@ -658,17 +760,19 @@ def ns_sixfold_rate(model: Optional[GaussianSourceModel] = None, *,
     if mu is None:
         mu = analytic_mu(model)
     cfg = cfg if cfg is not None else NSGateConfig()
-    inp = sixfold_input(mu, n_modes)
-    if inp.truncation_mass > trunc_tol:
+    weights, kept = _pair_weights(SIXFOLD_PAIRS,
+                                  [_sixfold_amplitudes(mu, n_modes)])
+    truncation_mass = 1.0 - kept
+    if truncation_mass > trunc_tol:
         raise ValidationError(
-            f"truncated Schmidt mass {inp.truncation_mass:.3g} exceeds "
+            f"truncated Schmidt mass {truncation_mass:.3g} exceeds "
             f"trunc_tol={trunc_tol:g}; raise n_modes")
-    net = sixfold_network(cfg)
-    rate = pattern_probability(net, inp, SIXFOLD_PATTERN)
+    rate = pair_source_probability(sixfold_network(cfg), SIXFOLD_PAIRS,
+                                   weights, SIXFOLD_PATTERN)
     return SixfoldRate(rate=rate, mu=float(mu),
                        cooperativity=analytic_K(mu) if mu > 0 else 1.0,
                        n_modes=n_modes,
-                       truncation_mass=inp.truncation_mass, config=cfg)
+                       truncation_mass=truncation_mass, config=cfg)
 
 
 def sixfold_curve(mus: Sequence[float], n_modes: int = 8,

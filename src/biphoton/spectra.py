@@ -28,22 +28,25 @@ term is exactly ``-4 nu_s nu_i / sigma^2``).
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 from scipy.optimize import brentq
 
 from . import dispersion
-from .dispersion import Material
+from .dispersion import C_LIGHT, Material
 from .errors import RegimeError, ValidationError
 
 NO_FILTER = math.inf
 
 NORM_TOL = 1e-10
 BOUNDARY_LEAK = 1e-3
+# Complex N_s x N_i arrays in a JSA's working set: a build peaks at 5.5
+# (tracemalloc, all four builders) and the Schmidt SVD adds its factors.
+WORKING_ARRAYS = 8
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +175,24 @@ class JointSpectralAmplitude:
                        values=self.values.T.copy())
 
 
+def _idler_grid(grid_s: FrequencyGrid,
+                grid_i: Optional[FrequencyGrid]) -> FrequencyGrid:
+    """The idler grid (default: the signal grid), once the JSA's estimated
+    working set is known to fit in the machine's physical memory."""
+    grid_i = grid_s if grid_i is None else grid_i
+    need = WORKING_ARRAYS * 16 * grid_s.n_points * grid_i.n_points
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):   # no sysconf: no estimate
+        return grid_i
+    if need > have:
+        raise ValidationError(
+            f"a {grid_s.n_points} x {grid_i.n_points} grid needs about "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+            f"of physical memory; use a smaller grid")
+    return grid_i
+
+
 def _boundary_leakage(values: np.ndarray) -> float:
     peak = float(np.max(np.abs(values)))
     if peak == 0.0:
@@ -260,8 +281,7 @@ def gaussian_model_jsa(model: GaussianSourceModel,
     """Discretize the two-width model source (docstring at module top) and
     normalize.  Sets ``boundary_warning`` when the grid truncates more than
     1e-3 of the peak amplitude at its edge."""
-    if grid_i is None:
-        grid_i = grid_s
+    grid_i = _idler_grid(grid_s, grid_i)
     smallest = model.sigma if math.isinf(model.sigma_F) else min(model.sigma, model.sigma_F)
     if 2.0 * min(grid_s.half_span, grid_i.half_span) < 3.0 * smallest:
         raise ValidationError("grid span must cover at least 3x the smaller model width")
@@ -294,8 +314,7 @@ def build_jsa_collinear(material: Material, pdc_type: str, L: float,
     idler extraordinary at the cut angle.  The cut angle defaults to the one
     that phase-matches exactly at degeneracy.
     """
-    if grid_i is None:
-        grid_i = grid_s
+    grid_i = _idler_grid(grid_s, grid_i)
     lam0_um, lam_p_um = _center_wavelengths(pump)
     if pdc_type == "I_eoo":
         th = dispersion.noncollinear_cut_angle(material, lam_p_um, 0.0) \
@@ -329,8 +348,7 @@ def build_jsa_noncollinear_sinc(material: Material, L: float, pump: PumpEnvelope
     """Degenerate type-I PDC into two fixed directions at +/- theta from the
     pump axis: S = alpha(nu_s+nu_i) sinc(L dk_z / 2) with the longitudinal
     mismatch dk_z = kp - (ks + ki) cos(theta), both daughters ordinary."""
-    if grid_i is None:
-        grid_i = grid_s
+    grid_i = _idler_grid(grid_s, grid_i)
     _, lam_p_um = _center_wavelengths(pump)
     th_pm = dispersion.noncollinear_cut_angle(material, lam_p_um, theta) \
         if theta_pm is None else theta_pm
@@ -364,8 +382,7 @@ def build_jsa_noncollinear_gaussian_beam(material: Material, pump: PumpEnvelope,
     Valid only for weak focusing, w0/L >= regime_factor * sqrt(gamma) sin^2(theta);
     otherwise raises RegimeError carrying both sides of the inequality.
     """
-    if grid_i is None:
-        grid_i = grid_s
+    grid_i = _idler_grid(grid_s, grid_i)
     gam = gaussian_sinc_gamma()
     lhs = beam.w0 / beam.L
     rhs = regime_factor * math.sqrt(gam) * math.sin(beam.theta) ** 2
@@ -387,8 +404,7 @@ def noncollinear_gaussian_beam_factors(material: Material, pump: PumpEnvelope,
     (pump envelope, longitudinal phase matching, transverse phase matching),
     each as a 2-D array over (nu_s, nu_i).  No regime check here — use
     build_jsa_noncollinear_gaussian_beam for a validated amplitude."""
-    if grid_i is None:
-        grid_i = grid_s
+    grid_i = _idler_grid(grid_s, grid_i)
     gam = gaussian_sinc_gamma()
     _, lam_p_um = _center_wavelengths(pump)
     kp_prime, k_prime = dispersion.noncollinear_group_slopes(

@@ -4,6 +4,7 @@ determinism, exit codes, and the JSON error channel."""
 import argparse
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -328,6 +329,29 @@ def test_validation_error_exit_two(tmp_path, capsys):
     assert err["error"] == "ValidationError"
     assert err["exit_code"] == 2
     assert "sigma-f" in err["message"] or "sigma_f" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["jsa", "--builder", "model"], ["jsa", "--builder", "collinear"],
+    ["jsa", "--builder", "noncollinear-sinc"],
+    ["jsa", "--builder", "gaussian-beam"], ["schmidt"], ["homi", "--numeric"],
+    ["reproduce", "fig1"], ["reproduce", "fig5"]])
+def test_oversized_grid_exit_two_before_allocating(tmp_path, capsys, argv):
+    # a 10^6 x 10^6 complex grid is 16 TB; the guard must refuse it before
+    # any N x N (or even length-N) array exists
+    tracemalloc.start()
+    try:
+        code, cap = run(argv + ["--grid", "1000000", "--out", str(tmp_path)],
+                        capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert "physical memory" in err["message"]
+    assert peak < 4 * 2**20
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_regime_error_exit_three(tmp_path, capsys):

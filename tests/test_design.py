@@ -195,19 +195,21 @@ def test_economy_csv_load(tmp_path):
         "src a,2.0,0.5,1e6,0.3,1e6\n"
         "src b,1.0,1.0,4e5,0.2\n"
     )
-    recs = design.load_economy_csv(text, is_text=True)
+    p = tmp_path / "rows.csv"
+    p.write_text(text)
+    recs = design.load_economy_csv(p)
     assert [r.label for r in recs] == ["src a", "src b"]
     assert recs[0].r_figure == pytest.approx(1e6, rel=1e-12)
     assert recs[0].flagged is False
     assert recs[1].r_printed is None
-    p = tmp_path / "rows.csv"
-    p.write_text(text)
-    assert design.load_economy_csv(p) == recs
+    assert design.load_economy_csv(str(p)) == recs
 
 
-def test_economy_csv_bad_columns():
+def test_economy_csv_bad_columns(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("a,1.0,1.0\n")
     with pytest.raises(ValidationError):
-        design.load_economy_csv("a,1.0,1.0\n", is_text=True)
+        design.load_economy_csv(p)
 
 
 def test_economy_csv_output():

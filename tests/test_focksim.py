@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
 from biphoton import focksim, interference, schmidt, spectra
@@ -90,6 +92,16 @@ def test_permanent_against_permutation_sum():
         np.prod([a[i, p[i]] for i in range(4)])
         for p in itertools.permutations(range(4)))
     assert focksim.permanent(a) == pytest.approx(brute, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_permanent_equals_permutation_sum_property(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    brute = sum(np.prod(a[np.arange(n), p])
+                for p in itertools.permutations(range(n)))
+    assert abs(focksim.permanent(a) - brute) <= 1e-12 * max(1.0, abs(brute))
 
 
 def test_permanent_validation():
@@ -261,6 +273,108 @@ def test_four_photon_dip_visibility_matches_spectral_purity(
     assert v == pytest.approx(v_ladder, abs=1e-9)
     v_grid = interference.two_crystal_homi_numeric(jsa_equal, [0.0]).visibility
     assert v == pytest.approx(v_grid, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# pair sources with untouched idlers: cycle-trace formula vs enumerator
+# ----------------------------------------------------------------------
+
+def _random_ladder(rng, length):
+    w = rng.normal(size=length) + 1j * rng.normal(size=length)
+    return w * (rng.uniform(0.3, 1.0) / np.linalg.norm(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_src=st.integers(2, 3), n_extra=st.integers(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_pair_source_probability_matches_enumerator(n_src, n_extra, seed):
+    # idlers on untouched channels, a random unitary on the signal side,
+    # complex ladders of unequal length; every signal-side pattern
+    rng = np.random.default_rng(seed)
+    n_ch = 2 * n_src + n_extra
+    layout = rng.permutation(n_ch)
+    signals, idlers = layout[:n_src], layout[n_src:2 * n_src]
+    side = np.sort(np.concatenate([signals, layout[2 * n_src:]]))
+    u = np.eye(n_ch, dtype=complex)
+    u[np.ix_(side, side)] = random_unitary(len(side), rng)
+    net = focksim.LinearNetwork(n_ch, u)
+    pairs = list(zip(signals.tolist(), idlers.tolist()))
+    weights = [_random_ladder(rng, int(rng.integers(1, 4)))
+               for _ in range(n_src)]
+    inp = focksim.SpectralPhotonInput.from_pair_sources(pairs, weights)
+    for sig in focksim._compositions(n_src, len(side)):
+        counts = np.zeros(n_ch, dtype=int)
+        counts[idlers] = 1
+        counts[side] = sig
+        pat = focksim.DetectionPattern(tuple(counts))
+        want = focksim.pattern_probability(net, inp, pat)
+        got = focksim.pair_source_probability(net, pairs, weights, pat)
+        assert abs(got - want) <= 1e-14
+
+
+def test_pair_source_probability_broadcasts_one_ladder():
+    net = focksim.sixfold_network()
+    w = [0.8, -0.4j, 0.2]
+    inp = focksim.SpectralPhotonInput.from_pair_sources(
+        focksim.SIXFOLD_PAIRS, [w])
+    got = focksim.pair_source_probability(
+        net, focksim.SIXFOLD_PAIRS, [w], focksim.SIXFOLD_PATTERN)
+    want = focksim.pattern_probability(net, inp, focksim.SIXFOLD_PATTERN)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_pair_source_dark_pattern_stays_dark():
+    # single-mode sources: the NS-in-MZ circuit forbids the six-fold
+    # pattern, and the enumerator's |perm M|^2 is roundoff of order 1e-32
+    want = focksim.pattern_probability(
+        focksim.sixfold_network(), focksim.sixfold_input(0.0, 1),
+        focksim.SIXFOLD_PATTERN)
+    got = focksim.ns_sixfold_rate(mu=0.0, n_modes=1).rate
+    assert want < 1e-30
+    assert 0.0 <= got < 1e-30
+
+
+@pytest.mark.parametrize("mu, n_modes", [(0.5, 8), (0.7, 6), (0.3, 3)])
+def test_sixfold_rate_matches_enumerator(mu, n_modes):
+    want = focksim.pattern_probability(
+        focksim.sixfold_network(), focksim.sixfold_input(mu, n_modes),
+        focksim.SIXFOLD_PATTERN)
+    got = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes)
+    assert got.rate == pytest.approx(want, rel=1e-12)
+    assert got.truncation_mass == \
+        focksim.sixfold_input(mu, n_modes).truncation_mass
+
+
+def test_pair_source_probability_preconditions():
+    net = focksim.sixfold_network()
+    pairs, pat = focksim.SIXFOLD_PAIRS, focksim.SIXFOLD_PATTERN
+    w = [[0.9, 0.3]]
+    # a network that touches an idler channel
+    with pytest.raises(ValidationError, match="idler"):
+        focksim.pair_source_probability(net.bs(0, 6, 0.5), pairs, w, pat)
+    # an idler counted zero or two times
+    for counts in ((0, 1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 0, 0)):
+        with pytest.raises(ValidationError, match="idler"):
+            focksim.pair_source_probability(
+                net, pairs, w, focksim.DetectionPattern(counts))
+    # too many photons: seven pair sources need a 14-photon permanent
+    big = focksim.LinearNetwork.identity(14)
+    many = [(j, j + 7) for j in range(7)]
+    with pytest.raises(ValidationError, match="capped"):
+        focksim.pair_source_probability(
+            big, many, [[1.0]], focksim.DetectionPattern((1,) * 14))
+    # photon counts that do not match, shared channels, excess mass
+    with pytest.raises(ValidationError, match="photons"):
+        focksim.pair_source_probability(
+            net, pairs, w, focksim.DetectionPattern((1, 1, 1, 1, 1, 0, 0)))
+    with pytest.raises(ValidationError, match="distinct"):
+        focksim.pair_source_probability(
+            net, ((3, 0), (4, 0), (5, 2)), w, pat)
+    with pytest.raises(ValidationError, match="range"):
+        focksim.pair_source_probability(
+            net, ((3, 0), (4, 1), (5, 9)), w, pat)
+    with pytest.raises(ValidationError, match="unit mass"):
+        focksim.pair_source_probability(net, pairs, [[1.0, 0.5]], pat)
 
 
 # ----------------------------------------------------------------------
