@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 

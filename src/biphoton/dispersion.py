@@ -22,7 +22,6 @@ from importlib import resources
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import PhaseMatchError, RangeError, ValidationError
 
@@ -269,24 +268,47 @@ def degenerate_noncollinear_angle(material: Material, pump_um: float,
     return math.acos(ratio)
 
 
+def bisect_root(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f in [lo, hi], where f(lo) and f(hi) differ in sign: the
+    bracket is halved until it is no wider than xtol (or stops shrinking in
+    floating point) and its midpoint is returned."""
+    lo_positive = f(lo) > 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol or mid in (lo, hi):
+            return mid
+        if (f(mid) > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+
+
+_CUT_LO, _CUT_HI = 1e-9, math.pi / 2 - 1e-9  # open ends of the cut-angle bracket
+
+
 def _cut_angle(f, what: str) -> float:
     """Root of f(theta_pm) on (0, pi/2), bracketed at the open ends."""
-    lo, hi = 1e-9, math.pi / 2 - 1e-9
-    if f(lo) * f(hi) > 0:
+    if f(_CUT_LO) * f(_CUT_HI) > 0:
         raise PhaseMatchError(f"no cut angle phase-matches {what}")
-    return brentq(f, lo, hi, xtol=1e-14)
+    return bisect_root(f, _CUT_LO, _CUT_HI, xtol=1e-14)
 
 
 def noncollinear_cut_angle(material: Material, pump_um: float,
                            theta: float) -> float:
     """Cut angle theta_pm making degenerate type-I PDC phase-match at internal
-    emission angle theta: n_e(pump, theta_pm) = n_o(2*pump) cos(theta).
-    theta = 0 is the collinear cut."""
-    target = refractive_index(material, 2.0 * pump_um, "o") * math.cos(theta)
-    return _cut_angle(
-        lambda th: refractive_index(material, pump_um, ("e", th)) - target,
-        f"{material.name} type-I at pump {pump_um:g} um, "
-        f"theta={math.degrees(theta):.3f} deg")
+    emission angle theta: n_e(pump, theta_pm) = n_o(2*pump) cos(theta) = t.
+    theta = 0 is the collinear cut.  On the index ellipsoid this is closed
+    form: sin^2 theta_pm = (t^-2 - n_o^-2) / (n_e^-2 - n_o^-2), both principal
+    indices at the pump."""
+    t = float(refractive_index(material, 2.0 * pump_um, "o")) * math.cos(theta)
+    n_o = float(refractive_index(material, pump_um, "o"))
+    n_e = float(refractive_index(material, pump_um, "e"))
+    s2 = (t**-2 - n_o**-2) / (n_e**-2 - n_o**-2) if n_e != n_o else math.nan
+    if not math.sin(_CUT_LO) ** 2 <= s2 <= math.sin(_CUT_HI) ** 2:
+        raise PhaseMatchError(
+            f"no cut angle phase-matches {material.name} type-I at pump "
+            f"{pump_um:g} um, theta={math.degrees(theta):.3f} deg")
+    return math.asin(math.sqrt(s2))
 
 
 def noncollinear_group_slopes(material: Material, pump_um: float,
@@ -341,7 +363,7 @@ def gvm_wavelength(material: Material, scan_step_um: float = 0.02) -> float:
     """Degenerate PDC wavelength at which the pump group slope equals the
     mean of the signal/idler slopes for collinear type-II operation:
     kp' = (ko' + ke')/2.  Scan-and-bracket root search over the validity
-    window, then brentq refinement."""
+    window, refined by bisection."""
     lo = 2.0 * material.range_um[0]
     hi = material.range_um[1]
     if lo >= hi:
@@ -360,7 +382,7 @@ def gvm_wavelength(material: Material, scan_step_um: float = 0.02) -> float:
         except PhaseMatchError:
             val = None
         if val is not None and prev_val is not None and prev_val * val < 0:
-            root = brentq(resid, prev_lam, lam, xtol=1e-12)
+            root = bisect_root(resid, prev_lam, lam, xtol=1e-12)
             return float(root)
         prev_lam, prev_val = lam, val
         lam += scan_step_um

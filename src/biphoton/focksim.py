@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ValidationError
 from .schmidt import analytic_K, analytic_mu
@@ -605,6 +604,8 @@ def ns_search(n_grid: int = 41, residual_tol: float = 1e-10) -> NSSearchResult:
     one with the highest success probability |c0|^2 wins.  (The residual
     alone has more than one zero; the success probability breaks the tie.)
     """
+    from scipy.optimize import minimize  # only this search needs scipy
+
     rs = np.linspace(0.02, 0.98, n_grid)
     vals = np.array([[_ns_map_residual((r, s)) for s in rs] for r in rs])
     starts = []

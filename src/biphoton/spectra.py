@@ -34,10 +34,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import dispersion
-from .dispersion import C_LIGHT, Material
+from .dispersion import C_LIGHT, Material, bisect_root
 from .errors import RegimeError, ValidationError
 
 NO_FILTER = math.inf
@@ -229,7 +228,7 @@ _GAMMA_CACHE: dict = {}
 def sinc_half_point() -> float:
     """Positive root of sinc(x) = 1/2 in (0, pi)."""
     if "xhalf" not in _GAMMA_CACHE:
-        _GAMMA_CACHE["xhalf"] = brentq(
+        _GAMMA_CACHE["xhalf"] = bisect_root(
             lambda x: math.sin(x) / x - 0.5, 1e-9, math.pi - 1e-9, xtol=1e-15)
     return _GAMMA_CACHE["xhalf"]
 

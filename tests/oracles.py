@@ -5,7 +5,9 @@ package: the per-cell JSA CSV writer and reader, the per-cell surface
 table of `biphoton reproduce fig5|fig7`, the per-delay cosine sum of the
 numeric dip, the per-angle polarization fringe, and the Bell-analyzer rate
 with the full N^2 phase exp(i dw tau).  The tests compare the fast paths
-against these on small grids.
+against these on small grids.  The cut-angle, sinc half-point and
+group-velocity-matching solves are scipy's ``brentq`` at the tolerances the
+package's bisection and closed-form type-I cut replaced.
 """
 
 import csv
@@ -13,7 +15,9 @@ import io
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
+from biphoton import dispersion
 from biphoton.errors import ValidationError
 from biphoton.spectra import FrequencyGrid, JointSpectralAmplitude
 
@@ -129,3 +133,58 @@ def bell_analyzer_rates(pair, tau: float):
     r_plus = 0.25 * float(np.sum(np.abs(f - cross) ** 2)) * meas
     r_minus = 0.25 * float(np.sum(np.abs(f + cross) ** 2)) * meas
     return r_plus, r_minus
+
+
+_CUT_BRACKET = (1e-9, math.pi / 2 - 1e-9)
+
+
+def _brentq_cut_angle(f):
+    """brentq root of f(theta_pm) on the cut-angle bracket, or None when the
+    bracket holds no sign change."""
+    lo, hi = _CUT_BRACKET
+    if f(lo) * f(hi) > 0:
+        return None
+    return brentq(f, lo, hi, xtol=1e-14)
+
+
+def noncollinear_cut_angle(material, pump_um: float, theta: float):
+    """n_e(pump, theta_pm) = n_o(2 pump) cos(theta), or None if unmatchable."""
+    n = dispersion.refractive_index
+    target = n(material, 2.0 * pump_um, "o") * math.cos(theta)
+    return _brentq_cut_angle(
+        lambda th: n(material, pump_um, ("e", th)) - target)
+
+
+def typeII_cut_angle(material, lam: float):
+    """2 n_e(lam/2, theta) = n_o(lam) + n_e(lam, theta), or None."""
+    n = dispersion.refractive_index
+    return _brentq_cut_angle(
+        lambda th: (2.0 * n(material, 0.5 * lam, ("e", th))
+                    - n(material, lam, "o") - n(material, lam, ("e", th))))
+
+
+def sinc_half_point() -> float:
+    return brentq(lambda x: math.sin(x) / x - 0.5, 1e-9, math.pi - 1e-9,
+                  xtol=1e-15)
+
+
+def gvm_wavelength(material, scan_step_um: float = 0.02) -> float:
+    """Scan-and-bracket over the validity window, then brentq refinement,
+    with every type-II cut angle from brentq as well."""
+    def resid(lam):
+        th = typeII_cut_angle(material, lam)
+        rays = ("o", "o", "e") if th is None else (("e", th), "o", ("e", th))
+        kp = dispersion.group_slope(material, 0.5 * lam, rays[0])
+        ko = dispersion.group_slope(material, lam, rays[1])
+        ke = dispersion.group_slope(material, lam, rays[2])
+        return float(kp) - 0.5 * (float(ko) + float(ke))
+
+    lam, hi = 2.0 * material.range_um[0] + 1e-9, material.range_um[1]
+    prev_lam, prev_val = None, None
+    while lam < hi - 1e-9:
+        val = resid(lam)
+        if prev_val is not None and prev_val * val < 0:
+            return brentq(resid, prev_lam, lam, xtol=1e-12)
+        prev_lam, prev_val = lam, val
+        lam += scan_step_um
+    raise AssertionError(f"no sign change of the GVM residual for {material.name}")

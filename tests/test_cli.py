@@ -4,10 +4,14 @@ determinism, exit codes, and the JSON error channel."""
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import biphoton
 from biphoton import cli, design, focksim
 
 W0_BBO_1MM = 0.0002870538672664499
@@ -369,3 +373,27 @@ def test_missing_config_file_exit_two(tmp_path, capsys):
     code, cap = run(["homi", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)], capsys)
     assert code == 2
+
+
+# ----------------------------------------------------------------------
+# start-up path
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["design", "report"],
+    ["jsa", "--builder", "collinear", "--grid", "32"],
+])
+def test_command_runs_without_loading_scipy(argv, tmp_path):
+    # scipy.optimize is most of the import floor; only `nsgate --search`
+    # (Nelder-Mead) may load it, so a fresh interpreter must not see scipy
+    script = ("import sys\n"
+              "import biphoton.cli as cli\n"
+              f"code = cli.main({argv + ['--out', str(tmp_path)]!r})\n"
+              "print(code, sorted(m for m in sys.modules\n"
+              "                   if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biphoton.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

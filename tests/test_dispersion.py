@@ -12,6 +12,7 @@ import pytest
 
 from biphoton import dispersion
 from biphoton.errors import PhaseMatchError, RangeError, ValidationError
+from tests import oracles
 
 # Frozen outputs of the shipped coefficient files (computed once from the
 # data file by hand-evaluating the fits; they guard against accidental
@@ -133,6 +134,48 @@ def test_collinear_cut_angle_below_noncollinear_cut(bbo):
         bbo, 0.4, cut) == pytest.approx(0.0, abs=1e-6)
 
 
+def test_closed_form_type_I_cut_matches_brentq(bbo):
+    for pump_um in (0.35, 0.4, 0.405, 0.5):
+        for theta in np.linspace(0.0, 0.07, 8):
+            want = oracles.noncollinear_cut_angle(bbo, pump_um, float(theta))
+            got = dispersion.noncollinear_cut_angle(bbo, pump_um, float(theta))
+            assert got == pytest.approx(want, abs=2e-14)
+
+
+def test_closed_form_type_I_cut_raises_where_brentq_is_unbracketed(bbo, ktp):
+    # past the largest emission angle (~0.336 rad for BBO at 0.4 um) the
+    # cut runs off the (0, pi/2) bracket
+    unmatched = 0
+    for theta in np.linspace(0.30, 0.40, 11):
+        want = oracles.noncollinear_cut_angle(bbo, 0.4, float(theta))
+        if want is None:
+            unmatched += 1
+            with pytest.raises(PhaseMatchError):
+                dispersion.noncollinear_cut_angle(bbo, 0.4, float(theta))
+        else:
+            assert dispersion.noncollinear_cut_angle(
+                bbo, 0.4, float(theta)) == pytest.approx(want, abs=2e-14)
+    assert 0 < unmatched < 11
+    assert oracles.noncollinear_cut_angle(ktp, 0.45, 0.0) is None
+
+
+def test_typeII_cut_angle_matches_brentq(bbo):
+    for lam in (0.8, 1.0, 1.5147):
+        assert dispersion.typeII_cut_angle(bbo, lam) == pytest.approx(
+            oracles.typeII_cut_angle(bbo, lam), abs=2e-14)
+
+
+def test_bisect_root_stops_at_the_bracket_width():
+    root = dispersion.bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-12)
+    assert abs(root - math.sqrt(2.0)) <= 0.5e-12
+    # a bracket that cannot shrink further in floating point ends the search
+    root = dispersion.bisect_root(lambda x: x - math.pi, 3.0, 4.0, xtol=0.0)
+    assert root == pytest.approx(math.pi, abs=4.5e-16)
+    # decreasing functions are bracketed the other way round
+    assert dispersion.bisect_root(lambda x: 1.0 - x, 0.0, 3.0,
+                                  xtol=1e-14) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_unmatchable_cut_raises(bbo, ktp):
     with pytest.raises(PhaseMatchError):
         dispersion.degenerate_noncollinear_angle(bbo, 0.4, 0.0)
@@ -159,6 +202,13 @@ def test_gvm_root_residual(bbo):
 def test_gvm_wavelength_ktp_pinned(ktp):
     assert dispersion.gvm_wavelength(ktp) == pytest.approx(
         GVM_KTP_UM, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["BBO", "KTP"])
+def test_gvm_wavelength_matches_brentq(name):
+    mat = dispersion.get_material(name)
+    assert dispersion.gvm_wavelength(mat) == pytest.approx(
+        oracles.gvm_wavelength(mat), abs=2e-12)
 
 
 def test_contour_slope_signs(bbo):

@@ -70,6 +70,11 @@ def test_half_point_against_bisection():
         0.5 * (lo + hi), abs=1e-10)
 
 
+def test_half_point_matches_brentq():
+    assert spectra.sinc_half_point() == pytest.approx(
+        oracles.sinc_half_point(), abs=2e-15)
+
+
 def test_sigma_p_from_fwhm_pinned():
     got = spectra.sigma_p_from_fwhm(10e-9, 400e-9)
     assert got == pytest.approx(SIGMA_P_400_10NM, rel=1e-12)
