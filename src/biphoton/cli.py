@@ -103,22 +103,20 @@ def parse_sigma_rad_s(text: str) -> float:
 # ----------------------------------------------------------------------
 
 class _Registry:
-    """Remembers each option's default and parser so a JSON config file can
-    be merged under explicit flags and unknown keys rejected."""
+    """Remembers each option's argparse action so a JSON config file can be
+    merged under explicit flags, checked like them, and unknown keys
+    rejected."""
 
     def __init__(self, sub, suppress=False):
         self.sub = sub
         self.suppress = suppress
-        self.defaults = {}
-        self.types = {}
+        self.actions = {}
 
     def add(self, *names, **kw):
         if self.suppress:   # only flags actually given reach the namespace
             kw["default"] = argparse.SUPPRESS
         action = self.sub.add_argument(*names, **kw)
-        self.defaults[action.dest] = action.default
-        self.types[action.dest] = kw.get("type")
-        return action
+        self.actions[action.dest] = action
 
 
 def _add_common(reg: _Registry):
@@ -242,8 +240,7 @@ def build_parser(suppress_defaults=False):
             help="relative mismatch against a quoted R before flagging")
 
     reg = new("reproduce", cmd_reproduce, "emit the data behind a figure")
-    reg.sub.add_argument("figure",
-                         choices=["fig1", "fig3", "fig5", "fig7", "fig9"])
+    reg.sub.add_argument("figure", choices=sorted(_FIGURES))
     reg.add("--grid", type=int, default=256)
     reg.add("--n-modes", type=int, default=8)
 
@@ -260,22 +257,32 @@ def _merge_config(args, reg: _Registry, argv=None):
         raise ValidationError("config file must hold a JSON object")
     for key, val in doc.items():
         dest = key.replace("-", "_")
-        if dest in ("config", "func", "command") or dest not in reg.defaults:
+        if dest in ("config", "func", "command") or dest not in reg.actions:
             raise ValidationError(f"unknown config key {key!r}")
         if dest in given:
             continue  # explicit flag wins
-        parser_fn = reg.types[dest]
-        if isinstance(val, str) and parser_fn is not None:
-            try:
-                val = parser_fn(val)
-            except argparse.ArgumentTypeError as exc:
-                raise ValidationError(f"config key {key!r}: {exc}")
-        setattr(args, dest, val)
+        setattr(args, dest, _config_value(key, val, reg.actions[dest]))
+
+
+def _config_value(key: str, val, action):
+    """A config value put through its flag's checks: a string through the
+    option's type, then the option's choices; an integer option takes only
+    an integer, a flag without argument only true or false."""
+    if isinstance(val, str) and action.type is not None:
+        try:
+            val = action.type(val)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise ValidationError(f"config key {key!r}: {exc}")
+    wrong_type = (not isinstance(val, bool) if action.nargs == 0
+                  else action.type is int and type(val) is not int)
+    if wrong_type or (action.choices is not None and val not in action.choices):
+        raise ValidationError(f"config key {key!r}: invalid value {val!r}")
+    return val
 
 
 def _resolved_config(args, reg: _Registry) -> dict:
     cfg = {"command": args.command}
-    for dest in sorted(reg.defaults):
+    for dest in sorted(reg.actions):
         if dest in ("config", "out"):   # I/O plumbing, not configuration
             continue
         val = getattr(args, dest)
@@ -289,16 +296,6 @@ def _resolved_config(args, reg: _Registry) -> dict:
 # ----------------------------------------------------------------------
 # Shared construction helpers
 # ----------------------------------------------------------------------
-
-def _get_material(args):
-    if args.materials:
-        mats = dispersion.load_materials(args.materials)
-        if args.material not in mats:
-            raise ValidationError(
-                f"material {args.material!r} not in {args.materials}")
-        return mats[args.material]
-    return dispersion.get_material(args.material)
-
 
 def _pump_envelope(args) -> spectra.PumpEnvelope:
     kind, val = args.bandwidth
@@ -323,12 +320,11 @@ def _build_jsa(args):
             model, n_points=args.grid,
             span_factor=args.span_factor if args.span_factor else 2.5)
         jsa = spectra.gaussian_model_jsa(model, grid)
+        mu = schmidt.analytic_mu(model)
         extras["model"] = {"sigma": model.sigma, "sigma_F": model.sigma_F,
-                           "mu": schmidt.analytic_mu(model),
-                           "K_analytic": schmidt.analytic_K(
-                               schmidt.analytic_mu(model))}
+                           "mu": mu, "K_analytic": schmidt.analytic_K(mu)}
     else:
-        material = _get_material(args)
+        material = dispersion.get_material(args.material, args.materials or None)
         pump = _pump_envelope(args)
         grid = spectra.default_pump_grid(
             pump, n_points=args.grid,
@@ -498,7 +494,7 @@ def cmd_polcorr(args, reg) -> int:
 
 
 def cmd_design(args, reg) -> int:
-    material = _get_material(args)
+    material = dispersion.get_material(args.material, args.materials or None)
     pump_um = args.pump * 1e6
     sigma_p = None
     if args.bandwidth is not None:
@@ -536,7 +532,7 @@ def cmd_nsgate(args, reg) -> int:
                 "c1_over_c0": cmap.c1 / cmap.c0,
                 "c2_over_c0": cmap.c2 / cmap.c0},
         "topology": focksim.NS_TOPOLOGY,
-        "convention": cfg.convention,
+        "convention": focksim.NS_CONVENTION,
     }
     if args.search:
         res = focksim.ns_search()
@@ -580,21 +576,21 @@ def cmd_economy(args, reg) -> int:
 # Figure data
 # ----------------------------------------------------------------------
 
-def _fig1(args, reg, out) -> dict:
+def _fig1(args, out) -> dict:
     material = dispersion.get_material("BBO")
     pump = spectra.PumpEnvelope.from_pump_fwhm(0.8, 15.0)
     grid = spectra.default_pump_grid(pump, n_points=args.grid,
                                      span_factor=3.0)
-    j1 = spectra.build_jsa_noncollinear_sinc(material, 1e-3, pump,
-                                             math.radians(3.0), grid)
-    j2 = spectra.build_jsa_collinear(material, "II_eoe", 1e-3, pump, grid)
-    spectra.write_jsa_csv(j1, os.path.join(out, "fig1_typeI_noncollinear.csv"))
-    spectra.write_jsa_csv(j2, os.path.join(out, "fig1_typeII_collinear.csv"))
-    return {"K_typeI_noncollinear": schmidt.schmidt_svd(j1).K,
-            "K_typeII_collinear": schmidt.schmidt_svd(j2).K}
+    jsas = {"typeI_noncollinear": spectra.build_jsa_noncollinear_sinc(
+                material, 1e-3, pump, math.radians(3.0), grid),
+            "typeII_collinear": spectra.build_jsa_collinear(
+                material, "II_eoe", 1e-3, pump, grid)}
+    for tag, jsa in jsas.items():
+        spectra.write_jsa_csv(jsa, os.path.join(out, f"fig1_{tag}.csv"))
+    return {f"K_{tag}": schmidt.schmidt_svd(jsa).K for tag, jsa in jsas.items()}
 
 
-def _fig3(args, reg, out) -> dict:
+def _fig3(args, out) -> dict:
     sigma = 4e13
     ratios = np.logspace(-2.0, 2.0, 81)   # sigma_F / sigma
     models = [spectra.GaussianSourceModel(sigma=sigma, sigma_F=sigma * x)
@@ -636,7 +632,7 @@ def _beam_figure(args, out, tag, L, w0, fwhm_nm) -> dict:
             "intensity_correlation": spectra.intensity_correlation(jsa)}
 
 
-def _fig9(args, reg, out) -> dict:
+def _fig9(args, out) -> dict:
     mus = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
     res = [focksim.ns_sixfold_rate(mu=mu, n_modes=args.n_modes) for mu in mus]
     _write(os.path.join(out, "fig9.csv"), _table_csv(
@@ -645,20 +641,21 @@ def _fig9(args, reg, out) -> dict:
     return {"mus": mus, "n_modes": args.n_modes}
 
 
+_FIGURES = {
+    "fig1": _fig1,
+    "fig3": _fig3,
+    "fig5": lambda args, out: _beam_figure(args, out, "fig5", L=1e-3, w0=None,
+                                           fwhm_nm=10.0),
+    "fig7": lambda args, out: _beam_figure(args, out, "fig7", L=200e-6,
+                                           w0=1e-3, fwhm_nm=15.0),
+    "fig9": _fig9,
+}
+
+
 def cmd_reproduce(args, reg) -> int:
     out = _outdir(args)
     fig = args.figure
-    if fig == "fig1":
-        info = _fig1(args, reg, out)
-    elif fig == "fig3":
-        info = _fig3(args, reg, out)
-    elif fig == "fig5":
-        info = _beam_figure(args, out, "fig5", L=1e-3, w0=None, fwhm_nm=10.0)
-    elif fig == "fig7":
-        info = _beam_figure(args, out, "fig7", L=200e-6, w0=1e-3,
-                            fwhm_nm=15.0)
-    else:
-        info = _fig9(args, reg, out)
+    info = _FIGURES[fig](args, out)
     manifest = {"config": _resolved_config(args, reg), "figure": fig,
                 "results": info}
     _write(os.path.join(out, f"{fig}.json"), to_json_text(manifest))

@@ -25,9 +25,8 @@ from typing import Optional, Sequence
 
 from . import dispersion
 from .errors import ValidationError
-from .spectra import gaussian_sinc_gamma
+from .spectra import REGIME_FACTOR, gaussian_sinc_gamma
 
-REGIME_FACTOR = 10.0
 ECONOMY_REL_TOL = 0.02
 
 
@@ -138,9 +137,8 @@ def design_report(material, pump_um: float, L: float, theta: float,
     w0_eval = w0_fact if w0 is None else w0
     margin = w0_eval / w0_fact
     ratio, ok = validate_waist_regime(w0_eval, L, theta)
-    name = material if isinstance(material, str) else material.name
     return DesignReport(
-        material=name, pump_um=pump_um, crystal_length=L, theta=theta,
+        material=material.name, pump_um=pump_um, crystal_length=L, theta=theta,
         theta_pm=theta_pm, waist=w0_eval, factorable_waist=w0_fact,
         sigma_p_min=sp_min, gamma=gaussian_sinc_gamma(),
         margin=margin, freq_correlated=margin >= REGIME_FACTOR,

@@ -17,8 +17,8 @@ Conventions
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from importlib import resources
 from typing import Sequence, Union
 
 import numpy as np
@@ -88,19 +88,16 @@ def _parse_block(lines, path, blockno):
     return kv["material"], kv["axis"], coeffs, (lo, hi)
 
 
-def load_materials(path_or_text, *, is_text: bool = False) -> dict:
+def load_materials(path) -> dict:
     """Parse a materials file into ``{name: Material}``.
 
     Each (material, axis) block supplies one coefficient list; a material is
     complete once both axes are present.  The stored validity range is the
     intersection of the two axis ranges.
     """
-    if is_text:
-        text, label = path_or_text, "<builtin>"
-    else:
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        label = str(path_or_text)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    label = str(path)
 
     blocks, cur = [], []
     for raw in text.splitlines():
@@ -129,11 +126,7 @@ def load_materials(path_or_text, *, is_text: bool = False) -> dict:
     return out
 
 
-def builtin_materials() -> dict:
-    text = resources.files("biphoton.data").joinpath("materials.txt").read_text("utf-8")
-    return load_materials(text, is_text=True)
-
-
+_BUILTIN_PATH = os.path.join(os.path.dirname(__file__), "data", "materials.txt")
 _BUILTIN_CACHE: dict = {}
 
 
@@ -144,7 +137,7 @@ def get_material(name: str, materials_path: str | None = None) -> Material:
         table = load_materials(materials_path)
     else:
         if not _BUILTIN_CACHE:
-            _BUILTIN_CACHE.update(builtin_materials())
+            _BUILTIN_CACHE.update(load_materials(_BUILTIN_PATH))
         table = _BUILTIN_CACHE
     try:
         return table[name]
@@ -188,11 +181,11 @@ def _principal(coeffs, lam_um):
 
 
 def _ray_kind(ray: Ray):
-    if ray == "o" or ray == "ordinary":
+    if ray == "o":
         return "o", None
-    if ray == "e" or ray == "extraordinary":
+    if ray == "e":
         return "e", None
-    if isinstance(ray, tuple) and len(ray) == 2 and ray[0] in ("e", "extraordinary"):
+    if isinstance(ray, tuple) and len(ray) == 2 and ray[0] == "e":
         return "e", float(ray[1])
     raise ValidationError(f"unknown ray spec {ray!r}; use 'o', 'e' or ('e', theta)")
 
@@ -286,13 +279,6 @@ def bisect_root(f, lo: float, hi: float, xtol: float) -> float:
 _CUT_LO, _CUT_HI = 1e-9, math.pi / 2 - 1e-9  # open ends of the cut-angle bracket
 
 
-def _cut_angle(f, what: str) -> float:
-    """Root of f(theta_pm) on (0, pi/2), bracketed at the open ends."""
-    if f(_CUT_LO) * f(_CUT_HI) > 0:
-        raise PhaseMatchError(f"no cut angle phase-matches {what}")
-    return bisect_root(f, _CUT_LO, _CUT_HI, xtol=1e-14)
-
-
 def noncollinear_cut_angle(material: Material, pump_um: float,
                            theta: float) -> float:
     """Cut angle theta_pm making degenerate type-I PDC phase-match at internal
@@ -329,13 +315,19 @@ def slopes_at_cut(material: Material, pump_um: float, theta_pm: float):
 
 def typeII_cut_angle(material: Material, degenerate_um: float) -> float:
     """Cut angle for degenerate collinear type-II (e -> o + e) matching:
-    2 n_e(lam/2, theta) = n_o(lam) + n_e(lam, theta)."""
+    2 n_e(lam/2, theta) = n_o(lam) + n_e(lam, theta), bisected on the open
+    bracket (0, pi/2)."""
     lam = degenerate_um
-    return _cut_angle(
-        lambda th: (2.0 * refractive_index(material, 0.5 * lam, ("e", th))
-                    - refractive_index(material, lam, "o")
-                    - refractive_index(material, lam, ("e", th))),
-        f"{material.name} collinear type-II at {lam:g} um")
+
+    def f(th):
+        return (2.0 * refractive_index(material, 0.5 * lam, ("e", th))
+                - refractive_index(material, lam, "o")
+                - refractive_index(material, lam, ("e", th)))
+
+    if f(_CUT_LO) * f(_CUT_HI) > 0:
+        raise PhaseMatchError(f"no cut angle phase-matches {material.name} "
+                              f"collinear type-II at {lam:g} um")
+    return bisect_root(f, _CUT_LO, _CUT_HI, xtol=1e-14)
 
 
 def _typeII_group_slopes(material: Material, lam_um: float):
@@ -350,20 +342,19 @@ def _typeII_group_slopes(material: Material, lam_um: float):
     try:
         th = typeII_cut_angle(material, lam_um)
         kp = group_slope(material, lam_p, ("e", th))
-        ko = group_slope(material, lam_um, "o")
         ke = group_slope(material, lam_um, ("e", th))
     except PhaseMatchError:
         kp = group_slope(material, lam_p, "o")
-        ko = group_slope(material, lam_um, "o")
         ke = group_slope(material, lam_um, "e")
+    ko = group_slope(material, lam_um, "o")
     return float(kp), float(ko), float(ke)
 
 
-def gvm_wavelength(material: Material, scan_step_um: float = 0.02) -> float:
+def gvm_wavelength(material: Material) -> float:
     """Degenerate PDC wavelength at which the pump group slope equals the
     mean of the signal/idler slopes for collinear type-II operation:
     kp' = (ko' + ke')/2.  Scan-and-bracket root search over the validity
-    window, refined by bisection."""
+    window in 0.02 um steps, refined by bisection."""
     lo = 2.0 * material.range_um[0]
     hi = material.range_um[1]
     if lo >= hi:
@@ -385,7 +376,7 @@ def gvm_wavelength(material: Material, scan_step_um: float = 0.02) -> float:
             root = bisect_root(resid, prev_lam, lam, xtol=1e-12)
             return float(root)
         prev_lam, prev_val = lam, val
-        lam += scan_step_um
+        lam += 0.02
     raise PhaseMatchError(
         f"no group-velocity-matched wavelength for {material.name} in "
         f"[{lo:g}, {hi:g}] um"

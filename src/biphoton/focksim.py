@@ -19,13 +19,13 @@ any input that breaks those preconditions; `ns_sixfold_rate` runs on it.
 
 All sources in one simulation must share a single orthonormal spectral
 basis; for identical Gaussian-model sources the Schmidt bases coincide
-exactly (scaled Hermite functions), which is what `shared_basis_error`
-asserts when starting from numerically decomposed amplitudes.
+exactly (scaled Hermite functions).
 
 The nonlinear-sign (NS) gate lives on three channels (signal A, ancilla B
 containing one photon, empty C) as a beamsplitter sandwich: an outer
-splitter on (B, C) with reflectivity r, a sign-flipped central splitter on
-(A, B) with reflectivity s, and the (B, C) splitter again.  Heralding on
+splitter on (B, C) with reflectivity r, a central splitter on (A, B) with
+reflectivity s whose sign flip is written as explicit pi phases on A
+before and B after it, and the (B, C) splitter again.  Heralding on
 one photon in B and none in C applies the conditional amplitudes
 
     c_n = U_AA^n U_BB + n U_AA^(n-1) U_AB U_BA
@@ -42,7 +42,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class LinearNetwork:
     """Channel unitary built as an ordered product of beamsplitter and
     phase elements.  Instances are immutable; bs()/phase() return a new
     network with the element appended (applied after the existing ones).
-    The element log is kept so a network can be replayed or serialized."""
+    The element log is kept so a network can be rebuilt (from_elements)
+    or serialized."""
 
     n_channels: int
     unitary: np.ndarray
@@ -139,10 +140,6 @@ class LinearNetwork:
             else:
                 raise ValidationError(f"unknown element type {e['type']!r}")
         return net
-
-    def replay(self) -> "LinearNetwork":
-        """Rebuild from the element log; equals self to floating roundoff."""
-        return LinearNetwork.from_elements(self.n_channels, self.elements)
 
 
 def network_json_text(net: LinearNetwork) -> str:
@@ -220,13 +217,10 @@ class DetectionPattern:
 class SpectralPhotonInput:
     """Superposition of product Fock terms.  Each term is (amplitude,
     photons) with photons a sorted tuple of (channel, spectral-mode) pairs;
-    terms with identical photon content are merged at construction.
-    norm_sq is the total kept probability mass (1 - truncation_mass for
-    truncated Schmidt sources)."""
+    terms with identical photon content are merged at construction."""
 
     terms: Tuple[Tuple[complex, Tuple[Tuple[int, int], ...]], ...]
     photon_number: int
-    norm_sq: float
     truncation_mass: float = 0.0
 
     @classmethod
@@ -250,8 +244,7 @@ class SpectralPhotonInput:
                       if a != 0.0)
         if not terms:
             raise ValidationError("input state is empty")
-        norm = float(sum(abs(a) ** 2 for a, _ in terms))
-        return cls(terms=terms, photon_number=n_photons, norm_sq=norm,
+        return cls(terms=terms, photon_number=n_photons,
                    truncation_mass=truncation_mass)
 
     @classmethod
@@ -299,17 +292,6 @@ def _pair_weights(pairs, weights):
             raise ValidationError("source weights exceed unit mass")
         kept *= mass
     return weights, kept
-
-
-def shared_basis_error(dec_a, dec_b) -> float:
-    """Max-abs deviation from identity of the overlap Gram matrix between
-    two decompositions' signal-mode sets (discrete inner product on
-    dec_a's grid).  Near zero certifies that the sources may share one
-    spectral-mode labeling."""
-    n = min(dec_a.n_modes, dec_b.n_modes)
-    g = (dec_a.signal_modes[:n].conj() @ dec_b.signal_modes[:n].T) \
-        * dec_a.grid_s.spacing
-    return float(np.max(np.abs(g - np.eye(n))))
 
 
 # ----------------------------------------------------------------------
@@ -520,36 +502,30 @@ IDEAL_NS_R = 1.0 / (4.0 - 2.0 * math.sqrt(2.0))
 IDEAL_NS_S = (math.sqrt(2.0) - 1.0) ** 2
 
 NS_TOPOLOGY = "ancilla_sandwich"          # outer (B,C;r), central (A,B;s), outer (B,C;r)
-NS_CONVENTIONS = ("explicit_phases", "flipped_element")
+NS_CONVENTION = "explicit_phases"         # how the central sign flip is built
 
 
 @dataclass(frozen=True)
 class NSGateConfig:
     r: float = IDEAL_NS_R
     s: float = IDEAL_NS_S
-    convention: str = "explicit_phases"
 
     def __post_init__(self):
         if not (0.0 < self.r < 1.0 and 0.0 < self.s < 1.0):
             raise ValidationError("reflectivities must lie strictly in (0, 1)")
-        if self.convention not in NS_CONVENTIONS:
-            raise ValidationError(f"unknown convention {self.convention!r}")
 
 
 def ns_network(cfg: NSGateConfig, base: Optional[LinearNetwork] = None,
                channels=(0, 1, 2)) -> LinearNetwork:
     """Append the three-channel NS sandwich to `base` (default: fresh
     3-channel identity).  channels = (signal A, ancilla B, empty C).
-    The central (A, B) splitter carries the sign flip; either as explicit
-    pi phases around a standard splitter or as the flipped element —
-    identical unitaries, kept to show probabilities don't care."""
+    The central (A, B) splitter carries the sign flip as explicit pi phases
+    on A before and on B after a standard splitter; the flipped element
+    bs(a, b, s, convention="flip") gives the same unitary."""
     a, b, c = channels
     net = base if base is not None else LinearNetwork.identity(3)
     net = net.bs(b, c, cfg.r)
-    if cfg.convention == "explicit_phases":
-        net = net.phase(a, math.pi).bs(a, b, cfg.s).phase(b, math.pi)
-    else:
-        net = net.bs(a, b, cfg.s, convention="flip")
+    net = net.phase(a, math.pi).bs(a, b, cfg.s).phase(b, math.pi)
     return net.bs(b, c, cfg.r)
 
 
@@ -559,7 +535,6 @@ class NSConditionalMap:
     c1: complex
     c2: complex
     success: float               # |c0|^2: heralding probability on |0>
-    config: NSGateConfig
 
 
 def ns_conditional_map(cfg: NSGateConfig) -> NSConditionalMap:
@@ -574,7 +549,7 @@ def ns_conditional_map(cfg: NSGateConfig) -> NSConditionalMap:
     c1 = uaa * ubb + uab * uba
     c2 = uaa**2 * ubb + 2.0 * uaa * uab * uba
     return NSConditionalMap(complex(c0), complex(c1), complex(c2),
-                            float(abs(c0) ** 2), cfg)
+                            float(abs(c0) ** 2))
 
 
 def _ns_map_residual(x) -> float:
@@ -595,22 +570,23 @@ class NSSearchResult:
     map: NSConditionalMap
 
 
-def ns_search(n_grid: int = 41, residual_tol: float = 1e-10) -> NSSearchResult:
+def ns_search() -> NSSearchResult:
     """Recover the ideal reflectivities numerically.
 
-    Two stages: every strict local minimum of the map residual on a coarse
-    (r, s) grid is polished with Nelder-Mead; among the polished points
-    that satisfy the (1, 1, -1) proportionality to ``residual_tol``, the
-    one with the highest success probability |c0|^2 wins.  (The residual
-    alone has more than one zero; the success probability breaks the tie.)
+    Two stages: every strict local minimum of the map residual on a 41 x 41
+    (r, s) grid over [0.02, 0.98] is polished with Nelder-Mead; among the
+    polished points that satisfy the (1, 1, -1) proportionality to 1e-10,
+    the one with the highest success probability |c0|^2 wins.  (The
+    residual alone has more than one zero; the success probability breaks
+    the tie.)
     """
     from scipy.optimize import minimize  # only this search needs scipy
 
-    rs = np.linspace(0.02, 0.98, n_grid)
+    rs = np.linspace(0.02, 0.98, 41)
     vals = np.array([[_ns_map_residual((r, s)) for s in rs] for r in rs])
     starts = []
-    for i in range(n_grid):
-        for j in range(n_grid):
+    for i in range(len(rs)):
+        for j in range(len(rs)):
             patch = vals[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
             if vals[i, j] <= patch.min():
                 starts.append((float(rs[i]), float(rs[j])))
@@ -619,7 +595,7 @@ def ns_search(n_grid: int = 41, residual_tol: float = 1e-10) -> NSSearchResult:
         res = minimize(_ns_map_residual, x0, method="Nelder-Mead",
                        options={"xatol": 1e-12, "fatol": 1e-24,
                                 "maxiter": 4000})
-        if res.fun > residual_tol:
+        if res.fun > 1e-10:
             continue
         r, s = float(res.x[0]), float(res.x[1])
         cand = NSSearchResult(r, s, float(res.fun),
@@ -627,8 +603,7 @@ def ns_search(n_grid: int = 41, residual_tol: float = 1e-10) -> NSSearchResult:
         if best is None or cand.map.success > best.map.success:
             best = cand
     if best is None:
-        raise ValidationError("no (r, s) satisfied the map proportionality; "
-                              "widen the grid or loosen residual_tol")
+        raise ValidationError("no (r, s) satisfied the map proportionality")
     return best
 
 
@@ -664,7 +639,6 @@ def _apply_two_mode(state: dict, b: np.ndarray) -> dict:
 class MZStageReport:
     phase: float
     after_input_splitter: dict
-    after_arm_phase: dict
     output_state: dict
     coincidence_probability: float
 
@@ -683,7 +657,7 @@ def homi_mz_stage_states(phase: float) -> MZStageReport:
     s3 = _apply_two_mode(s2, b)
     pc = abs(s3.get((1, 1), 0.0)) ** 2
     return MZStageReport(phase=float(phase), after_input_splitter=s1,
-                         after_arm_phase=s2, output_state=s3,
+                         output_state=s3,
                          coincidence_probability=float(pc))
 
 
@@ -699,13 +673,13 @@ def homi_mz_stage_states(phase: float) -> MZStageReport:
 #   6       : NS empty port -> C2 (herald, zero photons)
 SIXFOLD_PAIRS = ((3, 0), (4, 1), (5, 2))   # (signal, idler) per source
 SIXFOLD_PATTERN = DetectionPattern((1, 1, 1, 1, 1, 1, 0))
+SIXFOLD_TRUNC_TOL = 0.05                   # largest truncated Schmidt mass
 
-def sixfold_network(cfg: Optional[NSGateConfig] = None) -> LinearNetwork:
-    """Two balanced splitters on (3, 4) bracketing an NS gate on
+def sixfold_network() -> LinearNetwork:
+    """Two balanced splitters on (3, 4) bracketing an ideal NS gate on
     (4, 5, 6): the Mach-Zehnder-with-NS circuit fed by three pair sources."""
-    cfg = cfg if cfg is not None else NSGateConfig()
     net = LinearNetwork.identity(7).bs(3, 4, 0.5)
-    net = ns_network(cfg, base=net, channels=(4, 5, 6))
+    net = ns_network(NSGateConfig(), base=net, channels=(4, 5, 6))
     return net.bs(3, 4, 0.5)
 
 
@@ -736,53 +710,38 @@ class SixfoldRate:
     cooperativity: float
     n_modes: int
     truncation_mass: float
-    config: NSGateConfig
 
 
 def ns_sixfold_rate(model: Optional[GaussianSourceModel] = None, *,
                     mu: Optional[float] = None,
-                    cfg: Optional[NSGateConfig] = None,
-                    n_modes: int = 8,
-                    trunc_tol: float = 0.05) -> SixfoldRate:
+                    n_modes: int = 8) -> SixfoldRate:
     """Probability of the six-fold pattern (all three triggers, both MZ
     outputs, the NS herald, nothing in the empty port) for three identical
-    Gaussian-model sources at zero relative delay.
+    Gaussian-model sources at zero relative delay through sixfold_network.
 
     For single-mode sources (K = 1) the NS-in-MZ circuit forbids the D1/D2
     coincidence exactly; spectral multimodedness (K > 1) leaks rate back
     in, growing with mu.  Give either a model or mu directly.
 
     The Schmidt ladder is truncated at n_modes per source; the neglected
-    mass 1 - (sum_n lambda_n)^3 must stay below trunc_tol or the call
-    refuses (raise n_modes, or loosen trunc_tol knowingly — the default
-    tolerates the slow mu = 0.7 tail at n_modes >= 6)."""
+    mass 1 - (sum_n lambda_n)^3 must stay below SIXFOLD_TRUNC_TOL or the
+    call refuses (raise n_modes; the bar tolerates the slow mu = 0.7 tail
+    at n_modes >= 6)."""
     if (model is None) == (mu is None):
         raise ValidationError("give exactly one of model or mu")
     if mu is None:
         mu = analytic_mu(model)
-    cfg = cfg if cfg is not None else NSGateConfig()
     weights, kept = _pair_weights(SIXFOLD_PAIRS,
                                   [_sixfold_amplitudes(mu, n_modes)])
     truncation_mass = 1.0 - kept
-    if truncation_mass > trunc_tol:
+    if truncation_mass > SIXFOLD_TRUNC_TOL:
         raise ValidationError(
             f"truncated Schmidt mass {truncation_mass:.3g} exceeds "
-            f"trunc_tol={trunc_tol:g}; raise n_modes")
-    rate = pair_source_probability(sixfold_network(cfg), SIXFOLD_PAIRS,
+            f"{SIXFOLD_TRUNC_TOL:g}; raise n_modes")
+    rate = pair_source_probability(sixfold_network(), SIXFOLD_PAIRS,
                                    weights, SIXFOLD_PATTERN)
     return SixfoldRate(rate=rate, mu=float(mu),
                        cooperativity=analytic_K(mu) if mu > 0 else 1.0,
                        n_modes=n_modes,
-                       truncation_mass=truncation_mass, config=cfg)
+                       truncation_mass=truncation_mass)
 
-
-def sixfold_curve(mus: Sequence[float], n_modes: int = 8,
-                  trunc_tol: float = 0.05):
-    """[(K, rate, truncation_mass)] over a mu sweep — the data behind the
-    rate-vs-cooperativity figure."""
-    rows = []
-    for m in mus:
-        res = ns_sixfold_rate(mu=float(m), n_modes=n_modes,
-                              trunc_tol=trunc_tol)
-        rows.append((res.cooperativity, res.rate, res.truncation_mass))
-    return rows

@@ -33,24 +33,20 @@ from .spectra import GaussianSourceModel, JointSpectralAmplitude
 
 @dataclass(frozen=True)
 class PolarizedPairState:
-    """Polarization-entangled pair (|HV> amplitude f, |VH> amplitude g) with
-    relative sign and family tag: "psi" for f a1 b2 +/- g b1 a2 states,
-    "phi" for the cascaded-crystal analogue."""
+    """Polarization-entangled pair f a1 b2 +/- g b1 a2 (|HV> amplitude f,
+    |VH> amplitude g) with its relative sign."""
 
     f: JointSpectralAmplitude
     g: JointSpectralAmplitude
     sign: str = "+"
-    family: str = "psi"
 
     def __post_init__(self):
         if self.sign not in ("+", "-"):
             raise ValidationError("sign must be '+' or '-'")
-        if self.family not in ("psi", "phi"):
-            raise ValidationError("family must be 'psi' or 'phi'")
         if (self.f.grid_s, self.f.grid_i) != (self.g.grid_s, self.g.grid_i):
             raise ValidationError("f and g must share the same grid pair")
-        self.f.require_normalized(tol=1e-8)
-        self.g.require_normalized(tol=1e-8)
+        self.f.require_normalized()
+        self.g.require_normalized()
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,7 @@ def two_crystal_homi_numeric(jsa: JointSpectralAmplitude,
 
     normalized to unit baseline.  Visibility = 1 - Rc(0) = Tr rho^2 (the
     single-source spectral purity)."""
-    jsa.require_normalized(tol=1e-8)
+    jsa.require_normalized()
     taus = np.asarray(taus, dtype=float)
     rho = reduced_signal_kernel(jsa)
     ds = jsa.grid_s.spacing
@@ -196,14 +192,6 @@ def pol_pairing_residual(pair: PolarizedPairState) -> float:
     return float(math.sqrt(np.sum(np.abs(d) ** 2) * pair.f.measure))
 
 
-def hwp_transform(pair: PolarizedPairState) -> PolarizedPairState:
-    """Half-wave-plate relabeling of one arm: swaps the roles of the two
-    pairing conditions by transposing g and toggling the family tag."""
-    return PolarizedPairState(
-        f=pair.f, g=pair.g.transposed(), sign=pair.sign,
-        family="phi" if pair.family == "psi" else "psi")
-
-
 def pair_overlap(pair: PolarizedPairState) -> complex:
     """<f, g> under the grid measure."""
     return complex(np.sum(pair.f.values.conj() * pair.g.values) * pair.f.measure)
@@ -226,22 +214,12 @@ def polarization_fringe(pair: PolarizedPairState, theta_a, theta_b: float):
     return float(rates) if np.ndim(rates) == 0 else rates
 
 
-def fringe_visibility(pair: PolarizedPairState, theta_b: float = math.pi / 4,
-                      n_scan: int = 721) -> float:
-    """(max - min)/(max + min) of the fringe over a theta_a scan."""
-    thetas = np.linspace(0.0, math.pi, n_scan)
+def fringe_visibility(pair: PolarizedPairState,
+                      theta_b: float = math.pi / 4) -> float:
+    """(max - min)/(max + min) of the fringe over a 721-point theta_a scan
+    of [0, pi]."""
+    thetas = np.linspace(0.0, math.pi, 721)
     rates = polarization_fringe(pair, thetas, theta_b)
     hi, lo = float(rates.max()), float(rates.min())
     return (hi - lo) / (hi + lo)
 
-
-def effective_mode_factorization(jsa: JointSpectralAmplitude):
-    """Best rank-1 factorization S ~= p(nu_s) q(nu_i): leading Schmidt pair
-    with the sqrt(lambda_0) weight split evenly, plus the residual 1 - lambda_0.
-    A residual below ~1e-6 certifies the effective single-mode-pair operator
-    picture of the source."""
-    dec = schmidt_svd(jsa)
-    w = dec.eigenvalues[0] ** 0.25
-    p = w * dec.signal_modes[0]
-    q = w * dec.idler_modes[0]
-    return p, q, float(1.0 - dec.eigenvalues[0])

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def schmidt_svd(jsa: JointSpectralAmplitude, keep_tol: float = KEEP_TOL
     grid) carry two mirror samples tied to machine precision, and the tie
     must not be broken by floating noise.
     """
-    jsa.require_normalized(tol=1e-8)
+    jsa.require_normalized()
     ds, di = jsa.grid_s.spacing, jsa.grid_i.spacing
     m = jsa.values * math.sqrt(ds * di)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -149,16 +149,6 @@ def analytic_K(mu: float) -> float:
     return (1.0 + mu**2) / (1.0 - mu**2)
 
 
-def model_mode_scale(model: GaussianSourceModel) -> float:
-    """Inverse-width alpha of the model's Schmidt modes u_n(alpha nu):
-    alpha^2 = 2 a / K with a the diagonal log-amplitude coefficient
-    a = 2/sigma^2 + 2/sigma_F^2."""
-    a = 2.0 / model.sigma**2
-    if math.isfinite(model.sigma_F):
-        a += 2.0 / model.sigma_F**2
-    return math.sqrt(2.0 * a / analytic_K(analytic_mu(model)))
-
-
 # ----------------------------------------------------------------------
 # Hermite-Gaussian modes and the Mehler kernel
 # ----------------------------------------------------------------------
@@ -182,13 +172,6 @@ def hermite_modes_upto(n_max: int, x, include_gauss_norm: bool = False) -> np.nd
     return out
 
 
-def hermite_mode(n: int, x, include_gauss_norm: bool = False):
-    vals = hermite_modes_upto(n, x, include_gauss_norm=include_gauss_norm)[n]
-    if np.isscalar(x):
-        return float(vals[0])
-    return vals
-
-
 def mehler_closed_form(mu: float, x, y):
     """Right-hand side of the kernel identity (see module docstring)."""
     x = np.asarray(x, dtype=float)
@@ -198,31 +181,20 @@ def mehler_closed_form(mu: float, x, y):
                   + 2.0 * x * y * mu / om)
 
 
-def mehler_reconstruct(params: MehlerParams, grid_s: FrequencyGrid,
-                       grid_i: Optional[FrequencyGrid] = None, N: int = 32):
+def mehler_reconstruct(params: MehlerParams, grid: FrequencyGrid, N: int = 32):
     """Evaluate the truncated mode sum
     sqrt(1-mu^2) sum_{n<=N} mu^n u_n(alpha1 nu_s) u_n(alpha2 nu_i)
-    on the grid pair and return ``(series_jsa, closed_form_matrix)`` for
+    on grid x grid and return ``(series_jsa, closed_form_matrix)`` for
     direct comparison.  The returned JSA is *not* normalized — it is an
     identity check, not a state."""
-    if grid_i is None:
-        grid_i = grid_s
-    x = params.alpha1 * grid_s.detunings
-    y = params.alpha2 * grid_i.detunings
+    x = params.alpha1 * grid.detunings
+    y = params.alpha2 * grid.detunings
     ux = hermite_modes_upto(N, x)
     uy = hermite_modes_upto(N, y)
     w = params.mu ** np.arange(N + 1)
     series = math.sqrt(1.0 - params.mu**2) * ((ux.T * w) @ uy)
     closed = mehler_closed_form(params.mu, x[:, None], y[None, :])
-    jsa = JointSpectralAmplitude(grid_s, grid_i, series.astype(complex),
+    jsa = JointSpectralAmplitude(grid, grid, series.astype(complex),
                                  norm_flag=False)
     return jsa, closed
 
-
-def schmidt_summary(dec: SchmidtDecomposition) -> dict:
-    return {
-        "K": dec.K,
-        "n_modes_kept": dec.n_modes,
-        "truncated_mass": dec.truncated_mass,
-        "eigenvalues": [float(v) for v in dec.eigenvalues],
-    }

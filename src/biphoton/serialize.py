@@ -15,6 +15,8 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
+_INDENT = 2
+
 
 def format_float(x: float) -> str:
     if math.isnan(x):
@@ -27,9 +29,9 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _render(obj, level: int) -> str:
+    pad = " " * (_INDENT * level)
+    pad_in = " " * (_INDENT * (level + 1))
     if obj is None:
         return "null"
     if obj is True:
@@ -44,18 +46,18 @@ def _render(obj, indent: int, level: int) -> str:
         return format_float(float(obj))
     if isinstance(obj, (np.complexfloating, complex)):
         c = complex(obj)
-        return _render({"re": c.real, "im": c.imag}, indent, level)
+        return _render({"re": c.real, "im": c.imag}, level)
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _render(asdict(obj), indent, level)
+        return _render(asdict(obj), level)
     if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), indent, level)
+        return _render(obj.tolist(), level)
     if isinstance(obj, dict):
         keys = sorted(obj.keys())
         if not keys:
             return "{}"
         items = [
-            '%s%s: %s' % (pad_in, _render(str(k), indent, level + 1),
-                          _render(obj[k], indent, level + 1))
+            '%s%s: %s' % (pad_in, _render(str(k), level + 1),
+                          _render(obj[k], level + 1))
             for k in keys
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
@@ -63,12 +65,12 @@ def _render(obj, indent: int, level: int) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        items = [pad_in + _render(v, indent, level + 1) for v in seq]
+        items = [pad_in + _render(v, level + 1) for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def to_json_text(obj, indent: int = 2) -> str:
-    """Render obj as deterministic JSON (sorted keys, fixed float format),
-    terminated with a newline."""
-    return _render(obj, indent, 0) + "\n"
+def to_json_text(obj) -> str:
+    """Render obj as deterministic JSON (sorted keys, fixed float format,
+    two-space indent), terminated with a newline."""
+    return _render(obj, 0) + "\n"

@@ -31,7 +31,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -41,8 +40,11 @@ from .errors import RegimeError, ValidationError
 
 NO_FILTER = math.inf
 
-NORM_TOL = 1e-10
+NORM_TOL = 1e-8     # |norm - 1| a normalized JSA may carry
 BOUNDARY_LEAK = 1e-3
+# Weak-focusing bar of the Gaussian-beam model: (w0/L) / (sqrt(gamma)
+# sin^2 theta) must reach it (design.validate_waist_regime reports the ratio).
+REGIME_FACTOR = 10.0
 # Complex N_s x N_i arrays in a JSA's working set: a build peaks at 5.5
 # (tracemalloc, all four builders) and the Schmidt SVD adds its factors.
 WORKING_ARRAYS = 8
@@ -162,8 +164,8 @@ class JointSpectralAmplitude:
             raise ValidationError("cannot normalize an all-zero JSA")
         return replace(self, values=self.values / n, norm_flag=True)
 
-    def require_normalized(self, tol: float = NORM_TOL) -> None:
-        if not self.norm_flag or abs(self.norm() - 1.0) > tol:
+    def require_normalized(self) -> None:
+        if not self.norm_flag or abs(self.norm() - 1.0) > NORM_TOL:
             raise ValidationError(
                 f"operation requires a normalized JSA (norm = {self.norm():.3e})"
             )
@@ -174,22 +176,19 @@ class JointSpectralAmplitude:
                        values=self.values.T.copy())
 
 
-def _idler_grid(grid_s: FrequencyGrid,
-                grid_i: Optional[FrequencyGrid]) -> FrequencyGrid:
-    """The idler grid (default: the signal grid), once the JSA's estimated
-    working set is known to fit in the machine's physical memory."""
-    grid_i = grid_s if grid_i is None else grid_i
-    need = WORKING_ARRAYS * 16 * grid_s.n_points * grid_i.n_points
+def _check_memory(grid: FrequencyGrid) -> None:
+    """Refuse a square JSA on ``grid`` whose estimated working set exceeds
+    the machine's physical memory, before anything is allocated."""
+    n = grid.n_points
+    need = WORKING_ARRAYS * 16 * n * n
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):   # no sysconf: no estimate
-        return grid_i
+        return
     if need > have:
         raise ValidationError(
-            f"a {grid_s.n_points} x {grid_i.n_points} grid needs about "
-            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
-            f"of physical memory; use a smaller grid")
-    return grid_i
+            f"a {n} x {n} grid needs about {need / 2**30:.3g} GiB, more than "
+            f"the {have / 2**30:.3g} GiB of physical memory; use a smaller grid")
 
 
 def _boundary_leakage(values: np.ndarray) -> float:
@@ -255,13 +254,13 @@ def sigma_p_from_fwhm(fwhm_m: float, wavelength_m: float) -> float:
 # ----------------------------------------------------------------------
 
 def default_model_grid(model: GaussianSourceModel, n_points: int = 256,
-                       span_factor: float = 2.5, omega0: float = 0.0) -> FrequencyGrid:
-    """Grid wide enough for the model's largest feature: the filter width up
-    to a 10*sigma cap (an unfiltered ridge is infinite along nu_s = -nu_i, so
-    some truncation is unavoidable there)."""
+                       span_factor: float = 2.5) -> FrequencyGrid:
+    """Detuning grid (omega0 = 0) wide enough for the model's largest
+    feature: the filter width up to a 10*sigma cap (an unfiltered ridge is
+    infinite along nu_s = -nu_i, so some truncation is unavoidable there)."""
     sf = model.sigma_F if math.isfinite(model.sigma_F) else 10.0 * model.sigma
     half = span_factor * max(model.sigma, min(sf, 10.0 * model.sigma))
-    return FrequencyGrid(omega0=omega0, half_span=half, n_points=n_points)
+    return FrequencyGrid(omega0=0.0, half_span=half, n_points=n_points)
 
 
 def default_pump_grid(pump: PumpEnvelope, n_points: int = 256,
@@ -275,21 +274,20 @@ def default_pump_grid(pump: PumpEnvelope, n_points: int = 256,
 
 
 def gaussian_model_jsa(model: GaussianSourceModel,
-                       grid_s: FrequencyGrid,
-                       grid_i: Optional[FrequencyGrid] = None) -> JointSpectralAmplitude:
-    """Discretize the two-width model source (docstring at module top) and
-    normalize.  Sets ``boundary_warning`` when the grid truncates more than
-    1e-3 of the peak amplitude at its edge."""
-    grid_i = _idler_grid(grid_s, grid_i)
+                       grid: FrequencyGrid) -> JointSpectralAmplitude:
+    """Discretize the two-width model source (docstring at module top) on
+    grid x grid and normalize.  Sets ``boundary_warning`` when the grid
+    truncates more than 1e-3 of the peak amplitude at its edge."""
+    _check_memory(grid)
     smallest = model.sigma if math.isinf(model.sigma_F) else min(model.sigma, model.sigma_F)
-    if 2.0 * min(grid_s.half_span, grid_i.half_span) < 3.0 * smallest:
+    if 2.0 * grid.half_span < 3.0 * smallest:
         raise ValidationError("grid span must cover at least 3x the smaller model width")
-    ns = grid_s.detunings[:, None]
-    ni = grid_i.detunings[None, :]
+    ns = grid.detunings[:, None]
+    ni = grid.detunings[None, :]
     expo = -2.0 * (ns + ni) ** 2 / model.sigma**2
     if math.isfinite(model.sigma_F):
         expo = expo - 2.0 * (ns**2 + ni**2) / model.sigma_F**2
-    return _finish(grid_s, grid_i, np.exp(expo))
+    return _finish(grid, grid, np.exp(expo))
 
 
 # ----------------------------------------------------------------------
@@ -303,114 +301,105 @@ def _center_wavelengths(pump: PumpEnvelope):
 
 
 def build_jsa_collinear(material: Material, pdc_type: str, L: float,
-                        pump: PumpEnvelope, grid_s: FrequencyGrid,
-                        grid_i: Optional[FrequencyGrid] = None,
-                        theta_pm: Optional[float] = None) -> JointSpectralAmplitude:
+                        pump: PumpEnvelope, grid: FrequencyGrid
+                        ) -> JointSpectralAmplitude:
     """S = alpha(nu_s + nu_i) sinc(L dk / 2) with the true sinc and the full
-    Sellmeier dk = kp - ks - ki for collinear propagation.
+    Sellmeier dk = kp - ks - ki for collinear propagation, on grid x grid.
 
     pdc_type "I_eoo": both daughters ordinary; "II_eoe": signal ordinary,
-    idler extraordinary at the cut angle.  The cut angle defaults to the one
-    that phase-matches exactly at degeneracy.
+    idler extraordinary at the cut angle.  The cut angle is the one that
+    phase-matches exactly at degeneracy.
     """
-    grid_i = _idler_grid(grid_s, grid_i)
+    _check_memory(grid)
     lam0_um, lam_p_um = _center_wavelengths(pump)
     if pdc_type == "I_eoo":
-        th = dispersion.noncollinear_cut_angle(material, lam_p_um, 0.0) \
-            if theta_pm is None else theta_pm
+        th = dispersion.noncollinear_cut_angle(material, lam_p_um, 0.0)
         ray_s, ray_i = "o", "o"
     elif pdc_type == "II_eoe":
-        th = dispersion.typeII_cut_angle(material, lam0_um) if theta_pm is None else theta_pm
+        th = dispersion.typeII_cut_angle(material, lam0_um)
         ray_s, ray_i = "o", ("e", th)
     else:
         raise ValidationError(f"unknown pdc_type {pdc_type!r} (I_eoo or II_eoe)")
 
     lam_um = lambda omega: 2.0 * math.pi * C_LIGHT / np.asarray(omega) * 1e6
 
-    omega_s = grid_s.omegas
-    omega_i = grid_i.omegas
-    ks = dispersion.wavevector(material, lam_um(omega_s), ray_s)
-    ki = dispersion.wavevector(material, lam_um(omega_i), ray_i)
-    omega_p = omega_s[:, None] + omega_i[None, :]
+    omega = grid.omegas
+    ks = dispersion.wavevector(material, lam_um(omega), ray_s)
+    ki = dispersion.wavevector(material, lam_um(omega), ray_i)
+    omega_p = omega[:, None] + omega[None, :]
     kp = dispersion.wavevector(material, lam_um(omega_p), ("e", th))
 
     dk = kp - ks[:, None] - ki[None, :]
-    nu_sum = (omega_s[:, None] - pump.omega0) + (omega_i[None, :] - pump.omega0)
+    nu_sum = (omega[:, None] - pump.omega0) + (omega[None, :] - pump.omega0)
     values = pump_envelope_value(pump, nu_sum) * sinc_phasematch(dk, L)
-    return _finish(grid_s, grid_i, values)
+    return _finish(grid, grid, values)
 
 
 def build_jsa_noncollinear_sinc(material: Material, L: float, pump: PumpEnvelope,
-                                theta: float, grid_s: FrequencyGrid,
-                                grid_i: Optional[FrequencyGrid] = None,
-                                theta_pm: Optional[float] = None) -> JointSpectralAmplitude:
+                                theta: float, grid: FrequencyGrid
+                                ) -> JointSpectralAmplitude:
     """Degenerate type-I PDC into two fixed directions at +/- theta from the
-    pump axis: S = alpha(nu_s+nu_i) sinc(L dk_z / 2) with the longitudinal
-    mismatch dk_z = kp - (ks + ki) cos(theta), both daughters ordinary."""
-    grid_i = _idler_grid(grid_s, grid_i)
+    pump axis: S = alpha(nu_s+nu_i) sinc(L dk_z / 2) on grid x grid, with the
+    longitudinal mismatch dk_z = kp - (ks + ki) cos(theta), both daughters
+    ordinary and the pump cut to phase-match at degeneracy."""
+    _check_memory(grid)
     _, lam_p_um = _center_wavelengths(pump)
-    th_pm = dispersion.noncollinear_cut_angle(material, lam_p_um, theta) \
-        if theta_pm is None else theta_pm
+    th_pm = dispersion.noncollinear_cut_angle(material, lam_p_um, theta)
 
     lam_um = lambda omega: 2.0 * math.pi * C_LIGHT / np.asarray(omega) * 1e6
-    omega_s, omega_i = grid_s.omegas, grid_i.omegas
-    ks = dispersion.wavevector(material, lam_um(omega_s), "o")
-    ki = dispersion.wavevector(material, lam_um(omega_i), "o")
-    omega_p = omega_s[:, None] + omega_i[None, :]
+    omega = grid.omegas
+    k = dispersion.wavevector(material, lam_um(omega), "o")
+    omega_p = omega[:, None] + omega[None, :]
     kp = dispersion.wavevector(material, lam_um(omega_p), ("e", th_pm))
 
-    dkz = kp - (ks[:, None] + ki[None, :]) * math.cos(theta)
+    dkz = kp - (k[:, None] + k[None, :]) * math.cos(theta)
     nu_sum = omega_p - 2.0 * pump.omega0
     values = pump_envelope_value(pump, nu_sum) * sinc_phasematch(dkz, L)
-    return _finish(grid_s, grid_i, values)
+    return _finish(grid, grid, values)
 
 
 def build_jsa_noncollinear_gaussian_beam(material: Material, pump: PumpEnvelope,
-                                         beam: BeamGeometry,
-                                         grid_s: FrequencyGrid,
-                                         grid_i: Optional[FrequencyGrid] = None,
-                                         regime_factor: float = 10.0
+                                         beam: BeamGeometry, grid: FrequencyGrid
                                          ) -> JointSpectralAmplitude:
     """Factorized Gaussian-beam phase matching for degenerate noncollinear
-    type-I PDC:
+    type-I PDC, on grid x grid:
 
         S = alpha(nu_s+nu_i) exp[-gamma dkz^2 L^2 / 4] exp[-dkt^2 w0^2 / 4]
         dkz = (kp' - k' cos theta)(nu_s + nu_i)
         dkt = -k' sin(theta) (nu_s - nu_i)
 
-    Valid only for weak focusing, w0/L >= regime_factor * sqrt(gamma) sin^2(theta);
+    Valid only for weak focusing, w0/L >= REGIME_FACTOR * sqrt(gamma) sin^2(theta);
     otherwise raises RegimeError carrying both sides of the inequality.
     """
-    grid_i = _idler_grid(grid_s, grid_i)
+    _check_memory(grid)
     gam = gaussian_sinc_gamma()
     lhs = beam.w0 / beam.L
-    rhs = regime_factor * math.sqrt(gam) * math.sin(beam.theta) ** 2
+    rhs = REGIME_FACTOR * math.sqrt(gam) * math.sin(beam.theta) ** 2
     if lhs < rhs:
         raise RegimeError(
             f"focusing too strong for the factorized phase-matching model: "
             f"w0/L = {lhs:.4g} < {rhs:.4g}", lhs=lhs, rhs=rhs)
 
     pump_f, long_f, trans_f = noncollinear_gaussian_beam_factors(
-        material, pump, beam, grid_s, grid_i)
-    return _finish(grid_s, grid_i, pump_f * long_f * trans_f)
+        material, pump, beam, grid)
+    return _finish(grid, grid, pump_f * long_f * trans_f)
 
 
 def noncollinear_gaussian_beam_factors(material: Material, pump: PumpEnvelope,
-                                       beam: BeamGeometry,
-                                       grid_s: FrequencyGrid,
-                                       grid_i: Optional[FrequencyGrid] = None):
+                                       beam: BeamGeometry, grid: FrequencyGrid):
     """The three unnormalized surfaces whose product is the engineered JSA:
     (pump envelope, longitudinal phase matching, transverse phase matching),
-    each as a 2-D array over (nu_s, nu_i).  No regime check here — use
-    build_jsa_noncollinear_gaussian_beam for a validated amplitude."""
-    grid_i = _idler_grid(grid_s, grid_i)
+    each as a 2-D array over grid x grid (nu_s, nu_i).  No regime check
+    here — use build_jsa_noncollinear_gaussian_beam for a validated
+    amplitude."""
+    _check_memory(grid)
     gam = gaussian_sinc_gamma()
     _, lam_p_um = _center_wavelengths(pump)
     kp_prime, k_prime = dispersion.noncollinear_group_slopes(
         material, lam_p_um, beam.theta)
 
-    ns = grid_s.detunings[:, None]
-    ni = grid_i.detunings[None, :]
+    ns = grid.detunings[:, None]
+    ni = grid.detunings[None, :]
     dkz = (kp_prime - k_prime * math.cos(beam.theta)) * (ns + ni)
     dkt = -k_prime * math.sin(beam.theta) * (ns - ni)
     pump_f = pump_envelope_value(pump, ns + ni)
@@ -454,21 +443,6 @@ def intensity_correlation(jsa: JointSpectralAmplitude) -> float:
     vi = float(np.sum(w * (ni[None, :] - mi) ** 2))
     cov = float(np.sum(w * (ns[:, None] - ms) * (ni[None, :] - mi)))
     return cov / math.sqrt(vs * vi)
-
-
-def log_amplitude_quadratic_coeffs(jsa: JointSpectralAmplitude):
-    """Least-squares quadratic fit of log|S| = a_s nu_s^2 + a_i nu_i^2 +
-    b nu_s nu_i + ... over samples with |S| > 1e-6 peak; returns (a_s, a_i, b).
-    Used to certify factorability by construction (|b| << |a|)."""
-    ns = jsa.grid_s.detunings[:, None] + 0.0 * jsa.grid_i.detunings[None, :]
-    ni = 0.0 * jsa.grid_s.detunings[:, None] + jsa.grid_i.detunings[None, :]
-    mag = np.abs(jsa.values)
-    mask = mag > 1e-6 * mag.max()
-    x, y = ns[mask], ni[mask]
-    z = np.log(mag[mask])
-    cols = np.stack([x**2, y**2, x * y, x, y, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(cols, z, rcond=None)
-    return float(coef[0]), float(coef[1]), float(coef[2])
 
 
 # ----------------------------------------------------------------------

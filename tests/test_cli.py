@@ -10,6 +10,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import biphoton
 from biphoton import cli, design, focksim
@@ -61,6 +63,55 @@ def test_angle_time_bandwidth_suffixes():
         cli.parse_sigma_rad_s("wide")
 
 
+# unit parser -> (suffix, expected value of repr(x) + suffix) cases
+UNIT_CASES = {
+    "length": (cli.parse_length_m,
+               [(suf, lambda x, k=k: x * k) for suf, k in cli._LENGTH_SUFFIXES]),
+    "time": (cli.parse_time_s,
+             [(suf, lambda x, k=k: x * k) for suf, k in cli._TIME_SUFFIXES]),
+    "angle": (cli.parse_angle_rad,
+              [("deg", math.radians), ("rad", lambda x: x)]),
+    "bandwidth": (cli.parse_bandwidth,
+                  [("nm_fwhm", lambda x: ("nm_fwhm", x)),
+                   ("rad_s", lambda x: ("rad_s", x))]),
+}
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=FINITE, kind=st.sampled_from(sorted(UNIT_CASES)), data=st.data())
+def test_unit_parsers_read_repr_with_every_suffix(x, kind, data):
+    parse, cases = UNIT_CASES[kind]
+    suffix, expected = data.draw(st.sampled_from(cases))
+    assert parse(repr(x) + suffix) == expected(x)
+
+
+# (subcommand argv, option, config key) for one option of each unit kind
+UNIT_OPTIONS = {
+    "length": (["design", "report"], "--L", "length"),
+    "time": (["bell"], "--tau-max", "tau-max"),
+    "angle": (["design", "report"], "--theta", "theta"),
+    "bandwidth": (["design", "report"], "--bandwidth", "bandwidth"),
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x=FINITE, kind=st.sampled_from(sorted(UNIT_OPTIONS)), data=st.data())
+def test_config_string_resolves_like_the_flag(tmp_path, x, kind, data):
+    cmd, flag, key = UNIT_OPTIONS[kind]
+    text = repr(x) + data.draw(st.sampled_from(UNIT_CASES[kind][1]))[0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: text}))
+    resolved = []
+    for argv in (cmd + [f"{flag}={text}"], cmd + ["--config", str(cfg)]):
+        parser, registries = cli.build_parser()
+        args = parser.parse_args(argv)
+        cli._merge_config(args, registries[args.command], argv)
+        resolved.append(cli._resolved_config(args, registries[args.command]))
+    assert resolved[0] == resolved[1]
+
+
 # ----------------------------------------------------------------------
 # artifacts and determinism
 # ----------------------------------------------------------------------
@@ -76,6 +127,32 @@ def test_jsa_artifacts_byte_identical_across_runs(tmp_path):
     assert "out" not in doc["config"]           # destination is not config
     assert doc["metadata"]["normalized"] is True
     assert doc["model"]["K_analytic"] == pytest.approx(2.0 / math.sqrt(3.0))
+
+
+@pytest.mark.parametrize("argv", [
+    ["schmidt", "--grid", "32"],
+    ["bell", "--builder", "collinear", "--grid", "32", "--tau-points", "5"],
+    ["polcorr", "--builder", "noncollinear-sinc", "--grid", "32"],
+    ["homi", "--numeric", "--grid", "32"],
+    ["design", "report"],
+    ["economy"],
+    ["nsgate", "--mz", "180deg"],
+    ["reproduce", "fig1", "--grid", "32"],
+    ["reproduce", "fig3"],
+    ["reproduce", "fig5", "--grid", "32"],
+    ["reproduce", "fig7", "--grid", "32"],
+    ["reproduce", "fig9"],
+], ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")))
+def test_artifacts_byte_identical_across_runs(tmp_path, argv):
+    # the determinism contract: a rerun into another directory writes the
+    # same files, byte for byte
+    d1, d2 = tmp_path / "a", tmp_path / "b" / "c"
+    assert run(argv + ["--out", str(d1)]) == 0
+    assert run(argv + ["--out", str(d2)]) == 0
+    names = sorted(p.name for p in d1.iterdir())
+    assert names and names == sorted(p.name for p in d2.iterdir())
+    for name in names:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
 def test_schmidt_command(tmp_path, capsys):
@@ -275,6 +352,46 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "sigmaf" in err["message"]
 
 
+@pytest.mark.parametrize("cmd, doc", [
+    (["jsa"], {"builder": "bogus", "grid": 32}),     # not one of the choices
+    (["jsa"], {"grid": 32.5}),                       # integer option
+    (["jsa"], {"grid": "32.5"}),
+    (["jsa"], {"grid": True}),
+    (["polcorr"], {"sign": "*", "grid": 32}),
+    (["homi"], {"numeric": "yes"}),                  # flags take true/false
+    (["homi"], {"numeric": 1}),
+], ids=["choice", "float-int", "string-int", "bool-int", "sign", "flag-string",
+        "flag-int"])
+def test_config_value_checked_like_its_flag(tmp_path, capsys, cmd, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, cap = run(cmd + ["--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert err["exit_code"] == 2
+    assert repr(next(iter(doc))) in err["message"]
+    assert not out.exists()
+
+
+def test_config_values_of_every_kind_apply(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"numeric": True, "grid": 32, "tau-points": 5,
+                               "sigma-f": "inf"}))
+    assert run(["homi", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "homi.json").read_text())
+    assert doc["config"]["numeric"] is True
+    assert doc["config"]["grid"] == 32
+    assert doc["config"]["sigma_f"] == math.inf
+    assert "visibility_numeric" in doc
+    cfg.write_text(json.dumps({"builder": "collinear", "grid": 32}))
+    assert run(["jsa", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "jsa.json").read_text())
+    assert doc["config"]["builder"] == "collinear"
+    assert "model" not in doc
+
+
 # ----------------------------------------------------------------------
 # materials override
 # ----------------------------------------------------------------------
@@ -308,7 +425,8 @@ def test_materials_override(tmp_path, capsys):
                      "--materials", str(mats), "--out", str(tmp_path)],
                     capsys)
     assert code == 2
-    assert "GHOST" in json.loads(cap.err)["message"]
+    message = json.loads(cap.err)["message"]
+    assert "GHOST" in message and "MYBBO" in message   # lists what exists
 
 
 # ----------------------------------------------------------------------

@@ -43,12 +43,12 @@ def test_network_building_and_replay():
         .bs(1, 2, 0.5, convention="flip")
     assert net.unitarity_error() < 1e-12
     assert len(net.elements) == 3
-    replayed = net.replay()
+    replayed = focksim.LinearNetwork.from_elements(net.n_channels,
+                                                   net.elements)
     assert np.max(np.abs(replayed.unitary - net.unitary)) < 1e-12
-    bad = focksim.LinearNetwork(net.n_channels, net.unitary,
-                                net.elements + ({"type": "tractor_beam"},))
     with pytest.raises(ValidationError):
-        bad.replay()
+        focksim.LinearNetwork.from_elements(
+            net.n_channels, net.elements + ({"type": "tractor_beam"},))
 
 
 def test_network_validation():
@@ -120,7 +120,6 @@ def test_superposition_merges_identical_terms():
         [(0.5, [(0, 0), (1, 0)]), (0.5, [(1, 0), (0, 0)])])
     assert len(inp.terms) == 1
     assert inp.terms[0][0] == pytest.approx(1.0)
-    assert inp.norm_sq == pytest.approx(1.0)
     assert inp.photon_number == 2
 
 
@@ -165,7 +164,11 @@ def test_shared_basis_error_for_identical_models(jsa_equal):
     filt = 1.0 / math.sqrt(1.0 / 4e13**2 - 1.0 / 8e13**2)
     other, _ = spectra.apply_gaussian_filter(raw, filt)
     dec_b = schmidt.schmidt_svd(other, keep_tol=1e-6)
-    assert focksim.shared_basis_error(dec_a, dec_b) < 1e-6
+    # max-abs deviation from identity of the signal-mode overlap Gram matrix
+    n = min(dec_a.n_modes, dec_b.n_modes)
+    gram = (dec_a.signal_modes[:n].conj() @ dec_b.signal_modes[:n].T) \
+        * dec_a.grid_s.spacing
+    assert np.max(np.abs(gram - np.eye(n))) < 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -389,10 +392,22 @@ def test_ns_map_at_ideal_point():
     assert m.success == pytest.approx(0.25, abs=1e-6)
 
 
+def _flipped_ns_network(cfg, base, channels=(0, 1, 2)):
+    """The NS sandwich with its sign flip in a flipped central element
+    instead of explicit pi phases."""
+    a, b, c = channels
+    return base.bs(b, c, cfg.r).bs(a, b, cfg.s, convention="flip") \
+        .bs(b, c, cfg.r)
+
+
 def test_ns_conventions_agree():
-    a = focksim.ns_network(focksim.NSGateConfig(convention="explicit_phases"))
-    b = focksim.ns_network(focksim.NSGateConfig(convention="flipped_element"))
+    cfg = focksim.NSGateConfig()
+    a = focksim.ns_network(cfg)
+    b = _flipped_ns_network(cfg, focksim.LinearNetwork.identity(3))
     assert np.max(np.abs(a.unitary - b.unitary)) < 1e-12
+    assert focksim.NS_CONVENTION == "explicit_phases"
+    assert [e["type"] for e in a.elements] == ["bs", "phase", "bs", "phase",
+                                               "bs"]
 
 
 def test_ns_decoupled_limit_has_no_sign_flip():
@@ -405,7 +420,7 @@ def test_ns_config_validation():
     with pytest.raises(ValidationError):
         focksim.NSGateConfig(r=0.0)
     with pytest.raises(ValidationError):
-        focksim.NSGateConfig(convention="mystery")
+        focksim.NSGateConfig(s=1.0)
 
 
 def test_ns_search_recovers_ideal_point():
@@ -504,9 +519,13 @@ def test_sixfold_sign_and_phase_invariance():
     # amplitude-sign convention of the source ladder and any global channel
     # phases must leave detection probabilities alone
     mu, n_modes = 0.4, 4
-    flip = focksim.ns_sixfold_rate(
-        mu=mu, n_modes=n_modes,
-        cfg=focksim.NSGateConfig(convention="flipped_element")).rate
+    flipped = _flipped_ns_network(
+        focksim.NSGateConfig(),
+        focksim.LinearNetwork.identity(7).bs(3, 4, 0.5),
+        channels=(4, 5, 6)).bs(3, 4, 0.5)
+    ladder = math.sqrt(1.0 - mu * mu) * (-mu) ** np.arange(n_modes)
+    flip = focksim.pair_source_probability(
+        flipped, focksim.SIXFOLD_PAIRS, [ladder], focksim.SIXFOLD_PATTERN)
     std = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes).rate
     assert flip == pytest.approx(std, rel=1e-10)
 
@@ -526,9 +545,8 @@ def test_sixfold_total_probability():
 
 
 def test_sixfold_curve_rows():
-    rows = focksim.sixfold_curve([0.0, 0.3], n_modes=4)
-    assert len(rows) == 2
-    k, rate, tmass = rows[1]
-    assert k == pytest.approx(schmidt.analytic_K(0.3), rel=1e-12)
-    assert rate > rows[0][1]
-    assert 0.0 <= tmass < 0.05
+    rows = [focksim.ns_sixfold_rate(mu=mu, n_modes=4) for mu in (0.0, 0.3)]
+    assert rows[1].cooperativity == pytest.approx(schmidt.analytic_K(0.3),
+                                                  rel=1e-12)
+    assert rows[1].rate > rows[0].rate
+    assert 0.0 <= rows[1].truncation_mass < focksim.SIXFOLD_TRUNC_TOL

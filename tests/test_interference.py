@@ -167,16 +167,18 @@ def test_symmetry_residual_needs_square_grids():
 
 def test_effective_mode_factorization():
     sep = _separable_jsa()
-    p, q, resid = interference.effective_mode_factorization(sep)
-    assert resid < 1e-10
+    assert interference.factorability_residual(sep) < 1e-10
+    # the leading Schmidt pair alone, p(nu_s) q(nu_i), rebuilds the amplitude
+    lead = schmidt.schmidt_svd(sep, keep_tol=0.5)
+    assert lead.n_modes == 1
     peak = np.max(np.abs(sep.values))
-    assert np.max(np.abs(np.outer(p, q) - sep.values)) < 1e-8 * peak
+    assert np.max(np.abs(lead.reconstruct() - sep.values)) < 1e-8 * peak
 
 
 def test_effective_mode_residuals_by_source(jsa_equal, jsa_factorable):
-    _, _, r_model = interference.effective_mode_factorization(jsa_equal)
+    r_model = interference.factorability_residual(jsa_equal)
     assert r_model == pytest.approx(RESID_EQUAL, rel=1e-3)
-    _, _, r_eng = interference.effective_mode_factorization(jsa_factorable)
+    r_eng = interference.factorability_residual(jsa_factorable)
     assert r_eng < 0.05                    # engineered source is near-factorable
 
 
@@ -240,8 +242,8 @@ def test_condition_residuals_and_hwp(jsa_typeII, jsa_equal):
     pair = _pair(jsa_typeII)
     assert interference.bell_condition_residual(pair) < 1e-12
     assert interference.pol_pairing_residual(pair) > 0.1
-    swapped = interference.hwp_transform(pair)
-    assert swapped.family == "phi"
+    # a half-wave plate on one arm transposes g
+    swapped = interference.PolarizedPairState(f=pair.f, g=pair.g.transposed())
     assert interference.pol_pairing_residual(swapped) < 1e-12
     assert interference.bell_condition_residual(swapped) == pytest.approx(
         interference.pol_pairing_residual(pair), rel=1e-12)
@@ -254,9 +256,6 @@ def test_condition_residuals_and_hwp(jsa_typeII, jsa_equal):
 def test_pair_state_validation(jsa_typeII):
     with pytest.raises(ValidationError):
         interference.PolarizedPairState(f=jsa_typeII, g=jsa_typeII, sign="x")
-    with pytest.raises(ValidationError):
-        interference.PolarizedPairState(
-            f=jsa_typeII, g=jsa_typeII, family="chi")
     raw = spectra.JointSpectralAmplitude(
         jsa_typeII.grid_s, jsa_typeII.grid_i, 2.0 * jsa_typeII.values)
     with pytest.raises(ValidationError):

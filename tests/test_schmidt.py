@@ -2,12 +2,13 @@
 the two-width Gaussian model, Hermite-Gaussian mode identities, and the
 Mehler kernel resummation."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from biphoton import schmidt, spectra
+from biphoton import cli, schmidt, spectra
 from biphoton.errors import ValidationError
 
 MU_EQUAL = 2.0 - math.sqrt(3.0)        # sigma = sigma_F
@@ -208,14 +209,15 @@ def test_half_half_ratio_pinned():
 # ----------------------------------------------------------------------
 
 def test_hermite_low_order_values():
-    assert schmidt.hermite_mode(0, 0.0) == 1.0
-    assert schmidt.hermite_mode(1, 0.0) == 0.0
+    u0, u1, _ = schmidt.hermite_modes_upto(2, 0.0)[:, 0]
+    assert u0 == 1.0
+    assert u1 == 0.0
     x = 0.83
     gauss = math.exp(-0.5 * x * x)
-    assert schmidt.hermite_mode(1, x) == pytest.approx(
-        math.sqrt(2.0) * x * gauss, rel=1e-13)
+    _, u1, u2 = schmidt.hermite_modes_upto(2, x)[:, 0]
+    assert u1 == pytest.approx(math.sqrt(2.0) * x * gauss, rel=1e-13)
     # (2^2 2!)^{-1/2} H_2(x) exp(-x^2/2) with H_2 = 4x^2 - 2
-    assert schmidt.hermite_mode(2, x) == pytest.approx(
+    assert u2 == pytest.approx(
         (4.0 * x * x - 2.0) / math.sqrt(8.0) * gauss, rel=1e-13)
 
 
@@ -236,7 +238,11 @@ def test_model_modes_are_hermite(jsa_equal, model_equal):
     # the numerically extracted Schmidt modes of the model source are
     # Hermite-Gaussians at the predicted inverse-width scale
     dec = schmidt.schmidt_svd(jsa_equal)
-    alpha = schmidt.model_mode_scale(model_equal)
+    # inverse width alpha of u_n(alpha nu): alpha^2 = 2 a / K with the
+    # diagonal log-amplitude coefficient a = 2/sigma^2 + 2/sigma_F^2
+    a = 2.0 / model_equal.sigma**2 + 2.0 / model_equal.sigma_F**2
+    alpha = math.sqrt(2.0 * a / schmidt.analytic_K(
+        schmidt.analytic_mu(model_equal)))
     x = alpha * jsa_equal.grid_s.detunings
     u = schmidt.hermite_modes_upto(3, x)
     for n in range(4):
@@ -277,9 +283,14 @@ def test_mehler_params_validation():
         schmidt.MehlerParams(mu=1.0, alpha1=1.0, alpha2=1.0)
 
 
-def test_summary_keys(jsa_equal):
-    s = schmidt.schmidt_summary(schmidt.schmidt_svd(jsa_equal))
-    assert set(s) == {"K", "n_modes_kept", "truncated_mass", "eigenvalues"}
-    assert s["K"] == pytest.approx(K_EQUAL, rel=1e-6)
-    assert sum(s["eigenvalues"]) + s["truncated_mass"] == pytest.approx(
+def test_summary_keys(jsa_equal, tmp_path):
+    dec = schmidt.schmidt_svd(jsa_equal)
+    assert dec.K == pytest.approx(K_EQUAL, rel=1e-6)
+    assert dec.n_modes == len(dec.eigenvalues)
+    assert sum(dec.eigenvalues) + dec.truncated_mass == pytest.approx(
         1.0, abs=1e-9)
+    # the one summary of a decomposition is the schmidt command's
+    assert cli.main(["schmidt", "--grid", "64", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "schmidt.json").read_text())
+    assert set(doc) == {"config", "K", "eigenvalues_head", "n_modes_kept",
+                        "truncated_mass", "model"}

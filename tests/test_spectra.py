@@ -219,20 +219,22 @@ def test_beam_builder_contour_slopes(bbo, jsa_factorable):
 
 def test_factorable_design_kills_cross_term(bbo, jsa_factorable):
     # The matched waist cancels the cross term of the phase-matching product
-    # (longitudinal x transverse); the pump envelope always contributes its
-    # own -2/sigma_p^2 cross term on top, so fit the PM product alone.
+    # (longitudinal x transverse), so that product is rank one: the outer
+    # product of its central row and column.  The pump envelope always
+    # contributes its own -2/sigma_p^2 cross term on top, so test the PM
+    # product alone, and check that a 0.1 % waist error breaks the property.
     pump = spectra.PumpEnvelope.from_pump_fwhm(0.4, 10.0)
-    beam = spectra.BeamGeometry(
-        w0=design.factorable_waist(bbo, 0.4, 1e-3, math.radians(3.0)),
-        theta=math.radians(3.0), L=1e-3)
+    w0 = design.factorable_waist(bbo, 0.4, 1e-3, math.radians(3.0))
     grid = jsa_factorable.grid_s
-    _, long_f, trans_f = spectra.noncollinear_gaussian_beam_factors(
-        bbo, pump, beam, grid)
-    pm = spectra.JointSpectralAmplitude(
-        grid_s=grid, grid_i=jsa_factorable.grid_i,
-        values=(long_f * trans_f).astype(complex))
-    a_s, a_i, b = spectra.log_amplitude_quadratic_coeffs(pm)
-    assert abs(b) < 1e-6 * min(abs(a_s), abs(a_i))
+    c = grid.n_points // 2
+    for scale, rank_one in ((1.0, True), (1.001, False)):
+        beam = spectra.BeamGeometry(w0=scale * w0, theta=math.radians(3.0),
+                                    L=1e-3)
+        _, long_f, trans_f = spectra.noncollinear_gaussian_beam_factors(
+            bbo, pump, beam, grid)
+        pm = long_f * trans_f
+        outer = np.outer(pm[:, c], pm[c, :]) / pm[c, c]
+        assert (np.max(np.abs(pm - outer)) < 1e-9 * pm.max()) == rank_one
 
 
 def test_matched_waist_margin_one_uncorrelated(jsa_factorable):
