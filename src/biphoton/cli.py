@@ -103,20 +103,21 @@ def parse_sigma_rad_s(text: str) -> float:
 # ----------------------------------------------------------------------
 
 class _Registry:
-    """Remembers each option's argparse action so a JSON config file can be
-    merged under explicit flags, checked like them, and unknown keys
-    rejected."""
+    """Remembers each option's argparse action and default, which the parser
+    replaces by SUPPRESS so that only flags actually given reach the
+    namespace; _merge_config then fills the rest from a JSON config file,
+    checked like the flags, or from the defaults."""
 
-    def __init__(self, sub, suppress=False):
+    def __init__(self, sub):
         self.sub = sub
-        self.suppress = suppress
         self.actions = {}
+        self.defaults = {}
 
     def add(self, *names, **kw):
-        if self.suppress:   # only flags actually given reach the namespace
-            kw["default"] = argparse.SUPPRESS
         action = self.sub.add_argument(*names, **kw)
         self.actions[action.dest] = action
+        self.defaults[action.dest] = action.default
+        action.default = argparse.SUPPRESS
 
 
 def _add_common(reg: _Registry):
@@ -159,8 +160,8 @@ def _add_builder(reg: _Registry):
                  "(default 2.5 model / 3.0 pump)")
 
 
-def build_parser(suppress_defaults=False):
-    """(parser, registries); suppress_defaults leaves unset options out."""
+def build_parser():
+    """(parser, registries); _merge_config fills the options not given."""
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Joint-spectrum engineering toolkit for "
@@ -170,7 +171,7 @@ def build_parser(suppress_defaults=False):
 
     def new(cmd, func, help_text, builder=False):
         sub = subs.add_parser(cmd, help=help_text)
-        reg = _Registry(sub, suppress_defaults)
+        reg = _Registry(sub)
         _add_common(reg)
         if builder:
             _add_builder(reg)
@@ -247,17 +248,22 @@ def build_parser(suppress_defaults=False):
     return parser, registries
 
 
-def _merge_config(args, reg: _Registry, argv=None):
-    if not getattr(args, "config", None):
+def _merge_config(args, reg: _Registry):
+    """Fill each option not given on the command line from the --config
+    file if it names it, else from the option's default."""
+    given = set(vars(args))
+    for dest, default in reg.defaults.items():
+        if dest not in given:
+            setattr(args, dest, default)
+    if not args.config:
         return
-    given = vars(build_parser(suppress_defaults=True)[0].parse_args(argv))
     with open(args.config, "r") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValidationError("config file must hold a JSON object")
     for key, val in doc.items():
         dest = key.replace("-", "_")
-        if dest in ("config", "func", "command") or dest not in reg.actions:
+        if dest == "config" or dest not in reg.actions:
             raise ValidationError(f"unknown config key {key!r}")
         if dest in given:
             continue  # explicit flag wins
@@ -577,7 +583,7 @@ def cmd_economy(args, reg) -> int:
 # ----------------------------------------------------------------------
 
 def _fig1(args, out) -> dict:
-    material = dispersion.get_material("BBO")
+    material = dispersion.get_material("BBO", args.materials or None)
     pump = spectra.PumpEnvelope.from_pump_fwhm(0.8, 15.0)
     grid = spectra.default_pump_grid(pump, n_points=args.grid,
                                      span_factor=3.0)
@@ -607,7 +613,7 @@ def _fig3(args, out) -> dict:
 
 
 def _beam_figure(args, out, tag, L, w0, fwhm_nm) -> dict:
-    material = dispersion.get_material("BBO")
+    material = dispersion.get_material("BBO", args.materials or None)
     pump_um = 0.4
     theta = math.radians(3.0)
     pump = spectra.PumpEnvelope.from_pump_fwhm(pump_um, fwhm_nm)
@@ -618,13 +624,13 @@ def _beam_figure(args, out, tag, L, w0, fwhm_nm) -> dict:
     beam = spectra.BeamGeometry(w0=w0, theta=theta, L=L)
     pump_f, long_f, trans_f = spectra.noncollinear_gaussian_beam_factors(
         material, pump, beam, grid)
+    product = pump_f * long_f * trans_f
     for name, surf in (("pump", pump_f), ("longitudinal", long_f),
-                       ("transverse", trans_f),
-                       ("product", pump_f * long_f * trans_f)):
+                       ("transverse", trans_f), ("product", product)):
         _write(os.path.join(out, f"{tag}_{name}.csv"),
                _surface_csv(grid, grid, surf))
-    jsa = spectra.build_jsa_noncollinear_gaussian_beam(material, pump, beam,
-                                                       grid)
+    jsa = spectra.JointSpectralAmplitude(grid, grid,
+                                         product.astype(complex)).normalized()
     return {"w0": w0, "L": L, "theta": theta, "pump_fwhm_nm": fwhm_nm,
             "K": schmidt.schmidt_svd(jsa).K,
             "margin": design.freq_correlated_margin(material, pump_um, L,
@@ -685,7 +691,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        _merge_config(args, registries[args.command], argv)
+        _merge_config(args, registries[args.command])
         return args.func(args, registries[args.command])
     except RegimeError as exc:
         _emit_error(exc, 3)

@@ -61,20 +61,12 @@ def factorable_waist(material, pump_um: float, L: float, theta: float) -> float:
     theta = 0 is rejected: a collinear geometry has no transverse lever arm,
     so no finite waist can do the job.
     """
-    _check_lever(L, theta)
-    kp, kd = dispersion.noncollinear_group_slopes(material, pump_um, theta)
-    return _factorable_waist(kp, kd, L, theta)
-
-
-def _check_lever(L: float, theta: float) -> None:
     if L <= 0.0:
         raise ValidationError("crystal length must be positive")
     if theta <= 0.0:
         raise ValidationError(
             "collinear geometry has no transverse lever (theta must be > 0)")
-
-
-def _factorable_waist(kp: float, kd: float, L: float, theta: float) -> float:
+    kp, kd = dispersion.noncollinear_group_slopes(material, pump_um, theta)
     num = kp - kd * math.cos(theta)
     if num <= 0.0:
         raise ValidationError(
@@ -91,11 +83,6 @@ def pump_bandwidth_threshold(material, pump_um: float, L: float,
     if L <= 0.0:
         raise ValidationError("crystal length must be positive")
     kp, kd = dispersion.noncollinear_group_slopes(material, pump_um, theta)
-    return _pump_bandwidth_threshold(kp, kd, L, theta)
-
-
-def _pump_bandwidth_threshold(kp: float, kd: float, L: float,
-                              theta: float) -> float:
     num = kp - kd * math.cos(theta)
     if abs(num) < 1e-18:
         raise ValidationError("vanishing group-slope difference")
@@ -130,10 +117,8 @@ def design_report(material, pump_um: float, L: float, theta: float,
     """Run all the design calculators for one configuration.  w0 defaults to
     the factorable waist (margin exactly 1)."""
     theta_pm = dispersion.noncollinear_cut_angle(material, pump_um, theta)
-    _check_lever(L, theta)
-    kp, kd = dispersion.slopes_at_cut(material, pump_um, theta_pm)
-    w0_fact = _factorable_waist(kp, kd, L, theta)
-    sp_min = _pump_bandwidth_threshold(kp, kd, L, theta)
+    w0_fact = factorable_waist(material, pump_um, L, theta)
+    sp_min = pump_bandwidth_threshold(material, pump_um, L, theta)
     w0_eval = w0_fact if w0 is None else w0
     margin = w0_eval / w0_fact
     ratio, ok = validate_waist_regime(w0_eval, L, theta)

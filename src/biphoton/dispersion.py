@@ -52,15 +52,6 @@ class Material:
             )
 
 
-@dataclass(frozen=True)
-class WaveProps:
-    """Plane-wave properties at one frequency: k [rad/m] and dk/domega [s/m]."""
-
-    omega: float
-    k: float
-    k_prime: float
-
-
 # ----------------------------------------------------------------------
 # Materials file handling
 # ----------------------------------------------------------------------
@@ -214,19 +205,9 @@ def refractive_index(material: Material, wavelength_um, ray: Ray):
     return n
 
 
-def wave_props(material: Material, wavelength_um: float, ray: Ray) -> WaveProps:
-    """k = n(omega) * omega / c and the analytic group slope
-    k' = dk/domega = (n - lambda * dn/dlambda) / c."""
-    n, dn = _index_and_slope(material, wavelength_um, ray)
-    lam_m = wavelength_um * 1e-6
-    omega = 2.0 * math.pi * C_LIGHT / lam_m
-    k = n * omega / C_LIGHT
-    k_prime = (n - wavelength_um * dn) / C_LIGHT
-    return WaveProps(omega=float(omega), k=float(k), k_prime=float(k_prime))
-
-
 def group_slope(material: Material, wavelength_um, ray: Ray):
-    """Vector-friendly dk/domega [s/m] (same formula as wave_props)."""
+    """Vector-friendly analytic group slope [s/m],
+    k' = dk/domega = (n - lambda * dn/dlambda) / c."""
     n, dn = _index_and_slope(material, wavelength_um, ray)
     return (n - np.asarray(wavelength_um, dtype=float) * dn) / C_LIGHT
 
@@ -302,15 +283,9 @@ def noncollinear_group_slopes(material: Material, pump_um: float,
     """(kp', k'): pump group slope at lambda_p, extraordinary at the cut
     angle that phase-matches emission angle theta, and daughter ordinary
     group slope at 2 lambda_p."""
-    return slopes_at_cut(material, pump_um,
-                         noncollinear_cut_angle(material, pump_um, theta))
-
-
-def slopes_at_cut(material: Material, pump_um: float, theta_pm: float):
-    """(kp', k') of noncollinear_group_slopes at a known cut angle."""
-    kp = wave_props(material, pump_um, ("e", theta_pm)).k_prime
-    kd = wave_props(material, 2.0 * pump_um, "o").k_prime
-    return kp, kd
+    theta_pm = noncollinear_cut_angle(material, pump_um, theta)
+    return (float(group_slope(material, pump_um, ("e", theta_pm))),
+            float(group_slope(material, 2.0 * pump_um, "o")))
 
 
 def typeII_cut_angle(material: Material, degenerate_um: float) -> float:

@@ -306,33 +306,18 @@ def build_jsa_collinear(material: Material, pdc_type: str, L: float,
     """S = alpha(nu_s + nu_i) sinc(L dk / 2) with the true sinc and the full
     Sellmeier dk = kp - ks - ki for collinear propagation, on grid x grid.
 
-    pdc_type "I_eoo": both daughters ordinary; "II_eoe": signal ordinary,
-    idler extraordinary at the cut angle.  The cut angle is the one that
+    pdc_type "I_eoo": both daughters ordinary, which is the noncollinear
+    sinc builder at theta = 0; "II_eoe": signal ordinary, idler
+    extraordinary at the cut angle.  The cut angle is the one that
     phase-matches exactly at degeneracy.
     """
-    _check_memory(grid)
-    lam0_um, lam_p_um = _center_wavelengths(pump)
     if pdc_type == "I_eoo":
-        th = dispersion.noncollinear_cut_angle(material, lam_p_um, 0.0)
-        ray_s, ray_i = "o", "o"
-    elif pdc_type == "II_eoe":
-        th = dispersion.typeII_cut_angle(material, lam0_um)
-        ray_s, ray_i = "o", ("e", th)
-    else:
+        return build_jsa_noncollinear_sinc(material, L, pump, 0.0, grid)
+    if pdc_type != "II_eoe":
         raise ValidationError(f"unknown pdc_type {pdc_type!r} (I_eoo or II_eoe)")
-
-    lam_um = lambda omega: 2.0 * math.pi * C_LIGHT / np.asarray(omega) * 1e6
-
-    omega = grid.omegas
-    ks = dispersion.wavevector(material, lam_um(omega), ray_s)
-    ki = dispersion.wavevector(material, lam_um(omega), ray_i)
-    omega_p = omega[:, None] + omega[None, :]
-    kp = dispersion.wavevector(material, lam_um(omega_p), ("e", th))
-
-    dk = kp - ks[:, None] - ki[None, :]
-    nu_sum = (omega[:, None] - pump.omega0) + (omega[None, :] - pump.omega0)
-    values = pump_envelope_value(pump, nu_sum) * sinc_phasematch(dk, L)
-    return _finish(grid, grid, values)
+    lam0_um, _ = _center_wavelengths(pump)
+    th = dispersion.typeII_cut_angle(material, lam0_um)
+    return _sellmeier_sinc(material, L, pump, grid, th, ("e", th), 1.0)
 
 
 def build_jsa_noncollinear_sinc(material: Material, L: float, pump: PumpEnvelope,
@@ -342,19 +327,28 @@ def build_jsa_noncollinear_sinc(material: Material, L: float, pump: PumpEnvelope
     pump axis: S = alpha(nu_s+nu_i) sinc(L dk_z / 2) on grid x grid, with the
     longitudinal mismatch dk_z = kp - (ks + ki) cos(theta), both daughters
     ordinary and the pump cut to phase-match at degeneracy."""
-    _check_memory(grid)
     _, lam_p_um = _center_wavelengths(pump)
     th_pm = dispersion.noncollinear_cut_angle(material, lam_p_um, theta)
+    return _sellmeier_sinc(material, L, pump, grid, th_pm, "o",
+                           math.cos(theta))
 
+
+def _sellmeier_sinc(material: Material, L: float, pump: PumpEnvelope,
+                    grid: FrequencyGrid, th_pm: float, ray_i, cos_theta: float
+                    ) -> JointSpectralAmplitude:
+    """alpha(nu_s + nu_i) sinc(L dk / 2) with dk = kp - (ks + ki) cos_theta:
+    the signal ordinary, the idler on ray_i, the pump extraordinary at the
+    cut angle th_pm."""
+    _check_memory(grid)
     lam_um = lambda omega: 2.0 * math.pi * C_LIGHT / np.asarray(omega) * 1e6
     omega = grid.omegas
-    k = dispersion.wavevector(material, lam_um(omega), "o")
+    ks = dispersion.wavevector(material, lam_um(omega), "o")
+    ki = dispersion.wavevector(material, lam_um(omega), ray_i)
     omega_p = omega[:, None] + omega[None, :]
     kp = dispersion.wavevector(material, lam_um(omega_p), ("e", th_pm))
-
-    dkz = kp - (k[:, None] + k[None, :]) * math.cos(theta)
-    nu_sum = omega_p - 2.0 * pump.omega0
-    values = pump_envelope_value(pump, nu_sum) * sinc_phasematch(dkz, L)
+    dk = kp - ks[:, None] * cos_theta - ki[None, :] * cos_theta
+    nu_sum = (omega[:, None] - pump.omega0) + (omega[None, :] - pump.omega0)
+    values = pump_envelope_value(pump, nu_sum) * sinc_phasematch(dk, L)
     return _finish(grid, grid, values)
 
 
@@ -362,11 +356,25 @@ def build_jsa_noncollinear_gaussian_beam(material: Material, pump: PumpEnvelope,
                                          beam: BeamGeometry, grid: FrequencyGrid
                                          ) -> JointSpectralAmplitude:
     """Factorized Gaussian-beam phase matching for degenerate noncollinear
-    type-I PDC, on grid x grid:
+    type-I PDC, on grid x grid: the normalized product of the three
+    surfaces of noncollinear_gaussian_beam_factors,
 
         S = alpha(nu_s+nu_i) exp[-gamma dkz^2 L^2 / 4] exp[-dkt^2 w0^2 / 4]
         dkz = (kp' - k' cos theta)(nu_s + nu_i)
         dkt = -k' sin(theta) (nu_s - nu_i)
+
+    Raises RegimeError outside weak focusing, as the factors do.
+    """
+    pump_f, long_f, trans_f = noncollinear_gaussian_beam_factors(
+        material, pump, beam, grid)
+    return _finish(grid, grid, pump_f * long_f * trans_f)
+
+
+def noncollinear_gaussian_beam_factors(material: Material, pump: PumpEnvelope,
+                                       beam: BeamGeometry, grid: FrequencyGrid):
+    """The three unnormalized surfaces whose product is the engineered JSA:
+    (pump envelope, longitudinal phase matching, transverse phase matching),
+    each as a 2-D array over grid x grid (nu_s, nu_i).
 
     Valid only for weak focusing, w0/L >= REGIME_FACTOR * sqrt(gamma) sin^2(theta);
     otherwise raises RegimeError carrying both sides of the inequality.
@@ -379,21 +387,6 @@ def build_jsa_noncollinear_gaussian_beam(material: Material, pump: PumpEnvelope,
         raise RegimeError(
             f"focusing too strong for the factorized phase-matching model: "
             f"w0/L = {lhs:.4g} < {rhs:.4g}", lhs=lhs, rhs=rhs)
-
-    pump_f, long_f, trans_f = noncollinear_gaussian_beam_factors(
-        material, pump, beam, grid)
-    return _finish(grid, grid, pump_f * long_f * trans_f)
-
-
-def noncollinear_gaussian_beam_factors(material: Material, pump: PumpEnvelope,
-                                       beam: BeamGeometry, grid: FrequencyGrid):
-    """The three unnormalized surfaces whose product is the engineered JSA:
-    (pump envelope, longitudinal phase matching, transverse phase matching),
-    each as a 2-D array over grid x grid (nu_s, nu_i).  No regime check
-    here — use build_jsa_noncollinear_gaussian_beam for a validated
-    amplitude."""
-    _check_memory(grid)
-    gam = gaussian_sinc_gamma()
     _, lam_p_um = _center_wavelengths(pump)
     kp_prime, k_prime = dispersion.noncollinear_group_slopes(
         material, lam_p_um, beam.theta)

@@ -4,8 +4,9 @@ Each function is the direct per-point form of a vectorized path in the
 package: the per-cell JSA CSV writer and reader, the per-cell surface
 table of `biphoton reproduce fig5|fig7`, the per-delay cosine sum of the
 numeric dip, the per-angle polarization fringe, and the Bell-analyzer rate
-with the full N^2 phase exp(i dw tau).  The tests compare the fast paths
-against these on small grids.  The cut-angle, sinc half-point and
+with the full N^2 phase exp(i dw tau), and the noncollinear sinc JSA in
+its own arithmetic order from before the sinc builders shared one body.
+The tests compare the fast paths against these on small grids.  The cut-angle, sinc half-point and
 group-velocity-matching solves are scipy's ``brentq`` at the tolerances the
 package's bisection and closed-form type-I cut replaced.
 """
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from biphoton import dispersion
+from biphoton.dispersion import C_LIGHT
 from biphoton.errors import ValidationError
 from biphoton.spectra import FrequencyGrid, JointSpectralAmplitude
 
@@ -85,6 +87,24 @@ def surface_csv(grid_s, grid_i, values) -> str:
         for j, ni in enumerate(grid_i.detunings):
             w.writerow(["%.17g" % ns, "%.17g" % ni, "%.17g" % values[i, j]])
     return out.getvalue()
+
+
+def noncollinear_sinc_values(material, L: float, pump, theta: float,
+                             grid) -> np.ndarray:
+    """Normalized alpha(nu_s + nu_i) sinc(L dk_z / 2) on grid x grid with one
+    ordinary wavevector k for both arms, dk_z = kp - (k + k) cos(theta),
+    and the pump detuning taken as omega_p - 2 omega0."""
+    lam_um = lambda omega: 2.0 * math.pi * C_LIGHT / np.asarray(omega) * 1e6
+    th_pm = dispersion.noncollinear_cut_angle(
+        material, 0.5 * lam_um(pump.omega0), theta)
+    omega = grid.omegas
+    k = dispersion.wavevector(material, lam_um(omega), "o")
+    omega_p = omega[:, None] + omega[None, :]
+    kp = dispersion.wavevector(material, lam_um(omega_p), ("e", th_pm))
+    dkz = kp - (k[:, None] + k[None, :]) * math.cos(theta)
+    alpha = np.exp(-(((omega_p - 2.0 * pump.omega0) / pump.sigma_p) ** 2))
+    values = alpha * np.sinc(dkz * L / (2.0 * math.pi))
+    return values / np.sqrt(np.sum(values**2) * grid.spacing**2)
 
 
 def homi_rates(jsa, taus) -> np.ndarray:

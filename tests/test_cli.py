@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import biphoton
-from biphoton import cli, design, focksim
+from biphoton import cli, design, focksim, spectra
 
 W0_BBO_1MM = 0.0002870538672664499
 
@@ -107,7 +107,7 @@ def test_config_string_resolves_like_the_flag(tmp_path, x, kind, data):
     for argv in (cmd + [f"{flag}={text}"], cmd + ["--config", str(cfg)]):
         parser, registries = cli.build_parser()
         args = parser.parse_args(argv)
-        cli._merge_config(args, registries[args.command], argv)
+        cli._merge_config(args, registries[args.command])
         resolved.append(cli._resolved_config(args, registries[args.command]))
     assert resolved[0] == resolved[1]
 
@@ -288,6 +288,23 @@ def test_reproduce_fig5(tmp_path):
     assert abs(doc["results"]["intensity_correlation"]) < 0.1
 
 
+@pytest.mark.parametrize("figure", ["fig5", "fig7"])
+def test_beam_figure_evaluates_factors_once(tmp_path, monkeypatch, figure):
+    # the product surface written to CSV is the amplitude the figure
+    # decomposes; the factors are not evaluated a second time for it
+    calls = []
+    factors = spectra.noncollinear_gaussian_beam_factors
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return factors(*a, **kw)
+
+    monkeypatch.setattr(spectra, "noncollinear_gaussian_beam_factors", counted)
+    assert run(["reproduce", figure, "--grid", "32",
+                "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_reproduce_fig3(tmp_path):
     assert run(["reproduce", "fig3", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "fig3.json").read_text())
@@ -427,6 +444,18 @@ def test_materials_override(tmp_path, capsys):
     assert code == 2
     message = json.loads(cap.err)["message"]
     assert "GHOST" in message and "MYBBO" in message   # lists what exists
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig5", "fig7"])
+def test_reproduce_looks_up_bbo_in_materials_file(tmp_path, capsys, figure):
+    mats = tmp_path / "mats.txt"
+    mats.write_text(BBO_CLONE.replace("MYBBO", "FOO"))
+    out = tmp_path / "out"
+    code, cap = run(["reproduce", figure, "--grid", "32",
+                     "--materials", str(mats), "--out", str(out)], capsys)
+    assert code == 2
+    assert "unknown material 'BBO'" in json.loads(cap.err)["message"]
+    assert not any(out.glob("*.json"))
 
 
 # ----------------------------------------------------------------------

@@ -39,8 +39,8 @@ def test_factorable_waist_five_degrees(bbo):
 def test_factorable_waist_from_primitives(bbo):
     # independent reassembly from the dispersion primitives
     theta_pm = dispersion.noncollinear_cut_angle(bbo, 0.4, THETA3)
-    kp = dispersion.wave_props(bbo, 0.4, ("e", theta_pm)).k_prime
-    kd = dispersion.wave_props(bbo, 0.8, "o").k_prime
+    kp = dispersion.group_slope(bbo, 0.4, ("e", theta_pm))
+    kd = dispersion.group_slope(bbo, 0.8, "o")
     manual = 1e-3 * math.sqrt(spectra.gaussian_sinc_gamma()) \
         * (kp - kd * math.cos(THETA3)) / (kd * math.sin(THETA3))
     assert design.factorable_waist(bbo, 0.4, 1e-3, THETA3) == \

@@ -65,19 +65,20 @@ def test_bad_ray_spec_raises(bbo):
 
 
 def test_wavevector_normal_dispersion(bbo):
-    assert dispersion.wave_props(bbo, 0.4, "o").k > dispersion.wave_props(
-        bbo, 0.8, "o").k
+    assert dispersion.wavevector(bbo, 0.4, "o") > dispersion.wavevector(
+        bbo, 0.8, "o")
 
 
-def test_wave_props_pinned(bbo):
-    wp = dispersion.wave_props(bbo, 0.8, "o")
-    assert wp.k == pytest.approx(K_BBO_800, rel=1e-12)
-    assert wp.k_prime == pytest.approx(KPRIME_BBO_800, rel=1e-12)
+def test_wavevector_and_group_slope_pinned(bbo):
+    assert dispersion.wavevector(bbo, 0.8, "o") == pytest.approx(
+        K_BBO_800, rel=1e-12)
+    assert dispersion.group_slope(bbo, 0.8, "o") == pytest.approx(
+        KPRIME_BBO_800, rel=1e-12)
 
 
 def _k_of_omega(mat, omega, ray):
     lam_um = 2.0 * math.pi * 2.99792458e8 / omega * 1e6
-    return dispersion.wave_props(mat, lam_um, ray).k
+    return dispersion.wavevector(mat, lam_um, ray)
 
 
 def test_group_slope_matches_finite_difference(bbo, ktp, kdp):
@@ -88,11 +89,12 @@ def test_group_slope_matches_finite_difference(bbo, ktp, kdp):
         lams = rng.uniform(lo * 1.05, hi * 0.95, size=200)
         for ray in ("o", "e"):
             for lam in lams[:67]:
-                wp = dispersion.wave_props(mat, float(lam), ray)
-                h = 1e-6 * wp.omega
-                fd = (_k_of_omega(mat, wp.omega + h, ray)
-                      - _k_of_omega(mat, wp.omega - h, ray)) / (2.0 * h)
-                assert wp.k_prime == pytest.approx(fd, rel=1e-6)
+                omega = 2.0 * math.pi * 2.99792458e8 / (float(lam) * 1e-6)
+                h = 1e-6 * omega
+                fd = (_k_of_omega(mat, omega + h, ray)
+                      - _k_of_omega(mat, omega - h, ray)) / (2.0 * h)
+                assert dispersion.group_slope(
+                    mat, float(lam), ray) == pytest.approx(fd, rel=1e-6)
 
 
 def test_noncollinear_angle_reference_geometry(bbo):
@@ -105,8 +107,8 @@ def test_noncollinear_angle_reference_geometry(bbo):
 def test_noncollinear_angle_closes_momentum(bbo):
     theta = dispersion.degenerate_noncollinear_angle(
         bbo, 0.4, math.radians(30.32))
-    kp = dispersion.wave_props(bbo, 0.4, ("e", math.radians(30.32))).k
-    kd = dispersion.wave_props(bbo, 0.8, "o").k
+    kp = dispersion.wavevector(bbo, 0.4, ("e", math.radians(30.32)))
+    kd = dispersion.wavevector(bbo, 0.8, "o")
     assert abs(kp - 2.0 * kd * math.cos(theta)) < 1e-6 * kp
 
 
@@ -115,10 +117,10 @@ def test_collinear_cut_angle_below_noncollinear_cut(bbo):
     assert math.degrees(cut) == pytest.approx(COLLINEAR_CUT_BBO_400, abs=1e-6)
     assert math.degrees(cut) < 30.32
     # independent bisection on kp(e at cut) - 2 k(o) over the cut angle
-    kd = dispersion.wave_props(bbo, 0.8, "o").k
+    kd = dispersion.wavevector(bbo, 0.8, "o")
 
     def mismatch(tpm):
-        return dispersion.wave_props(bbo, 0.4, ("e", tpm)).k - 2.0 * kd
+        return dispersion.wavevector(bbo, 0.4, ("e", tpm)) - 2.0 * kd
 
     lo_a, hi_a = 0.0, math.pi / 2
     assert mismatch(lo_a) > 0 and mismatch(hi_a) < 0
@@ -191,11 +193,11 @@ def test_gvm_wavelength_bbo(bbo):
 
 def test_gvm_root_residual(bbo):
     lam = dispersion.gvm_wavelength(bbo)
-    kp_p = dispersion.wave_props(
-        bbo, lam / 2.0, ("e", dispersion.typeII_cut_angle(bbo, lam))).k_prime
-    kp_o = dispersion.wave_props(bbo, lam, "o").k_prime
-    kp_e = dispersion.wave_props(
-        bbo, lam, ("e", dispersion.typeII_cut_angle(bbo, lam))).k_prime
+    kp_p = dispersion.group_slope(
+        bbo, lam / 2.0, ("e", dispersion.typeII_cut_angle(bbo, lam)))
+    kp_o = dispersion.group_slope(bbo, lam, "o")
+    kp_e = dispersion.group_slope(
+        bbo, lam, ("e", dispersion.typeII_cut_angle(bbo, lam)))
     assert abs(kp_p - 0.5 * (kp_o + kp_e)) < 1e-9 * kp_p
 
 

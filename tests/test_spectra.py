@@ -161,6 +161,22 @@ def test_typeI_collinear_exchange_symmetric(bbo):
     j = spectra.build_jsa_collinear(bbo, "I_eoo", 1e-3, pump, grid)
     assert np.max(np.abs(j.values - j.values.T)) < 1e-12 * np.max(
         np.abs(j.values))
+    assert np.array_equal(j.values, spectra.build_jsa_noncollinear_sinc(
+        bbo, 1e-3, pump, 0.0, grid).values)
+
+
+@pytest.mark.parametrize("name", ["BBO", "KDP"])
+@pytest.mark.parametrize("theta_deg", [0.0, 3.0, 5.0])
+def test_noncollinear_sinc_matches_oracle(name, theta_deg):
+    # the shared sinc body rounds in another order than the oracle's
+    # (k + k) cos(theta) and omega_p - 2 omega0; that moves last digits only
+    mat = dispersion.get_material(name)
+    pump = spectra.PumpEnvelope.from_pump_fwhm(0.4, 10.0)
+    grid = spectra.default_pump_grid(pump, n_points=64, span_factor=3.0)
+    theta = math.radians(theta_deg)
+    j = spectra.build_jsa_noncollinear_sinc(mat, 1e-3, pump, theta, grid)
+    ref = oracles.noncollinear_sinc_values(mat, 1e-3, pump, theta, grid)
+    assert np.max(np.abs(j.values - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def test_collinear_grid_refinement(bbo):
@@ -184,12 +200,15 @@ def test_noncollinear_cut_angle_consistency(bbo):
     assert back == pytest.approx(theta, abs=1e-9)
 
 
-def test_beam_builder_regime_error(bbo):
+@pytest.mark.parametrize("build", [
+    spectra.build_jsa_noncollinear_gaussian_beam,
+    spectra.noncollinear_gaussian_beam_factors], ids=["builder", "factors"])
+def test_beam_builder_regime_error(bbo, build):
     pump = spectra.PumpEnvelope.from_pump_fwhm(0.4, 10.0)
     beam = spectra.BeamGeometry(w0=1e-6, theta=math.radians(3.0), L=1e-3)
     grid = spectra.default_pump_grid(pump, n_points=32, span_factor=3.0)
     with pytest.raises(RegimeError) as exc:
-        spectra.build_jsa_noncollinear_gaussian_beam(bbo, pump, beam, grid)
+        build(bbo, pump, beam, grid)
     assert exc.value.lhs < exc.value.rhs
 
 
