@@ -291,13 +291,17 @@ def noncollinear_group_slopes(material: Material, pump_um: float,
 def typeII_cut_angle(material: Material, degenerate_um: float) -> float:
     """Cut angle for degenerate collinear type-II (e -> o + e) matching:
     2 n_e(lam/2, theta) = n_o(lam) + n_e(lam, theta), bisected on the open
-    bracket (0, pi/2)."""
+    bracket (0, pi/2) with the principal indices evaluated once."""
     lam = degenerate_um
+    material.check_range(0.5 * lam)
+    material.check_range(lam)
+    no_p, ne_p, no, ne = (_principal(c, x)[0] for x in (0.5 * lam, lam)
+                          for c in (material.sellmeier_o, material.sellmeier_e))
 
-    def f(th):
-        return (2.0 * refractive_index(material, 0.5 * lam, ("e", th))
-                - refractive_index(material, lam, "o")
-                - refractive_index(material, lam, ("e", th)))
+    def f(th):  # the ellipsoid index of _index_and_slope at both wavelengths
+        ct2, st2 = math.cos(th) ** 2, math.sin(th) ** 2
+        return (2.0 * (1.0 / np.sqrt(ct2 / no_p**2 + st2 / ne_p**2)) - no
+                - 1.0 / np.sqrt(ct2 / no**2 + st2 / ne**2))
 
     if f(_CUT_LO) * f(_CUT_HI) > 0:
         raise PhaseMatchError(f"no cut angle phase-matches {material.name} "

@@ -8,7 +8,11 @@ with the full N^2 phase exp(i dw tau), and the noncollinear sinc JSA in
 its own arithmetic order from before the sinc builders shared one body.
 The tests compare the fast paths against these on small grids.  The cut-angle, sinc half-point and
 group-velocity-matching solves are scipy's ``brentq`` at the tolerances the
-package's bisection and closed-form type-I cut replaced.
+package's bisection and closed-form type-I cut replaced.  The Schmidt
+decomposition by one full SVD is the oracle of the rank-adaptive sketch,
+the reduced kernel without its subnormal flush that of the flushed one, and
+the type-II bisection over per-step ``refractive_index`` calls that of the
+bisection over indices evaluated once.
 """
 
 import csv
@@ -18,9 +22,9 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from biphoton import dispersion
+from biphoton import dispersion, schmidt
 from biphoton.dispersion import C_LIGHT
-from biphoton.errors import ValidationError
+from biphoton.errors import PhaseMatchError, ValidationError
 from biphoton.spectra import FrequencyGrid, JointSpectralAmplitude
 
 
@@ -122,6 +126,37 @@ def homi_rates(jsa, taus) -> np.ndarray:
     return rates
 
 
+def reduced_signal_kernel(jsa) -> np.ndarray:
+    """rho = f f^H dnu_i with every entry of f, subnormal ones included."""
+    return (jsa.values @ jsa.values.conj().T) * jsa.grid_i.spacing
+
+
+def schmidt_svd(jsa, keep_tol: float = schmidt.KEEP_TOL):
+    """Schmidt decomposition from one full SVD of the weighted amplitude,
+    truncated at keep_tol, each signal mode's first sample within 1e-6 of
+    its magnitude maximum made real positive; ``truncated_mass`` is
+    1 - sum of the kept eigenvalues."""
+    ds, di = jsa.grid_s.spacing, jsa.grid_i.spacing
+    u, s, vh = np.linalg.svd(jsa.values * math.sqrt(ds * di),
+                             full_matrices=False)
+    lam = s**2
+    keep = lam >= keep_tol
+    lam, u, vh = lam[keep], u[:, keep], vh[keep, :]
+    signal = (u / math.sqrt(ds)).T.copy()
+    idler = vh / math.sqrt(di)
+    for n in range(signal.shape[0]):
+        mags = np.abs(signal[n])
+        j = int(np.argmax(mags >= (1.0 - 1e-6) * mags.max()))
+        phase = signal[n, j] / abs(signal[n, j])
+        signal[n] = signal[n] / phase
+        idler[n] = idler[n] * phase
+    return schmidt.SchmidtDecomposition(
+        eigenvalues=lam, signal_modes=signal, idler_modes=idler,
+        K=schmidt.cooperativity(lam / lam.sum()),
+        truncated_mass=float(max(0.0, 1.0 - lam.sum())),
+        grid_s=jsa.grid_s, grid_i=jsa.grid_i)
+
+
 def polarization_fringe(pair, theta_a: float, theta_b: float) -> float:
     """One angle at a time, the overlap recomputed on every call."""
     a = math.cos(theta_a) * math.sin(theta_b)
@@ -181,6 +216,21 @@ def typeII_cut_angle(material, lam: float):
     return _brentq_cut_angle(
         lambda th: (2.0 * n(material, 0.5 * lam, ("e", th))
                     - n(material, lam, "o") - n(material, lam, ("e", th))))
+
+
+def typeII_cut_angle_bisect(material, lam: float) -> float:
+    """The package's bisection with three ``refractive_index`` calls, each
+    range-checked, per step."""
+    n = dispersion.refractive_index
+
+    def f(th):
+        return (2.0 * n(material, 0.5 * lam, ("e", th))
+                - n(material, lam, "o") - n(material, lam, ("e", th)))
+
+    lo, hi = _CUT_BRACKET
+    if f(lo) * f(hi) > 0:
+        raise PhaseMatchError("no type-II cut angle")
+    return dispersion.bisect_root(f, lo, hi, xtol=1e-14)
 
 
 def sinc_half_point() -> float:

@@ -167,6 +167,34 @@ def test_typeII_cut_angle_matches_brentq(bbo):
             oracles.typeII_cut_angle(bbo, lam), abs=2e-14)
 
 
+def test_typeII_cut_angle_bit_identical_to_per_step_indices(bbo, kdp, ktp):
+    # indices evaluated once per solve give the same bits as three
+    # refractive_index calls per bisection step, and the same errors
+    for mat in (bbo, kdp, ktp):
+        for lam in np.linspace(2.0 * mat.range_um[0] + 1e-6, mat.range_um[1], 15):
+            try:
+                want = oracles.typeII_cut_angle_bisect(mat, float(lam))
+            except PhaseMatchError:
+                with pytest.raises(PhaseMatchError):
+                    dispersion.typeII_cut_angle(mat, float(lam))
+                continue
+            assert dispersion.typeII_cut_angle(mat, float(lam)) == want
+    for lam in (0.3, 10.0):
+        with pytest.raises(RangeError) as want:
+            oracles.typeII_cut_angle_bisect(bbo, lam)
+        with pytest.raises(RangeError) as got:
+            dispersion.typeII_cut_angle(bbo, lam)
+        assert str(got.value) == str(want.value)
+
+
+def test_typeII_cut_angle_evaluates_indices_once(bbo, monkeypatch):
+    calls, principal = [], dispersion._principal
+    monkeypatch.setattr(dispersion, "_principal",
+                        lambda c, lam: calls.append(lam) or principal(c, lam))
+    dispersion.typeII_cut_angle(bbo, 0.8)
+    assert calls == [0.4, 0.4, 0.8, 0.8]
+
+
 def test_bisect_root_stops_at_the_bracket_width():
     root = dispersion.bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-12)
     assert abs(root - math.sqrt(2.0)) <= 0.5e-12

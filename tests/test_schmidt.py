@@ -2,14 +2,22 @@
 the two-width Gaussian model, Hermite-Gaussian mode identities, and the
 Mehler kernel resummation."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from biphoton import cli, schmidt, spectra
+import biphoton
+from biphoton import cli, design, schmidt, spectra
 from biphoton.errors import ValidationError
+from tests import oracles
 
 MU_EQUAL = 2.0 - math.sqrt(3.0)        # sigma = sigma_F
 K_EQUAL = 2.0 / math.sqrt(3.0)
@@ -117,6 +125,136 @@ def test_purity_equals_density_matrix_trace(jsa_equal):
     rho = a @ a.conj().T
     purity = float(np.trace(rho @ rho).real)
     assert purity == pytest.approx(float(np.sum(dec.eigenvalues**2)), abs=1e-8)
+
+
+# ----------------------------------------------------------------------
+# rank-adaptive sketch against the full SVD
+# ----------------------------------------------------------------------
+
+def _random_jsa(n, rank, ratio, seed):
+    """Normalized JSA on an n-point grid whose weighted amplitude has the
+    spectrum lambda_j ~ ratio^j, j < rank, in random complex bases, plus
+    complex noise of Frobenius norm ~1e-14."""
+    rng = np.random.default_rng(seed)
+    grid = spectra.FrequencyGrid(omega0=0.0, half_span=1e14, n_points=n)
+
+    def basis():
+        z = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        return np.linalg.qr(z)[0]
+
+    m = (basis() * ratio ** (0.5 * np.arange(rank))) @ basis().conj().T
+    m += 1e-14 / n * (rng.standard_normal((n, n))
+                      + 1j * rng.standard_normal((n, n)))
+    return spectra.JointSpectralAmplitude(grid, grid, m / grid.spacing
+                                          ).normalized()
+
+
+def _decompose(jsa):
+    """schmidt_svd(jsa) and the shapes of the matrices it handed to the SVD."""
+    shapes, svd = [], np.linalg.svd
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd",
+                   lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+        dec = schmidt.schmidt_svd(jsa)
+    return dec, shapes
+
+
+def _assert_matches_oracle(dec, want, jsa):
+    assert dec.n_modes == want.n_modes
+    assert dec.K == pytest.approx(want.K, rel=1e-10)
+    assert np.max(np.abs(dec.eigenvalues - want.eigenvalues)) < 1e-12
+    peak = np.max(np.abs(jsa.values))
+    assert np.max(np.abs(dec.reconstruct() - want.reconstruct())) < 1e-10 * peak
+    # leading modes, each oriented by the first-peak phase convention
+    lead = int(np.sum(want.eigenvalues >= 1e-6))
+    for got, ref, d in ((dec.signal_modes, want.signal_modes, jsa.grid_s),
+                        (dec.idler_modes, want.idler_modes, jsa.grid_i)):
+        assert np.max(np.abs(got[:lead] - ref[:lead])) * math.sqrt(
+            d.spacing) < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([300, 512]), rank=st.integers(1, 40),
+       ratio=st.floats(0.3, 0.8), full=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sketch_matches_full_svd_oracle(n, rank, ratio, full, seed):
+    # low rank takes the rank-64 sketch; a full-rank spectrum (down to 1e-8
+    # of the top) fails it and falls through to the full SVD
+    if full:
+        rank, ratio = n, 1e-8 ** (1.0 / n)
+    lam = ratio ** np.arange(rank)
+    assume(np.all(np.abs(np.log(lam / lam.sum() / schmidt.KEEP_TOL)) > 0.01))
+    jsa = _random_jsa(n, rank, ratio, seed)
+    dec, shapes = _decompose(jsa)
+    assert shapes[-1] == ((n, n) if full else (64, n))
+    _assert_matches_oracle(dec, oracles.schmidt_svd(jsa), jsa)
+
+
+@pytest.mark.parametrize("builder", ["collinear", "noncollinear-sinc",
+                                     "gaussian-beam", "model"])
+def test_sketch_matches_full_svd_on_1024_grids(builder, bbo):
+    theta = math.radians(3.0)
+    if builder == "model":
+        model = spectra.GaussianSourceModel(sigma=4e13, sigma_F=4e13)
+        jsa = spectra.gaussian_model_jsa(
+            model, spectra.default_model_grid(model, n_points=1024))
+    else:
+        pump_um, fwhm = (0.4, 10.0) if builder == "gaussian-beam" else (0.8, 15.0)
+        pump = spectra.PumpEnvelope.from_pump_fwhm(pump_um, fwhm)
+        grid = spectra.default_pump_grid(pump, n_points=1024, span_factor=3.0)
+        if builder == "collinear":
+            jsa = spectra.build_jsa_collinear(bbo, "II_eoe", 1e-3, pump, grid)
+        elif builder == "noncollinear-sinc":
+            jsa = spectra.build_jsa_noncollinear_sinc(bbo, 1e-3, pump, theta,
+                                                      grid)
+        else:
+            beam = spectra.BeamGeometry(
+                w0=design.factorable_waist(bbo, 0.4, 1e-3, theta), theta=theta,
+                L=1e-3)
+            jsa = spectra.build_jsa_noncollinear_gaussian_beam(bbo, pump, beam,
+                                                               grid)
+    dec, shapes = _decompose(jsa)
+    assert shapes == [(64, 1024)]           # resolved in one sketch round
+    _assert_matches_oracle(dec, oracles.schmidt_svd(jsa), jsa)
+
+
+def test_sketch_reruns_bit_identical():
+    jsa = _random_jsa(512, 12, 0.5, seed=3)
+    a = schmidt.schmidt_svd(jsa)
+    b = schmidt.schmidt_svd(dataclasses.replace(jsa, values=jsa.values.copy()))
+    for field in ("eigenvalues", "signal_modes", "idler_modes"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert (a.K, a.truncated_mass) == (b.K, b.truncated_mass)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_truncated_mass_stable_under_rounding(bbo, n):
+    # a 5e-15 relative change of L moves 1 - sum(kept) by ~1 %; the sum of
+    # the discarded eigenvalues stays put
+    pump = spectra.PumpEnvelope.from_pump_fwhm(0.8, 15.0)
+    grid = spectra.default_pump_grid(pump, n_points=n, span_factor=3.0)
+    masses = [schmidt.schmidt_svd(spectra.build_jsa_collinear(
+        bbo, "II_eoe", 1e-3 * (1.0 + e), pump, grid)).truncated_mass
+        for e in (0.0, 5e-15, -5e-15)]
+    assert masses[0] > 0.0
+    assert max(masses) - min(masses) <= 1e-8 * masses[0]
+
+
+def test_small_grids_do_not_load_numpy_random(tmp_path):
+    # 256 points take the exact path: a fresh interpreter running
+    # `schmidt --grid 256` never imports numpy.random; 260 points sketch
+    script = ("import sys\n"
+              "import biphoton.cli as cli\n"
+              "for n in ('256', '260'):\n"
+              f"    cli.main(['schmidt', '--grid', n, '--out', {str(tmp_path)!r}])\n"
+              "    print('numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biphoton.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert [ln for ln in proc.stdout.splitlines()
+            if ln in ("True", "False")] == ["False", "True"]
 
 
 # ----------------------------------------------------------------------
