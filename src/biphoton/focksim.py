@@ -5,9 +5,13 @@ unitary) and a *spectral mode* index (orthonormal Schmidt basis, untouched
 by the network).  Detectors are broadband and time-integrating: they count
 photons per channel but do not resolve the spectral label, so distinct
 output spectral contents add incoherently while amplitudes landing in the
-same (channel, mode) occupation add coherently.  Probabilities come from
-permanents of the relevant channel submatrices, one spectral-label
-assignment at a time (`pattern_probability`, the general path).
+same (channel, mode) occupation add coherently.  Amplitudes come from one
+engine, `_evolve`, which maps every input creation operator through the
+network, a+_(c,m) -> sum_d U[d,c] a+_(d,m), and merges equal output
+occupations as it goes: the permanent formula's amplitudes (Scheel, "Permanents
+in linear optical networks", 2004) without enumerating spectral-label
+splits.  `pattern_probability` (the general path) and the Mach-Zehnder
+stage test run on it.
 
 Pair sources whose idlers go to their own trigger channels, untouched by
 the network and each counted once, have a closed form instead:
@@ -298,71 +302,47 @@ def _pair_weights(pairs, weights):
 # Detection probabilities
 # ----------------------------------------------------------------------
 
-def _iter_mode_configs(mode_counts, capacities):
-    """All ways to split each spectral mode's multiplicity over channels so
-    channel totals match capacities; yields tuples of (channel, mode, k)."""
-    modes = sorted(mode_counts)
-    nch = len(capacities)
-
-    def over_modes(mi, caps, acc):
-        if mi == len(modes):
-            yield tuple(acc)
-            return
-        m = modes[mi]
-
-        def over_channels(ch, left, caps, acc2):
-            if ch == nch:
-                if left == 0:
-                    yield from over_modes(mi + 1, caps, acc + acc2)
-                return
-            top = min(left, caps[ch])
-            for k in range(top, -1, -1):
-                if k:
-                    nxt = list(caps)
-                    nxt[ch] -= k
-                    yield from over_channels(ch + 1, left - k, nxt,
-                                             acc2 + [(ch, m, k)])
-                else:
-                    yield from over_channels(ch + 1, left, caps, acc2)
-
-        yield from over_channels(0, mode_counts[m], list(caps), [])
-
-    yield from over_modes(0, list(capacities), [])
+def _evolve(u, terms, caps=None) -> dict:
+    """{output photons: amplitude} of input terms (amplitude, sorted
+    (channel, mode) photons) under the channel unitary u: each a+_(c,m) maps
+    to sum_d u[d, c] a+_(d,m), and equal photon tuples add coherently.  With
+    caps, channel d takes at most caps[d] photons, so only outputs inside
+    that pattern are built."""
+    n = u.shape[0]
+    out = {}
+    for amp, photons in terms:
+        poly = {(): amp / math.sqrt(_occupation_factorials(photons))}
+        for c, m in photons:
+            nxt = {}
+            for key, val in poly.items():
+                occ = Counter(d for d, _ in key)
+                for d in range(n):
+                    if caps is not None and occ[d] >= caps[d]:
+                        continue
+                    add = val * u[d, c]
+                    if add != 0.0:
+                        k = tuple(sorted(key + ((d, m),)))
+                        nxt[k] = nxt.get(k, 0.0 + 0.0j) + add
+            poly = nxt
+        for key, val in poly.items():
+            a = val * math.sqrt(_occupation_factorials(key))
+            if a != 0.0:
+                out[key] = out.get(key, 0.0 + 0.0j) + a
+    return {k: v for k, v in out.items() if v != 0.0}
 
 
-def _config_amplitude(u, nz, photons, config) -> Optional[complex]:
-    """<config | U | photons> for one spectral-label assignment, or None
-    when a zero row/column forces a vanishing permanent."""
-    slots = []
-    out_norm = 1.0
-    for d, m, k in config:
-        out_norm *= math.factorial(k)
-        slots.extend([(d, m)] * k)
-    for d, ms in slots:
-        if not any(mm == ms and nz[d, cc] for cc, mm in photons):
-            return None
-    for cc, mm in photons:
-        if not any(ms == mm and nz[d, cc] for d, ms in slots):
-            return None
-    n = len(photons)
-    mat = np.zeros((n, n), dtype=complex)
-    for i, (d, ms) in enumerate(slots):
-        for j, (cc, mm) in enumerate(photons):
-            if mm == ms:
-                mat[i, j] = u[d, cc]
-    in_norm = 1.0
-    for cnt in Counter(photons).values():
-        in_norm *= math.factorial(cnt)
-    return permanent(mat) / math.sqrt(in_norm * out_norm)
+def _occupation_factorials(photons) -> int:
+    """prod_k k! over the occupation numbers k of a photon tuple."""
+    return math.prod(math.factorial(k) for k in Counter(photons).values())
 
 
 def pattern_probability(network: LinearNetwork, inp: SpectralPhotonInput,
                         pattern: DetectionPattern) -> float:
-    """Probability of the detection pattern.  Terms whose total spectral
-    content differs cannot interfere (the network never changes a photon's
-    mode label), so they are grouped by mode multiset; within a group every
-    distinct output (channel, mode) occupation is an orthogonal outcome
-    whose amplitude is a coherent sum over the group's terms."""
+    """Probability of the detection pattern: the sum of |amplitude|^2 over
+    every output (channel, mode) occupation with the pattern's channel
+    counts.  The network never changes a photon's mode label, so outputs
+    whose spectral content differs are distinct occupations and add
+    incoherently, while input terms reaching the same one interfere."""
     if len(pattern.counts) != network.n_channels:
         raise ValidationError("pattern length must match channel count")
     if pattern.total != inp.photon_number:
@@ -371,24 +351,11 @@ def pattern_probability(network: LinearNetwork, inp: SpectralPhotonInput,
             f"{inp.photon_number}")
     if inp.photon_number > MAX_PERMANENT:
         raise ValidationError(f"photon number capped at {MAX_PERMANENT}")
-    u = network.unitary
-    nz = np.abs(u) > 0.0
-    groups = {}
-    for amp, photons in inp.terms:
-        key = tuple(sorted(m for _, m in photons))
-        groups.setdefault(key, []).append((amp, photons))
-    total = 0.0
-    for key, terms in groups.items():
-        mode_counts = Counter(key)
-        for config in _iter_mode_configs(mode_counts, pattern.counts):
-            out_amp = 0.0 + 0.0j
-            for amp, photons in terms:
-                a = _config_amplitude(u, nz, photons, config)
-                if a is not None:
-                    out_amp += amp * a
-            if out_amp != 0.0:
-                total += abs(out_amp) ** 2
-    return total
+    if any(not 0 <= c < network.n_channels
+           for _, photons in inp.terms for c, _ in photons):
+        raise ValidationError("input channel out of range")
+    out = _evolve(network.unitary, inp.terms, caps=pattern.counts)
+    return sum(abs(a) ** 2 for a in out.values())
 
 
 def _compositions(n: int, k: int):
@@ -611,30 +578,6 @@ def ns_search() -> NSSearchResult:
 # Two-mode Mach-Zehnder stage test
 # ----------------------------------------------------------------------
 
-def _apply_two_mode(state: dict, b: np.ndarray) -> dict:
-    """Evolve {(n0, n1): amp} under a 2x2 channel unitary b
-    (a_c+ -> sum_d b[d, c] a_d+)."""
-    out = {}
-    for (n0, n1), amp in state.items():
-        poly = {(0, 0): amp / math.sqrt(math.factorial(n0)
-                                        * math.factorial(n1))}
-        for col, reps in ((0, n0), (1, n1)):
-            for _ in range(reps):
-                nxt = {}
-                for (k0, k1), cval in poly.items():
-                    for d, key in ((0, (k0 + 1, k1)), (1, (k0, k1 + 1))):
-                        add = cval * b[d, col]
-                        if add != 0.0:
-                            nxt[key] = nxt.get(key, 0.0 + 0.0j) + add
-                poly = nxt
-        for (k0, k1), cval in poly.items():
-            amp_out = cval * math.sqrt(math.factorial(k0)
-                                       * math.factorial(k1))
-            if amp_out != 0.0:
-                out[(k0, k1)] = out.get((k0, k1), 0.0 + 0.0j) + amp_out
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
 @dataclass(frozen=True)
 class MZStageReport:
     phase: float
@@ -652,9 +595,17 @@ def homi_mz_stage_states(phase: float) -> MZStageReport:
     1 at phase 0, 0 at phase pi, where the bunched state rides through
     the output splitter unchanged."""
     b = beamsplitter(0.5).astype(complex)
-    s1 = _apply_two_mode({(1, 1): 1.0 + 0.0j}, b)
+
+    def through_splitter(state):
+        """{(n0, n1): amp} through b, as {(n0, n1): amp}."""
+        terms = [(amp, ((0, 0),) * n0 + ((1, 0),) * n1)
+                 for (n0, n1), amp in state.items()]
+        return {(k.count((0, 0)), k.count((1, 0))): a
+                for k, a in _evolve(b, terms).items()}
+
+    s1 = through_splitter({(1, 1): 1.0 + 0.0j})
     s2 = {k: v * np.exp(1j * (phase / 2.0) * k[0]) for k, v in s1.items()}
-    s3 = _apply_two_mode(s2, b)
+    s3 = through_splitter(s2)
     pc = abs(s3.get((1, 1), 0.0)) ** 2
     return MZStageReport(phase=float(phase), after_input_splitter=s1,
                          output_state=s3,

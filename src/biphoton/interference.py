@@ -155,8 +155,12 @@ def symmetry_residual(jsa: JointSpectralAmplitude) -> float:
     if (jsa.grid_s.n_points != jsa.grid_i.n_points
             or jsa.grid_s.half_span != jsa.grid_i.half_span):
         raise ValidationError("symmetry residual needs identical square grids")
-    d = jsa.values - jsa.values.T
-    return float(math.sqrt(np.sum(np.abs(d) ** 2) * jsa.measure))
+    return _l2_distance(jsa.values, jsa.values.T, jsa.measure)
+
+
+def _l2_distance(a, b, measure: float) -> float:
+    """L2 norm of a - b under the grid measure."""
+    return float(math.sqrt(np.sum(np.abs(a - b) ** 2) * measure))
 
 
 # ----------------------------------------------------------------------
@@ -187,15 +191,13 @@ def bell_analyzer_rates(pair: PolarizedPairState, tau: float):
 def bell_condition_residual(pair: PolarizedPairState) -> float:
     """L2 norm of g - f-transposed: zero iff the analyzer distinguishes the
     two Bell states perfectly at tau = 0."""
-    d = pair.g.values - pair.f.values.T
-    return float(math.sqrt(np.sum(np.abs(d) ** 2) * pair.f.measure))
+    return _l2_distance(pair.g.values, pair.f.values.T, pair.f.measure)
 
 
 def pol_pairing_residual(pair: PolarizedPairState) -> float:
     """L2 norm of g - f: zero iff the polarization-fringe rate reduces to
     sin^2(theta_a +/- theta_b) with unit visibility."""
-    d = pair.g.values - pair.f.values
-    return float(math.sqrt(np.sum(np.abs(d) ** 2) * pair.f.measure))
+    return _l2_distance(pair.g.values, pair.f.values, pair.f.measure)
 
 
 def pair_overlap(pair: PolarizedPairState) -> complex:

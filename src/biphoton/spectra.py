@@ -221,23 +221,19 @@ def sinc_phasematch(delta_k, L: float):
     return np.sinc(np.asarray(delta_k, dtype=float) * L / (2.0 * math.pi))
 
 
-_GAMMA_CACHE: dict = {}
+_SINC_HALF = bisect_root(lambda x: math.sin(x) / x - 0.5, 1e-9,
+                         math.pi - 1e-9, xtol=1e-15)
 
 
 def sinc_half_point() -> float:
     """Positive root of sinc(x) = 1/2 in (0, pi)."""
-    if "xhalf" not in _GAMMA_CACHE:
-        _GAMMA_CACHE["xhalf"] = bisect_root(
-            lambda x: math.sin(x) / x - 0.5, 1e-9, math.pi - 1e-9, xtol=1e-15)
-    return _GAMMA_CACHE["xhalf"]
+    return _SINC_HALF
 
 
 def gaussian_sinc_gamma() -> float:
     """Constant gamma of the Gaussian stand-in exp(-gamma x^2) that shares its
     intensity FWHM with sinc(x): gamma = ln 2 / x_half^2 ~= 0.193."""
-    if "gamma" not in _GAMMA_CACHE:
-        _GAMMA_CACHE["gamma"] = math.log(2.0) / sinc_half_point() ** 2
-    return _GAMMA_CACHE["gamma"]
+    return math.log(2.0) / _SINC_HALF ** 2
 
 
 def sigma_p_from_fwhm(fwhm_m: float, wavelength_m: float) -> float:

@@ -12,17 +12,21 @@ package's bisection and closed-form type-I cut replaced.  The Schmidt
 decomposition by one full SVD is the oracle of the rank-adaptive sketch,
 the reduced kernel without its subnormal flush that of the flushed one, and
 the type-II bisection over per-step ``refractive_index`` calls that of the
-bisection over indices evaluated once.
+bisection over indices evaluated once.  Fock amplitudes come from Ryser
+permanents of block-diagonal channel matrices, one spectral-label split at
+a time, and two-mode Fock states go through a 2x2 splitter by their own
+creation-operator expansion: the oracles of the one expansion engine.
 """
 
 import csv
 import io
 import math
+from collections import Counter
 
 import numpy as np
 from scipy.optimize import brentq
 
-from biphoton import dispersion, schmidt
+from biphoton import dispersion, focksim, schmidt
 from biphoton.dispersion import C_LIGHT
 from biphoton.errors import PhaseMatchError, ValidationError
 from biphoton.spectra import FrequencyGrid, JointSpectralAmplitude
@@ -258,3 +262,109 @@ def gvm_wavelength(material, scan_step_um: float = 0.02) -> float:
         prev_lam, prev_val = lam, val
         lam += scan_step_um
     raise AssertionError(f"no sign change of the GVM residual for {material.name}")
+
+
+def _iter_mode_configs(mode_counts, capacities):
+    """All ways to split each spectral mode's multiplicity over channels so
+    channel totals match capacities; yields tuples of (channel, mode, k)."""
+    modes = sorted(mode_counts)
+    nch = len(capacities)
+
+    def over_modes(mi, caps, acc):
+        if mi == len(modes):
+            yield tuple(acc)
+            return
+        m = modes[mi]
+
+        def over_channels(ch, left, caps, acc2):
+            if ch == nch:
+                if left == 0:
+                    yield from over_modes(mi + 1, caps, acc + acc2)
+                return
+            top = min(left, caps[ch])
+            for k in range(top, -1, -1):
+                if k:
+                    nxt = list(caps)
+                    nxt[ch] -= k
+                    yield from over_channels(ch + 1, left - k, nxt,
+                                             acc2 + [(ch, m, k)])
+                else:
+                    yield from over_channels(ch + 1, left, caps, acc2)
+
+        yield from over_channels(0, mode_counts[m], list(caps), [])
+
+    yield from over_modes(0, list(capacities), [])
+
+
+def _config_amplitude(u, nz, photons, config):
+    """<config | U | photons> for one spectral-label assignment, or None
+    when a zero row/column forces a vanishing permanent."""
+    slots = []
+    out_norm = 1.0
+    for d, m, k in config:
+        out_norm *= math.factorial(k)
+        slots.extend([(d, m)] * k)
+    for d, ms in slots:
+        if not any(mm == ms and nz[d, cc] for cc, mm in photons):
+            return None
+    for cc, mm in photons:
+        if not any(ms == mm and nz[d, cc] for d, ms in slots):
+            return None
+    n = len(photons)
+    mat = np.zeros((n, n), dtype=complex)
+    for i, (d, ms) in enumerate(slots):
+        for j, (cc, mm) in enumerate(photons):
+            if mm == ms:
+                mat[i, j] = u[d, cc]
+    in_norm = 1.0
+    for cnt in Counter(photons).values():
+        in_norm *= math.factorial(cnt)
+    return focksim.permanent(mat) / math.sqrt(in_norm * out_norm)
+
+
+def pattern_probability(network, inp, pattern) -> float:
+    """Input terms grouped by mode multiset; within a group, every output
+    (channel, mode) occupation with the pattern's channel counts is a
+    coherent sum over the group's terms of one permanent each."""
+    u = network.unitary
+    nz = np.abs(u) > 0.0
+    groups = {}
+    for amp, photons in inp.terms:
+        key = tuple(sorted(m for _, m in photons))
+        groups.setdefault(key, []).append((amp, photons))
+    total = 0.0
+    for key, terms in groups.items():
+        mode_counts = Counter(key)
+        for config in _iter_mode_configs(mode_counts, pattern.counts):
+            out_amp = 0.0 + 0.0j
+            for amp, photons in terms:
+                a = _config_amplitude(u, nz, photons, config)
+                if a is not None:
+                    out_amp += amp * a
+            if out_amp != 0.0:
+                total += abs(out_amp) ** 2
+    return total
+
+
+def apply_two_mode(state: dict, b: np.ndarray) -> dict:
+    """Evolve {(n0, n1): amp} under a 2x2 channel unitary b
+    (a_c+ -> sum_d b[d, c] a_d+)."""
+    out = {}
+    for (n0, n1), amp in state.items():
+        poly = {(0, 0): amp / math.sqrt(math.factorial(n0)
+                                        * math.factorial(n1))}
+        for col, reps in ((0, n0), (1, n1)):
+            for _ in range(reps):
+                nxt = {}
+                for (k0, k1), cval in poly.items():
+                    for d, key in ((0, (k0 + 1, k1)), (1, (k0, k1 + 1))):
+                        add = cval * b[d, col]
+                        if add != 0.0:
+                            nxt[key] = nxt.get(key, 0.0 + 0.0j) + add
+                poly = nxt
+        for (k0, k1), cval in poly.items():
+            amp_out = cval * math.sqrt(math.factorial(k0)
+                                       * math.factorial(k1))
+            if amp_out != 0.0:
+                out[(k0, k1)] = out.get((k0, k1), 0.0 + 0.0j) + amp_out
+    return {k: v for k, v in out.items() if v != 0.0}

@@ -13,6 +13,7 @@ from scipy.linalg import expm, logm
 
 from biphoton import focksim, interference, schmidt, spectra
 from biphoton.errors import ValidationError
+from tests import oracles
 from tests.conftest import random_unitary
 
 MU_EQUAL = 2.0 - math.sqrt(3.0)
@@ -210,6 +211,41 @@ def test_pattern_probability_validation():
         focksim.pattern_probability(
             net, crowd, focksim.DetectionPattern(
                 (focksim.MAX_PERMANENT + 1, 0)))
+
+
+def test_pattern_probability_rejects_out_of_range_channels():
+    net = focksim.LinearNetwork.identity(2).bs(0, 1, 0.5)
+    pat = focksim.DetectionPattern((1, 0))
+    for channel in (-1, 5):
+        inp = focksim.SpectralPhotonInput.photons([(channel, 0)])
+        with pytest.raises(ValidationError):
+            focksim.pattern_probability(net, inp, pat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_pattern_probability_matches_permanent_oracle(data, seed):
+    # random unitaries on 2-4 channels, 1-4 photons (bunched ones included)
+    # over mode labels 0-2, superpositions of 1-3 terms, every pattern
+    n_ch = data.draw(st.integers(2, 4), label="n_ch")
+    n_ph = data.draw(st.integers(1, 4), label="n_ph")
+    photon = st.tuples(st.integers(0, n_ch - 1), st.integers(0, 2))
+    raw = data.draw(st.lists(st.lists(photon, min_size=n_ph, max_size=n_ph),
+                             min_size=1, max_size=3), label="terms")
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=len(raw)) + 1j * rng.normal(size=len(raw))
+    inp = focksim.SpectralPhotonInput.superposition(zip(amps, raw))
+    norm = math.sqrt(sum(abs(a) ** 2 for a, _ in inp.terms))
+    inp = focksim.SpectralPhotonInput.superposition(
+        (a / norm, photons) for a, photons in inp.terms)
+    net = focksim.LinearNetwork(n_ch, random_unitary(n_ch, rng))
+    total = 0.0
+    for counts in focksim._compositions(n_ph, n_ch):
+        pat = focksim.DetectionPattern(counts)
+        got = focksim.pattern_probability(net, inp, pat)
+        assert abs(got - oracles.pattern_probability(net, inp, pat)) <= 1e-13
+        total += got
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_against_dense_fock_matrix_mechanics():
@@ -471,6 +507,16 @@ def test_mz_stage_states_bunch():
     assert abs(out.get((1, 1), 0.0)) < 1e-12
     assert abs(out[(2, 0)]) ** 2 + abs(out[(0, 2)]) ** 2 == pytest.approx(
         1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3, math.pi / 2, math.pi])
+def test_mz_stage_states_match_two_mode_oracle(phase):
+    b = focksim.beamsplitter(0.5).astype(complex)
+    s1 = oracles.apply_two_mode({(1, 1): 1.0 + 0.0j}, b)
+    s2 = {k: v * np.exp(1j * (phase / 2.0) * k[0]) for k, v in s1.items()}
+    rep = focksim.homi_mz_stage_states(phase)
+    assert rep.after_input_splitter == s1
+    assert rep.output_state == oracles.apply_two_mode(s2, b)
 
 
 # ----------------------------------------------------------------------
