@@ -12,8 +12,8 @@ Submodules:
                 polarization fringes.
   design        factorable-waist / pump-bandwidth design rules, regime
                 checks, photon-economy records.
-  focksim       multimode linear-optics Fock simulator: permanents,
-                NS gate, six-fold coincidence vs cooperativity.
+  focksim       multimode linear-optics Fock simulator, NS gate,
+                six-fold coincidence vs cooperativity.
   cli           command-line front end (`biphoton ...`).
 """
 

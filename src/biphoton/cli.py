@@ -23,7 +23,6 @@ mirrored as JSON on stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -373,13 +372,15 @@ def _table_csv(header, rows) -> str:
         ",".join("%.17g" % x for x in row) + "\n" for row in rows])
 
 
-def _surface_csv(grid_s, grid_i, values) -> str:
-    out = io.StringIO()
-    out.write("# columns: nu_s_rad_s,nu_i_rad_s,value\n")
-    out.write("# omega0_s_rad_s=%.17g omega0_i_rad_s=%.17g\n"
-              % (grid_s.omega0, grid_i.omega0))
-    spectra.write_grid_rows(out, grid_s.detunings, grid_i.detunings, values)
-    return out.getvalue()
+def _write_surface_csv(path: str, grid_s, grid_i, values):
+    """A real surface on grid_s x grid_i, streamed row by row into path."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# columns: nu_s_rad_s,nu_i_rad_s,value\n")
+        fh.write("# omega0_s_rad_s=%.17g omega0_i_rad_s=%.17g\n"
+                 % (grid_s.omega0, grid_i.omega0))
+        spectra.write_grid_rows(fh, grid_s.detunings, grid_i.detunings,
+                                values)
+    print(f"wrote {path}")
 
 
 # ----------------------------------------------------------------------
@@ -627,8 +628,8 @@ def _beam_figure(args, out, tag, L, w0, fwhm_nm) -> dict:
     product = pump_f * long_f * trans_f
     for name, surf in (("pump", pump_f), ("longitudinal", long_f),
                        ("transverse", trans_f), ("product", product)):
-        _write(os.path.join(out, f"{tag}_{name}.csv"),
-               _surface_csv(grid, grid, surf))
+        _write_surface_csv(os.path.join(out, f"{tag}_{name}.csv"),
+                           grid, grid, surf)
     jsa = spectra.JointSpectralAmplitude(grid, grid,
                                          product.astype(complex)).normalized()
     return {"w0": w0, "L": L, "theta": theta, "pump_fwhm_nm": fwhm_nm,

@@ -41,6 +41,7 @@ makes the conditional-phase construction work, succeeding 25% of the time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -157,43 +158,6 @@ def load_network_json(path) -> LinearNetwork:
     with open(path, "r") as fh:
         doc = json.load(fh)
     return LinearNetwork.from_elements(doc["n_channels"], doc["elements"])
-
-
-# ----------------------------------------------------------------------
-# Permanent
-# ----------------------------------------------------------------------
-
-def permanent(matrix) -> complex:
-    """Permanent by Ryser's inclusion-exclusion with Gray-code updates,
-    O(2^n n); capped at n = 12 (this is a desk-scale tool, and 2^12 row-sum
-    updates per call is where patience runs out)."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError("permanent needs a square matrix")
-    n = a.shape[0]
-    if n > MAX_PERMANENT:
-        raise ValidationError(f"permanent capped at {MAX_PERMANENT}x{MAX_PERMANENT}")
-    if n == 0:
-        return 1.0 + 0.0j
-    sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    prev = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        bit = gray ^ prev
-        j = bit.bit_length() - 1
-        if gray & bit:
-            sums += a[:, j]
-        else:
-            sums -= a[:, j]
-        prev = gray
-        if bin(gray).count("1") & 1:
-            total -= np.prod(sums)
-        else:
-            total += np.prod(sums)
-    if n & 1:
-        total = -total
-    return complex(total)
 
 
 # ----------------------------------------------------------------------
@@ -426,22 +390,43 @@ def pair_source_probability(network: LinearNetwork, pairs, weights,
     rows = [d for d, c in enumerate(pattern.counts) if d not in idlers
             for _ in range(c)]
     sub = u[np.ix_(rows, [s for s, _ in pairs])]
-    perms = list(itertools.permutations(range(n)))
-    index = {p: k for k, p in enumerate(perms)}
-    amps = np.array([np.prod(sub[range(n), p]) for p in perms])
-    traces = [math.prod(float(np.sum(np.prod(lam[c], axis=0)))
-                        for c in _cycles(pi)) for pi in perms]
+    perms, partners, cycles, cycle_ids = _perm_pairs(n)
+    amps = np.prod(sub[np.arange(n), perms], axis=1)
+    cycle_traces = [float(np.sum(np.prod(lam[list(c)], axis=0)))
+                    for c in cycles]
+    traces = [math.prod(cycle_traces[k] for k in ids) for ids in cycle_ids]
     # The pi-sums of sum_sigma a_sigma conj(a_{pi sigma}) add up to
     # |perm M|^2: splitting off the smallest cycle trace that way keeps a
     # pattern that indistinguishable photons cannot reach dark to roundoff.
     floor = min(traces)
     total = floor * abs(np.sum(amps)) ** 2
-    for pi, trace in zip(perms, traces):
-        # tau = pi o sigma, so tau sigma^-1 = pi
-        partner = [index[tuple(pi[k] for k in sigma)] for sigma in perms]
+    for trace, partner in zip(traces, partners):
         total += (trace - floor) * np.vdot(amps[partner], amps)
     norm = math.prod(math.factorial(c) for c in pattern.counts)
     return float(np.real(total)) / norm
+
+
+@functools.cache
+def _perm_pairs(n: int):
+    """The ladder-independent tables of the permutation-pair sum over S_n:
+    the permutations as rows of a read-only (n!, n) array in
+    itertools.permutations order; the read-only (n!, n!) partner matrix,
+    partner[p, s] the row of perms[p] o perms[s] (tau = pi o sigma, so
+    tau sigma^-1 = pi); the distinct cycles, each a tuple in _cycles order;
+    and per permutation the indices of its cycles in that tuple."""
+    perms = np.array(list(itertools.permutations(range(n))),
+                     dtype=np.intp).reshape(math.factorial(n), n)
+    # itertools lists permutations lexicographically, so their base-n codes
+    # ascend and a composition's code finds its row by binary search
+    code = n ** np.arange(n - 1, -1, -1)
+    partners = np.searchsorted(perms @ code, perms[:, perms] @ code)
+    per_perm = [[tuple(c) for c in _cycles(p)] for p in perms.tolist()]
+    cycles = tuple(dict.fromkeys(c for cs in per_perm for c in cs))
+    slot = {c: k for k, c in enumerate(cycles)}
+    cycle_ids = tuple(tuple(slot[c] for c in cs) for cs in per_perm)
+    perms.setflags(write=False)
+    partners.setflags(write=False)
+    return perms, partners, cycles, cycle_ids
 
 
 def _cycles(perm):
@@ -634,6 +619,15 @@ def sixfold_network() -> LinearNetwork:
     return net.bs(3, 4, 0.5)
 
 
+@functools.cache
+def _shared_sixfold_network() -> LinearNetwork:
+    """sixfold_network() built once per process for ns_sixfold_rate, its
+    unitary read-only so no caller can change the shared copy."""
+    net = sixfold_network()
+    net.unitary.setflags(write=False)
+    return net
+
+
 def _sixfold_amplitudes(mu: float, n_modes: int) -> np.ndarray:
     """Schmidt amplitudes sqrt(1 - mu^2) (-mu)^n, n < n_modes, of one
     sixfold source (a single mode at mu = 0)."""
@@ -689,8 +683,8 @@ def ns_sixfold_rate(model: Optional[GaussianSourceModel] = None, *,
         raise ValidationError(
             f"truncated Schmidt mass {truncation_mass:.3g} exceeds "
             f"{SIXFOLD_TRUNC_TOL:g}; raise n_modes")
-    rate = pair_source_probability(sixfold_network(), SIXFOLD_PAIRS,
-                                   weights, SIXFOLD_PATTERN)
+    rate = pair_source_probability(_shared_sixfold_network(),
+                                   SIXFOLD_PAIRS, weights, SIXFOLD_PATTERN)
     return SixfoldRate(rate=rate, mu=float(mu),
                        cooperativity=analytic_K(mu) if mu > 0 else 1.0,
                        n_modes=n_modes,

@@ -15,11 +15,14 @@ the type-II bisection over per-step ``refractive_index`` calls that of the
 bisection over indices evaluated once.  Fock amplitudes come from Ryser
 permanents of block-diagonal channel matrices, one spectral-label split at
 a time, and two-mode Fock states go through a 2x2 splitter by their own
-creation-operator expansion: the oracles of the one expansion engine.
+creation-operator expansion: the oracles of the one expansion engine.  The
+pair-source permutation-pair sum that enumerates S_n, its partners and its
+cycles on every call is the oracle of the one on per-n tables built once.
 """
 
 import csv
 import io
+import itertools
 import math
 from collections import Counter
 
@@ -264,6 +267,39 @@ def gvm_wavelength(material, scan_step_um: float = 0.02) -> float:
     raise AssertionError(f"no sign change of the GVM residual for {material.name}")
 
 
+def permanent(matrix) -> complex:
+    """Permanent by Ryser's inclusion-exclusion with Gray-code updates,
+    O(2^n n); capped at n = MAX_PERMANENT."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError("permanent needs a square matrix")
+    n = a.shape[0]
+    cap = focksim.MAX_PERMANENT
+    if n > cap:
+        raise ValidationError(f"permanent capped at {cap}x{cap}")
+    if n == 0:
+        return 1.0 + 0.0j
+    sums = np.zeros(n, dtype=complex)
+    total = 0.0 + 0.0j
+    prev = 0
+    for k in range(1, 1 << n):
+        gray = k ^ (k >> 1)
+        bit = gray ^ prev
+        j = bit.bit_length() - 1
+        if gray & bit:
+            sums += a[:, j]
+        else:
+            sums -= a[:, j]
+        prev = gray
+        if bin(gray).count("1") & 1:
+            total -= np.prod(sums)
+        else:
+            total += np.prod(sums)
+    if n & 1:
+        total = -total
+    return complex(total)
+
+
 def _iter_mode_configs(mode_counts, capacities):
     """All ways to split each spectral mode's multiplicity over channels so
     channel totals match capacities; yields tuples of (channel, mode, k)."""
@@ -319,7 +355,7 @@ def _config_amplitude(u, nz, photons, config):
     in_norm = 1.0
     for cnt in Counter(photons).values():
         in_norm *= math.factorial(cnt)
-    return focksim.permanent(mat) / math.sqrt(in_norm * out_norm)
+    return permanent(mat) / math.sqrt(in_norm * out_norm)
 
 
 def pattern_probability(network, inp, pattern) -> float:
@@ -368,3 +404,32 @@ def apply_two_mode(state: dict, b: np.ndarray) -> dict:
             if amp_out != 0.0:
                 out[(k0, k1)] = out.get((k0, k1), 0.0 + 0.0j) + amp_out
     return {k: v for k, v in out.items() if v != 0.0}
+
+
+def pair_source_probability(network, pairs, weights, pattern) -> float:
+    """The cycle-trace permutation-pair sum with S_n, the partner of each
+    (pi, sigma) and every permutation's cycles enumerated on each call (no
+    input checks)."""
+    pairs = [(int(s), int(i)) for s, i in pairs]
+    weights, _ = focksim._pair_weights(pairs, weights)
+    n = len(pairs)
+    u = network.unitary
+    idlers = [i for _, i in pairs]
+    lam = np.zeros((n, max(len(w) for w in weights)))
+    for j, w in enumerate(weights):
+        lam[j, :len(w)] = np.abs(w) ** 2
+    rows = [d for d, c in enumerate(pattern.counts) if d not in idlers
+            for _ in range(c)]
+    sub = u[np.ix_(rows, [s for s, _ in pairs])]
+    perms = list(itertools.permutations(range(n)))
+    index = {p: k for k, p in enumerate(perms)}
+    amps = np.array([np.prod(sub[range(n), p]) for p in perms])
+    traces = [math.prod(float(np.sum(np.prod(lam[c], axis=0)))
+                        for c in focksim._cycles(pi)) for pi in perms]
+    floor = min(traces)
+    total = floor * abs(np.sum(amps)) ** 2
+    for pi, trace in zip(perms, traces):
+        partner = [index[tuple(pi[k] for k in sigma)] for sigma in perms]
+        total += (trace - floor) * np.vdot(amps[partner], amps)
+    norm = math.prod(math.factorial(c) for c in pattern.counts)
+    return float(np.real(total)) / norm

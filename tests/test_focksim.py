@@ -1,6 +1,7 @@
-"""Multimode Fock simulation: permanents, detection probabilities (checked
-against dense matrix mechanics in the full N-photon sector), the NS gate,
-and the six-fold coincidence rate vs spectral multimodedness."""
+"""Multimode Fock simulation: the Ryser permanent oracle, detection
+probabilities (checked against dense matrix mechanics in the full N-photon
+sector), the NS gate, and the six-fold coincidence rate vs spectral
+multimodedness."""
 
 import itertools
 import math
@@ -77,13 +78,13 @@ def test_network_json_round_trip(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# permanent
+# permanent (the Ryser oracle behind the enumerator oracle)
 # ----------------------------------------------------------------------
 
 def test_permanent_known_values():
-    assert focksim.permanent(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
-    assert focksim.permanent(np.ones((3, 3))) == pytest.approx(6.0, abs=1e-12)
-    assert focksim.permanent(np.zeros((0, 0))) == 1.0
+    assert oracles.permanent(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
+    assert oracles.permanent(np.ones((3, 3))) == pytest.approx(6.0, abs=1e-12)
+    assert oracles.permanent(np.zeros((0, 0))) == 1.0
 
 
 def test_permanent_against_permutation_sum():
@@ -92,7 +93,7 @@ def test_permanent_against_permutation_sum():
     brute = sum(
         np.prod([a[i, p[i]] for i in range(4)])
         for p in itertools.permutations(range(4)))
-    assert focksim.permanent(a) == pytest.approx(brute, abs=1e-12)
+    assert oracles.permanent(a) == pytest.approx(brute, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,14 +103,14 @@ def test_permanent_equals_permutation_sum_property(n, seed):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     brute = sum(np.prod(a[np.arange(n), p])
                 for p in itertools.permutations(range(n)))
-    assert abs(focksim.permanent(a) - brute) <= 1e-12 * max(1.0, abs(brute))
+    assert abs(oracles.permanent(a) - brute) <= 1e-12 * max(1.0, abs(brute))
 
 
 def test_permanent_validation():
     with pytest.raises(ValidationError):
-        focksim.permanent(np.ones((2, 3)))
+        oracles.permanent(np.ones((2, 3)))
     with pytest.raises(ValidationError):
-        focksim.permanent(np.eye(focksim.MAX_PERMANENT + 1))
+        oracles.permanent(np.eye(focksim.MAX_PERMANENT + 1))
 
 
 # ----------------------------------------------------------------------
@@ -323,12 +324,10 @@ def _random_ladder(rng, length):
     return w * (rng.uniform(0.3, 1.0) / np.linalg.norm(w))
 
 
-@settings(max_examples=40, deadline=None)
-@given(n_src=st.integers(2, 3), n_extra=st.integers(0, 1),
-       seed=st.integers(0, 2**32 - 1))
-def test_pair_source_probability_matches_enumerator(n_src, n_extra, seed):
-    # idlers on untouched channels, a random unitary on the signal side,
-    # complex ladders of unequal length; every signal-side pattern
+def _random_pair_case(n_src, n_extra, seed):
+    """Idlers on untouched channels, a random unitary on the signal side,
+    complex ladders of unequal length, and every signal-side pattern:
+    (network, pairs, weights, patterns)."""
     rng = np.random.default_rng(seed)
     n_ch = 2 * n_src + n_extra
     layout = rng.permutation(n_ch)
@@ -340,15 +339,72 @@ def test_pair_source_probability_matches_enumerator(n_src, n_extra, seed):
     pairs = list(zip(signals.tolist(), idlers.tolist()))
     weights = [_random_ladder(rng, int(rng.integers(1, 4)))
                for _ in range(n_src)]
-    inp = focksim.SpectralPhotonInput.from_pair_sources(pairs, weights)
+    patterns = []
     for sig in focksim._compositions(n_src, len(side)):
         counts = np.zeros(n_ch, dtype=int)
         counts[idlers] = 1
         counts[side] = sig
-        pat = focksim.DetectionPattern(tuple(counts))
+        patterns.append(focksim.DetectionPattern(tuple(counts)))
+    return net, pairs, weights, patterns
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_src=st.integers(2, 3), n_extra=st.integers(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_pair_source_probability_matches_enumerator(n_src, n_extra, seed):
+    net, pairs, weights, patterns = _random_pair_case(n_src, n_extra, seed)
+    inp = focksim.SpectralPhotonInput.from_pair_sources(pairs, weights)
+    for pat in patterns:
         want = focksim.pattern_probability(net, inp, pat)
         got = focksim.pair_source_probability(net, pairs, weights, pat)
         assert abs(got - want) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_src=st.integers(2, 4), n_extra=st.integers(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_pair_source_probability_equals_per_call_oracle(n_src, n_extra, seed):
+    # the per-n tables keep the per-call arithmetic order: equal, not close
+    net, pairs, weights, patterns = _random_pair_case(n_src, n_extra, seed)
+    for pat in patterns:
+        assert focksim.pair_source_probability(net, pairs, weights, pat) \
+            == oracles.pair_source_probability(net, pairs, weights, pat)
+
+
+@pytest.mark.parametrize("n_modes", [6, 8])
+def test_sixfold_rate_equals_per_call_oracle(n_modes):
+    # the fig9 mu set and the sixfold_sweep benchmark's
+    mus = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
+           0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65)
+    for mu in mus:
+        want = oracles.pair_source_probability(
+            focksim.sixfold_network(), focksim.SIXFOLD_PAIRS,
+            [focksim._sixfold_amplitudes(mu, n_modes)],
+            focksim.SIXFOLD_PATTERN)
+        assert focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes).rate == want
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_perm_pairs_tables(n):
+    perms, partners, cycles, cycle_ids = focksim._perm_pairs(n)
+    assert perms.tolist() == [list(p)
+                              for p in itertools.permutations(range(n))]
+    for p, pi in enumerate(perms):
+        for s, sigma in enumerate(perms):
+            assert np.array_equal(perms[partners[p, s]], pi[sigma])
+        assert [list(cycles[k]) for k in cycle_ids[p]] == \
+            focksim._cycles(tuple(pi.tolist()))
+    assert len(set(cycles)) == len(cycles)
+    assert not perms.flags.writeable and not partners.flags.writeable
+
+
+def test_sixfold_rate_ignores_mutated_network():
+    want = focksim.ns_sixfold_rate(mu=0.5).rate
+    for net in (focksim.sixfold_network(), focksim.sixfold_network()):
+        net.unitary[3:5, 3:5] = np.eye(2)
+        assert focksim.ns_sixfold_rate(mu=0.5).rate == want
+    with pytest.raises(ValueError, match="read-only"):
+        focksim._shared_sixfold_network().unitary[3, 3] = 1.0
 
 
 def test_pair_source_probability_broadcasts_one_ladder():

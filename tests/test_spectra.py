@@ -355,10 +355,13 @@ def test_csv_writer_and_reader_match_per_cell_oracles(tmp_path, jsa_typeII):
         assert _same_jsa(back, jsa)
 
 
-def test_surface_csv_matches_per_cell_oracle():
+def test_surface_csv_matches_per_cell_oracle(tmp_path, capsys):
     jsa = chirped_jsa(9, 5, omega0_offset=-2e13)
+    path = tmp_path / "surface.csv"
     for surf in (np.abs(jsa.values), jsa.values.real):
-        assert cli._surface_csv(jsa.grid_s, jsa.grid_i, surf) == \
+        cli._write_surface_csv(str(path), jsa.grid_s, jsa.grid_i, surf)
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        assert path.read_bytes().decode() == \
             oracles.surface_csv(jsa.grid_s, jsa.grid_i, surf)
 
 
