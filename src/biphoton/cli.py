@@ -620,8 +620,8 @@ def _beam_figure(args, out, tag, L, w0, fwhm_nm) -> dict:
     pump = spectra.PumpEnvelope.from_pump_fwhm(pump_um, fwhm_nm)
     grid = spectra.default_pump_grid(pump, n_points=args.grid,
                                      span_factor=2.5)
-    if w0 is None:
-        w0 = design.factorable_waist(material, pump_um, L, theta)
+    w0_fact = design.factorable_waist(material, pump_um, L, theta)
+    w0 = w0_fact if w0 is None else w0
     beam = spectra.BeamGeometry(w0=w0, theta=theta, L=L)
     pump_f, long_f, trans_f = spectra.noncollinear_gaussian_beam_factors(
         material, pump, beam, grid)
@@ -634,8 +634,7 @@ def _beam_figure(args, out, tag, L, w0, fwhm_nm) -> dict:
                                          product.astype(complex)).normalized()
     return {"w0": w0, "L": L, "theta": theta, "pump_fwhm_nm": fwhm_nm,
             "K": schmidt.schmidt_svd(jsa).K,
-            "margin": design.freq_correlated_margin(material, pump_um, L,
-                                                    theta, w0),
+            "margin": w0 / w0_fact,
             "intensity_correlation": spectra.intensity_correlation(jsa)}
 
 

@@ -19,7 +19,8 @@ the network and each counted once, have a closed form instead:
 each signal in a diagonal state, and sums over permutation pairs of the
 signal submatrix weighted by cycle traces of the Schmidt ladders (Tichy,
 PRA 91, 022316 (2015); Shchesnovich, PRA 91, 013844 (2015)).  It refuses
-any input that breaks those preconditions; `ns_sixfold_rate` runs on it.
+any input that breaks those preconditions; `ns_sixfold_rate` runs its
+ladder sum on the six-fold layout, checked once per process.
 
 All sources in one simulation must share a single orthonormal spectral
 basis; for identical Gaussian-model sources the Schmidt bases coincide
@@ -43,17 +44,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .schmidt import analytic_K, analytic_mu
-from .serialize import to_json_text
 from .spectra import GaussianSourceModel
 
 MAX_PERMANENT = 12
@@ -84,13 +83,10 @@ def beamsplitter(r: float, convention: str = "std") -> np.ndarray:
 class LinearNetwork:
     """Channel unitary built as an ordered product of beamsplitter and
     phase elements.  Instances are immutable; bs()/phase() return a new
-    network with the element appended (applied after the existing ones).
-    The element log is kept so a network can be rebuilt (from_elements)
-    or serialized."""
+    network with the element appended (applied after the existing ones)."""
 
     n_channels: int
     unitary: np.ndarray
-    elements: Tuple[dict, ...] = ()
 
     def __post_init__(self):
         err = self.unitarity_error()
@@ -101,7 +97,7 @@ class LinearNetwork:
     def identity(cls, n_channels: int) -> "LinearNetwork":
         if n_channels < 1:
             raise ValidationError("need at least one channel")
-        return cls(n_channels, np.eye(n_channels, dtype=complex), ())
+        return cls(n_channels, np.eye(n_channels, dtype=complex))
 
     def unitarity_error(self) -> float:
         g = self.unitary.conj().T @ self.unitary
@@ -120,44 +116,13 @@ class LinearNetwork:
         b = beamsplitter(r, convention)
         e = np.eye(self.n_channels, dtype=complex)
         e[np.ix_([i, j], [i, j])] = b
-        log = self.elements + ({"type": "bs", "channels": [i, j], "r": r,
-                                "convention": convention},)
-        return LinearNetwork(self.n_channels, e @ self.unitary, log)
+        return LinearNetwork(self.n_channels, e @ self.unitary)
 
     def phase(self, i: int, phi: float) -> "LinearNetwork":
         self._check_channel(i)
         e = np.eye(self.n_channels, dtype=complex)
         e[i, i] = np.exp(1j * phi)
-        log = self.elements + ({"type": "phase", "channel": i, "phi": phi},)
-        return LinearNetwork(self.n_channels, e @ self.unitary, log)
-
-    @classmethod
-    def from_elements(cls, n_channels: int, elements) -> "LinearNetwork":
-        """Apply an element log to the identity: {type: "bs", channels:
-        [i, j], r, convention?} or {type: "phase", channel: i, phi}."""
-        net = cls.identity(int(n_channels))
-        for e in elements:
-            if e["type"] == "bs":
-                net = net.bs(int(e["channels"][0]), int(e["channels"][1]),
-                             float(e["r"]), e.get("convention", "std"))
-            elif e["type"] == "phase":
-                net = net.phase(int(e["channel"]), float(e["phi"]))
-            else:
-                raise ValidationError(f"unknown element type {e['type']!r}")
-        return net
-
-
-def network_json_text(net: LinearNetwork) -> str:
-    return to_json_text({"n_channels": net.n_channels,
-                         "elements": list(net.elements)})
-
-
-def load_network_json(path) -> LinearNetwork:
-    """Read a network written by network_json_text:
-    {"n_channels": n, "elements": [...]} (see LinearNetwork.from_elements)."""
-    with open(path, "r") as fh:
-        doc = json.load(fh)
-    return LinearNetwork.from_elements(doc["n_channels"], doc["elements"])
+        return LinearNetwork(self.n_channels, e @ self.unitary)
 
 
 # ----------------------------------------------------------------------
@@ -175,10 +140,6 @@ class DetectionPattern:
         if any(int(c) != c or c < 0 for c in self.counts):
             raise ValidationError("counts must be nonnegative integers")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -307,19 +268,24 @@ def pattern_probability(network: LinearNetwork, inp: SpectralPhotonInput,
     counts.  The network never changes a photon's mode label, so outputs
     whose spectral content differs are distinct occupations and add
     incoherently, while input terms reaching the same one interfere."""
-    if len(pattern.counts) != network.n_channels:
-        raise ValidationError("pattern length must match channel count")
-    if pattern.total != inp.photon_number:
-        raise ValidationError(
-            f"pattern counts {pattern.total} photons, input carries "
-            f"{inp.photon_number}")
-    if inp.photon_number > MAX_PERMANENT:
-        raise ValidationError(f"photon number capped at {MAX_PERMANENT}")
-    if any(not 0 <= c < network.n_channels
-           for _, photons in inp.terms for c, _ in photons):
-        raise ValidationError("input channel out of range")
+    _check_pattern(network.n_channels, pattern.counts, inp.photon_number,
+                   (c for _, photons in inp.terms for c, _ in photons))
     out = _evolve(network.unitary, inp.terms, caps=pattern.counts)
     return sum(abs(a) ** 2 for a in out.values())
+
+
+def _check_pattern(n_ch: int, counts, n_photons: int, channels):
+    """Counts for n_ch channels that carry all n_photons <= MAX_PERMANENT
+    input photons, which enter on the given channels."""
+    if len(counts) != n_ch:
+        raise ValidationError("pattern length must match channel count")
+    if sum(counts) != n_photons:
+        raise ValidationError(
+            f"pattern counts {sum(counts)} photons, input carries {n_photons}")
+    if n_photons > MAX_PERMANENT:
+        raise ValidationError(f"photon number capped at {MAX_PERMANENT}")
+    if any(not 0 <= c < n_ch for c in channels):
+        raise ValidationError("input channel out of range")
 
 
 def _compositions(n: int, k: int):
@@ -363,47 +329,71 @@ def pair_source_probability(network: LinearNetwork, pairs, weights,
     unless each idler's row and column of the unitary are zero off the
     diagonal, the pattern counts exactly one photon on each idler channel,
     the channels are distinct, each source's mass is at most 1, and the
-    pattern carries all 2n photons with 2n <= MAX_PERMANENT."""
+    pattern carries all 2n photons with 2n <= MAX_PERMANENT.  The checks
+    and the ladder-free terms (_pair_layout) come before the sum over the
+    ladders (_pair_sum), so a fixed layout can be built once."""
     pairs = [(int(s), int(i)) for s, i in pairs]
     weights, _ = _pair_weights(pairs, weights)
+    return _pair_sum(_pair_layout(network.unitary, pairs, pattern.counts),
+                     weights)
+
+
+class _PairLayout(NamedTuple):
+    """The signal submatrix M, prod_d m_d!, |sum_sigma a_sigma|^2 and per
+    pi the Gram term sum_sigma conj(a_{pi sigma}) a_sigma, for the
+    permutation amplitudes a_sigma = prod_k M[k, sigma k]."""
+    sub: np.ndarray
+    norm: int
+    amp_sq: float
+    gram: np.ndarray
+
+
+def _pair_layout(u, pairs, counts) -> _PairLayout:
+    """pair_source_probability's checks of the unitary u, the pairs and
+    the pattern counts, then their _PairLayout with read-only arrays."""
     n = len(pairs)
-    if len(pattern.counts) != network.n_channels:
-        raise ValidationError("pattern length must match channel count")
-    if pattern.total != 2 * n:
-        raise ValidationError(
-            f"pattern counts {pattern.total} photons, sources carry {2 * n}")
-    if 2 * n > MAX_PERMANENT:
-        raise ValidationError(f"photon number capped at {MAX_PERMANENT}")
-    if any(not 0 <= c < network.n_channels for p in pairs for c in p):
-        raise ValidationError("source channel out of range")
-    u = network.unitary
+    _check_pattern(u.shape[0], counts, 2 * n, (c for p in pairs for c in p))
     idlers = [i for _, i in pairs]
     for i in idlers:
-        if pattern.counts[i] != 1:
+        if counts[i] != 1:
             raise ValidationError(
                 f"pattern must count one photon on idler channel {i}")
         if np.any(np.delete(u[i], i)) or np.any(np.delete(u[:, i], i)):
             raise ValidationError(f"network mixes idler channel {i}")
-    lam = np.zeros((n, max(len(w) for w in weights)))
-    for j, w in enumerate(weights):
-        lam[j, :len(w)] = np.abs(w) ** 2
-    rows = [d for d, c in enumerate(pattern.counts) if d not in idlers
+    rows = [d for d, c in enumerate(counts) if d not in idlers
             for _ in range(c)]
     sub = u[np.ix_(rows, [s for s, _ in pairs])]
-    perms, partners, cycles, cycle_ids = _perm_pairs(n)
+    perms, partners, _, _ = _perm_pairs(n)
     amps = np.prod(sub[np.arange(n), perms], axis=1)
-    cycle_traces = [float(np.sum(np.prod(lam[list(c)], axis=0)))
-                    for c in cycles]
-    traces = [math.prod(cycle_traces[k] for k in ids) for ids in cycle_ids]
+    gram = np.array([np.vdot(amps[p], amps) for p in partners])
+    sub.setflags(write=False)
+    gram.setflags(write=False)
+    return _PairLayout(sub, math.prod(math.factorial(c) for c in counts),
+                       float(abs(np.sum(amps)) ** 2), gram)
+
+
+def _pair_sum(layout: _PairLayout, weights) -> float:
+    """The permutation-pair sum over a layout for per-source weights: all
+    distinct cycle traces in one reduction over the padded cycle rows (the
+    pad row of lambda is ones, and multiplying by 1.0 is exact), then the
+    floor-split sum of the Gram terms in permutation order."""
+    n = layout.sub.shape[1]
+    _, _, cycle_rows, cycle_ids = _perm_pairs(n)
+    lam = np.zeros((n + 1, max(len(w) for w in weights)))
+    lam[n] = 1.0
+    for j, w in enumerate(weights):
+        lam[j, :len(w)] = np.abs(w) ** 2
+    cycle_traces = np.prod(lam[cycle_rows], axis=1).sum(axis=1).tolist()
+    traces = [math.prod(map(cycle_traces.__getitem__, ids))
+              for ids in cycle_ids]
     # The pi-sums of sum_sigma a_sigma conj(a_{pi sigma}) add up to
     # |perm M|^2: splitting off the smallest cycle trace that way keeps a
     # pattern that indistinguishable photons cannot reach dark to roundoff.
     floor = min(traces)
-    total = floor * abs(np.sum(amps)) ** 2
-    for trace, partner in zip(traces, partners):
-        total += (trace - floor) * np.vdot(amps[partner], amps)
-    norm = math.prod(math.factorial(c) for c in pattern.counts)
-    return float(np.real(total)) / norm
+    total = floor * layout.amp_sq
+    for trace, g in zip(traces, layout.gram):
+        total += (trace - floor) * g
+    return float(np.real(total)) / layout.norm
 
 
 @functools.cache
@@ -412,8 +402,9 @@ def _perm_pairs(n: int):
     the permutations as rows of a read-only (n!, n) array in
     itertools.permutations order; the read-only (n!, n!) partner matrix,
     partner[p, s] the row of perms[p] o perms[s] (tau = pi o sigma, so
-    tau sigma^-1 = pi); the distinct cycles, each a tuple in _cycles order;
-    and per permutation the indices of its cycles in that tuple."""
+    tau sigma^-1 = pi); the distinct cycles as rows of a read-only array,
+    each in _cycles order, padded to length n with the index n; and per
+    permutation the rows of its cycles."""
     perms = np.array(list(itertools.permutations(range(n))),
                      dtype=np.intp).reshape(math.factorial(n), n)
     # itertools lists permutations lexicographically, so their base-n codes
@@ -424,9 +415,11 @@ def _perm_pairs(n: int):
     cycles = tuple(dict.fromkeys(c for cs in per_perm for c in cs))
     slot = {c: k for k, c in enumerate(cycles)}
     cycle_ids = tuple(tuple(slot[c] for c in cs) for cs in per_perm)
-    perms.setflags(write=False)
-    partners.setflags(write=False)
-    return perms, partners, cycles, cycle_ids
+    cycle_rows = np.array([c + (n,) * (n - len(c)) for c in cycles],
+                          dtype=np.intp).reshape(len(cycles), n)
+    for table in (perms, partners, cycle_rows):
+        table.setflags(write=False)
+    return perms, partners, cycle_rows, cycle_ids
 
 
 def _cycles(perm):
@@ -628,16 +621,24 @@ def _shared_sixfold_network() -> LinearNetwork:
     return net
 
 
+@functools.cache
+def _sixfold_layout() -> _PairLayout:
+    """The shared sixfold network's _pair_layout for SIXFOLD_PAIRS and
+    SIXFOLD_PATTERN, checked and built once per process."""
+    return _pair_layout(_shared_sixfold_network().unitary, SIXFOLD_PAIRS,
+                        SIXFOLD_PATTERN.counts)
+
+
 def _sixfold_amplitudes(mu: float, n_modes: int) -> np.ndarray:
     """Schmidt amplitudes sqrt(1 - mu^2) (-mu)^n, n < n_modes, of one
     sixfold source (a single mode at mu = 0)."""
     if not 0.0 <= mu < 1.0:
         raise ValidationError("mu must lie in [0, 1)")
-    if n_modes < 1:
-        raise ValidationError("need at least one spectral mode")
-    n = np.arange(n_modes)
-    return math.sqrt(1.0 - mu * mu) * (-mu) ** n if mu > 0.0 \
-        else np.array([1.0])
+    if not isinstance(n_modes, (int, np.integer)) \
+            or isinstance(n_modes, bool) or n_modes < 1:
+        raise ValidationError("n_modes must be an integer of at least 1")
+    return (math.sqrt(1.0 - mu * mu) * (-mu) ** np.arange(n_modes)
+            if mu > 0.0 else np.array([1.0]))
 
 
 def sixfold_input(mu: float, n_modes: int) -> SpectralPhotonInput:
@@ -683,10 +684,9 @@ def ns_sixfold_rate(model: Optional[GaussianSourceModel] = None, *,
         raise ValidationError(
             f"truncated Schmidt mass {truncation_mass:.3g} exceeds "
             f"{SIXFOLD_TRUNC_TOL:g}; raise n_modes")
-    rate = pair_source_probability(_shared_sixfold_network(),
-                                   SIXFOLD_PAIRS, weights, SIXFOLD_PATTERN)
-    return SixfoldRate(rate=rate, mu=float(mu),
+    return SixfoldRate(rate=_pair_sum(_sixfold_layout(), weights),
+                       mu=float(mu),
                        cooperativity=analytic_K(mu) if mu > 0 else 1.0,
-                       n_modes=n_modes,
+                       n_modes=int(n_modes),
                        truncation_mass=truncation_mass)
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import biphoton
-from biphoton import cli, design, focksim, spectra
+from biphoton import cli, design, dispersion, focksim, spectra
 
 W0_BBO_1MM = 0.0002870538672664499
 
@@ -303,6 +303,23 @@ def test_beam_figure_evaluates_factors_once(tmp_path, monkeypatch, figure):
     assert run(["reproduce", figure, "--grid", "32",
                 "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("figure", ["fig5", "fig7"])
+def test_beam_figure_solves_the_cut_twice(tmp_path, monkeypatch, figure):
+    # once for the factorable waist (which also gives the margin), once
+    # inside the beam factors
+    calls = []
+    solve = dispersion.noncollinear_cut_angle
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return solve(*a, **kw)
+
+    monkeypatch.setattr(dispersion, "noncollinear_cut_angle", counted)
+    assert run(["reproduce", figure, "--grid", "64",
+                "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
 
 
 def test_reproduce_fig3(tmp_path):

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
@@ -40,17 +40,16 @@ def test_beamsplitter_validation():
         focksim.beamsplitter(0.5, convention="weird")
 
 
-def test_network_building_and_replay():
+def test_network_building():
     net = focksim.LinearNetwork.identity(3).bs(0, 1, 0.3).phase(2, 0.7) \
         .bs(1, 2, 0.5, convention="flip")
     assert net.unitarity_error() < 1e-12
-    assert len(net.elements) == 3
-    replayed = focksim.LinearNetwork.from_elements(net.n_channels,
-                                                   net.elements)
-    assert np.max(np.abs(replayed.unitary - net.unitary)) < 1e-12
-    with pytest.raises(ValidationError):
-        focksim.LinearNetwork.from_elements(
-            net.n_channels, net.elements + ({"type": "tractor_beam"},))
+    # each element acts after the ones before it
+    e1, e3 = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
+    e1[:2, :2] = focksim.beamsplitter(0.3)
+    e2 = np.diag([1.0, 1.0, np.exp(0.7j)])
+    e3[1:, 1:] = focksim.beamsplitter(0.5, convention="flip")
+    assert np.allclose(net.unitary, e3 @ (e2 @ e1), rtol=0.0, atol=1e-15)
 
 
 def test_network_validation():
@@ -63,18 +62,6 @@ def test_network_validation():
         net.bs(1, 1, 0.5)
     with pytest.raises(ValidationError):
         focksim.LinearNetwork.identity(0)
-
-
-def test_network_json_round_trip(tmp_path):
-    net = focksim.LinearNetwork.identity(3).bs(0, 2, 0.25).phase(1, -1.1)
-    p = tmp_path / "net.json"
-    p.write_text(focksim.network_json_text(net))
-    back = focksim.load_network_json(p)
-    assert np.max(np.abs(back.unitary - net.unitary)) < 1e-12
-    assert back.elements == net.elements
-    p.write_text('{"n_channels": 2, "elements": [{"type": "tractor_beam"}]}')
-    with pytest.raises(ValidationError):
-        focksim.load_network_json(p)
 
 
 # ----------------------------------------------------------------------
@@ -386,16 +373,56 @@ def test_sixfold_rate_equals_per_call_oracle(n_modes):
 
 @pytest.mark.parametrize("n", range(5))
 def test_perm_pairs_tables(n):
-    perms, partners, cycles, cycle_ids = focksim._perm_pairs(n)
+    perms, partners, cycle_rows, cycle_ids = focksim._perm_pairs(n)
     assert perms.tolist() == [list(p)
                               for p in itertools.permutations(range(n))]
+    # each cycle row is the cycle in _cycles order, then the pad index n
+    cycles = [[j for j in row if j < n] for row in cycle_rows.tolist()]
+    assert cycle_rows.shape == (len(cycles), n)
+    for c, row in zip(cycles, cycle_rows.tolist()):
+        assert c and row == c + [n] * (n - len(c))
     for p, pi in enumerate(perms):
         for s, sigma in enumerate(perms):
             assert np.array_equal(perms[partners[p, s]], pi[sigma])
-        assert [list(cycles[k]) for k in cycle_ids[p]] == \
+        assert [cycles[k] for k in cycle_ids[p]] == \
             focksim._cycles(tuple(pi.tolist()))
-    assert len(set(cycles)) == len(cycles)
-    assert not perms.flags.writeable and not partners.flags.writeable
+    assert len({tuple(c) for c in cycles}) == len(cycles)
+    for table in (perms, partners, cycle_rows):
+        assert not table.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(0.0, 0.75, exclude_max=True), n_modes=st.integers(1, 10))
+def test_sixfold_rate_equals_per_call_oracle_property(mu, n_modes):
+    amps = focksim._sixfold_amplitudes(mu, n_modes)
+    assume(1.0 - float(np.sum(np.abs(amps) ** 2)) ** 3
+           <= focksim.SIXFOLD_TRUNC_TOL)
+    want = oracles.pair_source_probability(
+        focksim.sixfold_network(), focksim.SIXFOLD_PAIRS, [amps],
+        focksim.SIXFOLD_PATTERN)
+    got = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes).rate
+    assert got.hex() == want.hex()
+
+
+def test_sixfold_layout_read_only():
+    layout = focksim._sixfold_layout()
+    for table in (layout.sub, layout.gram):
+        assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        layout.gram[0] = 0.0
+
+
+def test_sixfold_layout_checks_the_shared_network(monkeypatch):
+    # the cached layout runs the idler check on the network it is built from
+    mixing = focksim.sixfold_network().bs(0, 3, 0.5)
+    monkeypatch.setattr(focksim, "_shared_sixfold_network", lambda: mixing)
+    focksim._sixfold_layout.cache_clear()
+    try:
+        with pytest.raises(ValidationError,
+                           match="network mixes idler channel"):
+            focksim.ns_sixfold_rate(mu=0.5)
+    finally:
+        focksim._sixfold_layout.cache_clear()
 
 
 def test_sixfold_rate_ignores_mutated_network():
@@ -498,8 +525,9 @@ def test_ns_conventions_agree():
     b = _flipped_ns_network(cfg, focksim.LinearNetwork.identity(3))
     assert np.max(np.abs(a.unitary - b.unitary)) < 1e-12
     assert focksim.NS_CONVENTION == "explicit_phases"
-    assert [e["type"] for e in a.elements] == ["bs", "phase", "bs", "phase",
-                                               "bs"]
+    explicit = focksim.LinearNetwork.identity(3).bs(1, 2, cfg.r) \
+        .phase(0, math.pi).bs(0, 1, cfg.s).phase(1, math.pi).bs(1, 2, cfg.r)
+    assert np.array_equal(a.unitary, explicit.unitary)
 
 
 def test_ns_decoupled_limit_has_no_sign_flip():
@@ -597,6 +625,18 @@ def test_sixfold_mode_count_converged():
     r6 = focksim.ns_sixfold_rate(mu=0.5, n_modes=6).rate
     r8 = focksim.ns_sixfold_rate(mu=0.5, n_modes=8).rate
     assert abs(r8 - r6) / r8 < 0.01
+
+
+@pytest.mark.parametrize("n_modes", [2.5, 8.0, True, "8", None])
+def test_sixfold_rate_rejects_non_integer_mode_count(n_modes):
+    with pytest.raises(ValidationError, match="integer"):
+        focksim.ns_sixfold_rate(mu=0.5, n_modes=n_modes)
+
+
+def test_sixfold_rate_accepts_numpy_integer_mode_count():
+    res = focksim.ns_sixfold_rate(mu=0.5, n_modes=np.int64(6))
+    assert res == focksim.ns_sixfold_rate(mu=0.5, n_modes=6)
+    assert type(res.n_modes) is int
 
 
 def test_sixfold_truncation_guard():
