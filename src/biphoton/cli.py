@@ -464,11 +464,10 @@ def cmd_bell(args, reg) -> int:
     pair = _make_pair(args, jsa)
     taus = np.linspace(-args.tau_max, args.tau_max, args.tau_points)
     out = _outdir(args)
+    rp, rm = interference.bell_analyzer_rates(pair, np.append(taus, 0.0))
     _write(os.path.join(out, "bell.csv"), _table_csv(
-        ["tau_s", "rate_plus", "rate_minus"],
-        [(tau, *interference.bell_analyzer_rates(pair, float(tau)))
-         for tau in taus]))
-    rp0, rm0 = interference.bell_analyzer_rates(pair, 0.0)
+        ["tau_s", "rate_plus", "rate_minus"], zip(taus, rp[:-1], rm[:-1])))
+    rp0, rm0 = float(rp[-1]), float(rm[-1])
     summary = {
         "config": _resolved_config(args, reg),
         "rate_plus_at_zero": rp0,

@@ -207,20 +207,17 @@ def _pair_weights(pairs, weights):
     for pair sources on distinct channels; a single weight list is shared
     by every source."""
     weights = [np.asarray(w, dtype=complex) for w in weights]
+    masses = [float(np.sum(np.abs(w) ** 2)) for w in weights]
     if len(weights) == 1 and len(pairs) > 1:
-        weights = weights * len(pairs)
+        weights, masses = weights * len(pairs), masses * len(pairs)
     if len(weights) != len(pairs):
         raise ValidationError("need one weight list per source")
     chans = [c for p in pairs for c in p]
     if len(set(chans)) != len(chans):
         raise ValidationError("source channels must be distinct")
-    kept = 1.0
-    for w in weights:
-        mass = float(np.sum(np.abs(w) ** 2))
-        if mass > 1.0 + 1e-9:
-            raise ValidationError("source weights exceed unit mass")
-        kept *= mass
-    return weights, kept
+    if any(mass > 1.0 + 1e-9 for mass in masses):
+        raise ValidationError("source weights exceed unit mass")
+    return weights, math.prod(masses)
 
 
 # ----------------------------------------------------------------------
@@ -613,19 +610,10 @@ def sixfold_network() -> LinearNetwork:
 
 
 @functools.cache
-def _shared_sixfold_network() -> LinearNetwork:
-    """sixfold_network() built once per process for ns_sixfold_rate, its
-    unitary read-only so no caller can change the shared copy."""
-    net = sixfold_network()
-    net.unitary.setflags(write=False)
-    return net
-
-
-@functools.cache
 def _sixfold_layout() -> _PairLayout:
-    """The shared sixfold network's _pair_layout for SIXFOLD_PAIRS and
-    SIXFOLD_PATTERN, checked and built once per process."""
-    return _pair_layout(_shared_sixfold_network().unitary, SIXFOLD_PAIRS,
+    """sixfold_network()'s _pair_layout for SIXFOLD_PAIRS and SIXFOLD_PATTERN,
+    checked and built once per process; it keeps a copy of the submatrix."""
+    return _pair_layout(sixfold_network().unitary, SIXFOLD_PAIRS,
                         SIXFOLD_PATTERN.counts)
 
 

@@ -128,19 +128,23 @@ def two_crystal_homi_numeric(jsa: JointSpectralAmplitude,
     single-source spectral purity)."""
     jsa.require_normalized()
     taus = np.asarray(taus, dtype=float)
-    rho = reduced_signal_kernel(jsa)
-    ds = jsa.grid_s.spacing
-    w2 = np.abs(rho) ** 2
-    # on the uniform grid nu_a - nu_b = (a - b) ds: sum |rho|^2 along each
-    # of the 2n - 1 diagonals once, then one cosine product covers all taus
-    n = w2.shape[0]
-    idx = np.arange(n)
-    diag = np.bincount((idx[:, None] - idx[None, :] + n - 1).ravel(),
-                       weights=w2.ravel())
-    lag = np.arange(1 - n, n) * ds
-    rates = 1.0 - (np.cos(np.outer(taus, lag)) @ diag) * ds**2
+    w2 = np.abs(reduced_signal_kernel(jsa)) ** 2
+    ds, nu = jsa.grid_s.spacing, jsa.grid_s.detunings
     visibility = float(np.sum(w2)) * ds**2  # = 1 - Rc(0) = Tr rho^2
+    rates = 1.0 - visibility + ds**2 * _dephasing(w2, nu, nu, taus)
     return DipCurve(taus=taus, rates=rates, visibility=visibility, baseline=1.0)
+
+
+def _dephasing(w, alpha, beta, taus) -> np.ndarray:
+    """Re sum_ab w_ab (1 - e^{i (alpha_a - beta_b) tau}) for every tau: with
+    x = alpha tau / 2, y = beta tau / 2, 1 - e^{i (2x - 2y)} is 2i e^{ix}
+    e^{-iy} (cos x sin y - sin x cos y), two bilinear forms in w that one
+    (N, N) x (N, 2T) product gives on any grid pair, 0 at tau = 0 exactly."""
+    x, y = (np.multiply.outer(v, 0.5 * taus) for v in (alpha, beta))
+    ey = np.exp(-1j * y)
+    ws, wc = np.hsplit(w @ np.hstack((ey * np.sin(y), ey * np.cos(y))), 2)
+    s = np.sum(np.exp(1j * x) * (np.cos(x) * ws - np.sin(x) * wc), axis=0)
+    return -2.0 * s.imag
 
 
 def factorability_residual(jsa: JointSpectralAmplitude) -> float:
@@ -167,31 +171,40 @@ def _l2_distance(a, b, measure: float) -> float:
 # Bell analyzer and polarization fringes
 # ----------------------------------------------------------------------
 
-def bell_analyzer_rates(pair: PolarizedPairState, tau: float):
+def bell_analyzer_rates(pair: PolarizedPairState, tau):
     """(Rc for psi+ input, Rc for psi- input) of the beamsplitter +
     polarizing-splitter analyzer with relative delay tau in one cross term:
 
         Rc+-(tau) = 1/4 intint |f(w1,w2) -+ e^{i (w1-w2) tau} g(w2,w1)|^2.
 
-    The two rates sum to (||f||^2 + ||g||^2) / 2, which is 1 for normalized
-    f, g, so only Rc+ needs an N^2 sum per delay.
-    """
-    f, g = pair.f.values, pair.g.values
-    # e^{i (w1 - w2) tau} = e^{i w1 tau} e^{-i w2 tau}: two length-n phases
-    w_s = pair.f.grid_s.omega0 - pair.f.grid_i.omega0 + pair.f.grid_s.detunings
-    cross = (np.exp(1j * w_s * tau)[:, None] * g.T
-             * np.exp(-1j * pair.f.grid_i.detunings * tau)[None, :])
-    meas = pair.f.measure
-    r_plus = 0.25 * float(np.sum(np.abs(f - cross) ** 2)) * meas
+    Rc+ = 1/4 (||f - g^T||^2 + 2 _dephasing(conj(f) g^T)), and the rates sum
+    to (||f||^2 + ||g||^2) / 2, 1 for normalized f, g.  A scalar tau gives
+    floats, an array tau arrays from one _dephasing evaluation."""
+    f, g = _exchange_pair(pair)
+    gs, gi, meas = pair.f.grid_s, pair.f.grid_i, pair.f.measure
+    deph = _dephasing(f.conj() * g.T, gs.omega0 - gi.omega0 + gs.detunings,
+                      gi.detunings, np.atleast_1d(tau))
+    r_plus = 0.25 * (float(np.sum(np.abs(f - g.T) ** 2)) + 2.0 * deph) * meas
     r_minus = 0.5 * float(np.vdot(f, f).real + np.vdot(g, g).real) * meas \
         - r_plus
-    return r_plus, r_minus
+    return ((float(r_plus[0]), float(r_minus[0])) if np.ndim(tau) == 0
+            else (r_plus, r_minus))
 
 
 def bell_condition_residual(pair: PolarizedPairState) -> float:
     """L2 norm of g - f-transposed: zero iff the analyzer distinguishes the
     two Bell states perfectly at tau = 0."""
-    return _l2_distance(pair.g.values, pair.f.values.T, pair.f.measure)
+    f, g = _exchange_pair(pair)
+    return _l2_distance(g, f.T, pair.f.measure)
+
+
+def _exchange_pair(pair: PolarizedPairState):
+    """(f, g) values; the analyzer compares f with g transposed."""
+    f, g = pair.f.values, pair.g.values
+    if f.shape != g.T.shape:
+        raise ValidationError("the Bell analyzer needs square grids: "
+                              f"f is {f.shape}, g is {g.shape}")
+    return f, g
 
 
 def pol_pairing_residual(pair: PolarizedPairState) -> float:

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import biphoton
-from biphoton import cli, design, dispersion, focksim, spectra
+from biphoton import cli, design, dispersion, focksim, interference, spectra
+from tests import oracles
 
 W0_BBO_1MM = 0.0002870538672664499
 
@@ -204,6 +205,28 @@ def test_bell_and_polcorr(tmp_path):
     doc = json.loads((out_p / "polcorr.json").read_text())
     assert doc["visibility"] == pytest.approx(1.0, abs=1e-6)
     assert doc["overlap_re"] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("pairing", ["transpose", "same"])
+def test_bell_csv_matches_per_delay_oracle(tmp_path, pairing):
+    opts = ["--builder", "collinear", "--pump", "800nm", "--bandwidth",
+            "15nm_fwhm", "--grid", "48"]
+    assert run(["jsa", *opts, "--out", str(tmp_path / "jsa")]) == 0
+    assert run(["bell", *opts, "--pairing", pairing, "--tau-points", "9",
+                "--tau-max", "300fs", "--out", str(tmp_path / "bell")]) == 0
+    jsa = spectra.read_jsa_csv(str(tmp_path / "jsa" / "jsa.csv"))
+    pair = interference.PolarizedPairState(
+        f=jsa, g=jsa.transposed() if pairing == "transpose" else jsa)
+    rows = (tmp_path / "bell" / "bell.csv").read_text().splitlines()[1:]
+    assert len(rows) == 9
+    for row in rows:
+        tau, r_plus, r_minus = map(float, row.split(","))
+        want = oracles.bell_analyzer_rates(pair, tau)
+        assert abs(r_plus - want[0]) < 1e-14
+        assert abs(r_minus - want[1]) < 1e-14
+    doc = json.loads((tmp_path / "bell" / "bell.json").read_text())
+    assert [doc["rate_plus_at_zero"], doc["rate_minus_at_zero"]] == \
+        list(interference.bell_analyzer_rates(pair, 0.0))
 
 
 def test_design_factorable_example(tmp_path, capsys):

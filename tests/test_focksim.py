@@ -131,6 +131,31 @@ def test_input_validation():
         focksim.SpectralPhotonInput.from_pair_sources(((0, 1),), [[1.0, 0.5]])
 
 
+def test_pair_weights_checks_a_shared_ladder_once():
+    # one ladder serves every source; the kept mass stays the left-to-right
+    # product of the per-source masses, bit for bit
+    def left_to_right(ladders):
+        kept = 1.0
+        for x in ladders:
+            kept *= float(np.sum(np.abs(x) ** 2))
+        return kept.hex()
+
+    rng = np.random.default_rng(7)
+    for n_src in (1, 2, 3):
+        pairs = [(j, j + n_src) for j in range(n_src)]
+        w = rng.normal(size=6) + 1j * rng.normal(size=6)
+        w *= rng.uniform(0.5, 1.0) / np.linalg.norm(w)
+        weights, kept = focksim._pair_weights(pairs, [w])
+        assert len(weights) == n_src
+        assert all(np.array_equal(x, w) for x in weights)
+        assert kept.hex() == left_to_right([w] * n_src)
+        ladders = [w * rng.uniform(0.5, 1.0) for _ in pairs]
+        assert focksim._pair_weights(pairs, ladders)[1].hex() == \
+            left_to_right(ladders)
+    with pytest.raises(ValidationError, match="unit mass"):
+        focksim._pair_weights(((0, 1), (2, 3)), [[0.6, 0.9]])
+
+
 def test_pair_source_truncation_mass():
     mu = 0.5
     n = np.arange(4)
@@ -415,7 +440,7 @@ def test_sixfold_layout_read_only():
 def test_sixfold_layout_checks_the_shared_network(monkeypatch):
     # the cached layout runs the idler check on the network it is built from
     mixing = focksim.sixfold_network().bs(0, 3, 0.5)
-    monkeypatch.setattr(focksim, "_shared_sixfold_network", lambda: mixing)
+    monkeypatch.setattr(focksim, "sixfold_network", lambda: mixing)
     focksim._sixfold_layout.cache_clear()
     try:
         with pytest.raises(ValidationError,
@@ -430,8 +455,6 @@ def test_sixfold_rate_ignores_mutated_network():
     for net in (focksim.sixfold_network(), focksim.sixfold_network()):
         net.unitary[3:5, 3:5] = np.eye(2)
         assert focksim.ns_sixfold_rate(mu=0.5).rate == want
-    with pytest.raises(ValueError, match="read-only"):
-        focksim._shared_sixfold_network().unitary[3, 3] = 1.0
 
 
 def test_pair_source_probability_broadcasts_one_ladder():

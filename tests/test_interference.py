@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import interference, schmidt, spectra
 from biphoton.errors import ValidationError
@@ -226,6 +228,53 @@ def test_bell_rates_match_full_phase_oracle(jsa_typeII):
             assert np.max(np.abs(np.subtract(fast, slow))) < 1e-14
     # the phase is exactly 1 at tau = 0, so an ideal pairing gives exactly 0
     assert interference.bell_analyzer_rates(pairs[0], 0.0)[0] == 0.0
+
+
+def _random_jsa(rng, n, half_span_s, half_span_i, omega0_offset):
+    """Normalized random complex amplitude on an n x n grid pair."""
+    gs = spectra.FrequencyGrid(omega0=2.35e15, half_span=half_span_s,
+                               n_points=n)
+    gi = spectra.FrequencyGrid(omega0=2.35e15 + omega0_offset,
+                               half_span=half_span_i, n_points=n)
+    vals = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return spectra.JointSpectralAmplitude(gs, gi, vals).normalized()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 24), n_taus=st.integers(1, 12),
+       half_spans=st.tuples(st.floats(5e13, 3e14), st.floats(5e13, 3e14)),
+       omega0_offset=st.floats(-1e14, 1e14), sign=st.sampled_from("+-"),
+       seed=st.integers(0, 2**32 - 1))
+def test_delay_scans_match_per_delay_oracles_property(
+        n, n_taus, half_spans, omega0_offset, sign, seed):
+    rng = np.random.default_rng(seed)
+    f, g = (_random_jsa(rng, n, *half_spans, omega0_offset) for _ in "fg")
+    pair = interference.PolarizedPairState(f=f, g=g, sign=sign)
+    taus = rng.uniform(-3e-13, 3e-13, n_taus)
+    taus[rng.integers(n_taus)] = 0.0
+    r_plus, r_minus = interference.bell_analyzer_rates(pair, taus)
+    scalar = [interference.bell_analyzer_rates(pair, tau) for tau in taus]
+    for j, tau in enumerate(taus):
+        want = oracles.bell_analyzer_rates(pair, tau)
+        assert abs(r_plus[j] - want[0]) < 1e-14
+        assert abs(r_minus[j] - want[1]) < 1e-14
+        assert all(type(r) is float for r in scalar[j])
+        # one delay and many round alike up to the product's summation order
+        assert abs(scalar[j][0] - r_plus[j]) < 1e-15
+        assert abs(scalar[j][1] - r_minus[j]) < 1e-15
+    dip = interference.two_crystal_homi_numeric(f, taus)
+    assert np.max(np.abs(dip.rates - oracles.homi_rates(f, taus))) < 1e-14
+    assert dip.rates[taus == 0.0][0] == 1.0 - dip.visibility
+
+
+def test_bell_rates_need_square_grids():
+    f = chirped_jsa(20, 30)
+    pair = interference.PolarizedPairState(f=f, g=f)
+    for call in (lambda: interference.bell_analyzer_rates(pair, 0.0),
+                 lambda: interference.bell_condition_residual(pair)):
+        with pytest.raises(ValidationError,
+                           match=r"f is \(20, 30\), g is \(20, 30\)"):
+            call()
 
 
 def test_bell_rates_sum_to_one(jsa_typeII):
