@@ -10,14 +10,17 @@ Units are parsed at the boundary with explicit suffixes: lengths `nm`,
 `um`, `mm`, `m`; angles `deg`, `rad`; pump bandwidths `nm_fwhm` or
 `rad_s`; delays `fs`, `ps`, `s`.  Everything internal is SI (rad/s, m, s).
 
-All artifacts land under --out with fixed names, embed the resolved
-configuration, and are byte-identical across reruns of the same
-configuration (fixed 17-digit float formatting, sorted keys).  A JSON
-config file (--config) supplies defaults for any long option of the same
-subcommand, with explicit command-line flags winning; unknown keys are
-rejected.  Exit codes: 0 success, 2 validation/usage error, 3 the
-requested configuration is outside a model's validity regime.  Errors are
-mirrored as JSON on stderr.
+All artifacts land under --out with fixed names and are byte-identical
+across reruns of the same configuration (fixed 17-digit float formatting,
+sorted keys).  Each handler writes its data files and returns (summary,
+lines); main then writes the one summary JSON, `<subcommand>.json`
+(`<figure>.json` for reproduce) with the resolved configuration under
+"config", and prints the lines.  A JSON config file (--config) supplies
+defaults for any long option of the same subcommand, with explicit
+command-line flags winning; unknown keys are rejected.  Exit codes: 0
+success, 2 validation/usage error, 3 the requested configuration is
+outside a model's validity regime.  Errors, argparse usage errors
+included, are reported as JSON on stderr.
 """
 
 from __future__ import annotations
@@ -101,6 +104,14 @@ def parse_sigma_rad_s(text: str) -> float:
 # Parser construction with a per-subcommand option registry
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors leave through main's JSON error channel (exit 2)
+    instead of argparse's usage text; the subparsers inherit this."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 class _Registry:
     """Remembers each option's argparse action and default, which the parser
     replaces by SUPPRESS so that only flags actually given reach the
@@ -161,7 +172,7 @@ def _add_builder(reg: _Registry):
 
 def build_parser():
     """(parser, registries); _merge_config fills the options not given."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biphoton",
         description="Joint-spectrum engineering toolkit for "
                     "parametric down-conversion photon pairs.")
@@ -314,6 +325,7 @@ def _pump_envelope(args) -> spectra.PumpEnvelope:
 def _build_jsa(args):
     """(jsa, extras dict) from the common builder options."""
     extras = {}
+    span = {} if args.span_factor is None else {"span_factor": args.span_factor}
     if args.builder == "model":
         if not math.isfinite(args.sigma_f):
             raise ValidationError(
@@ -321,9 +333,7 @@ def _build_jsa(args):
                 "(an unfiltered sum-frequency Gaussian is not normalizable)")
         model = spectra.GaussianSourceModel(sigma=args.sigma,
                                             sigma_F=args.sigma_f)
-        grid = spectra.default_model_grid(
-            model, n_points=args.grid,
-            span_factor=args.span_factor if args.span_factor else 2.5)
+        grid = spectra.default_model_grid(model, n_points=args.grid, **span)
         jsa = spectra.gaussian_model_jsa(model, grid)
         mu = schmidt.analytic_mu(model)
         extras["model"] = {"sigma": model.sigma, "sigma_F": model.sigma_F,
@@ -331,9 +341,7 @@ def _build_jsa(args):
     else:
         material = dispersion.get_material(args.material, args.materials or None)
         pump = _pump_envelope(args)
-        grid = spectra.default_pump_grid(
-            pump, n_points=args.grid,
-            span_factor=args.span_factor if args.span_factor else 3.0)
+        grid = spectra.default_pump_grid(pump, n_points=args.grid, **span)
         if args.builder == "collinear":
             jsa = spectra.build_jsa_collinear(material, args.pdc_type,
                                               args.length, pump, grid)
@@ -384,45 +392,35 @@ def _write_surface_csv(path: str, grid_s, grid_i, values):
 
 
 # ----------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each writes its data files and returns (summary,
+# lines); main writes the summary JSON and then prints the lines
 # ----------------------------------------------------------------------
 
-def cmd_jsa(args, reg) -> int:
+def cmd_jsa(args):
     jsa, extras = _build_jsa(args)
     out = _outdir(args)
     spectra.write_jsa_csv(jsa, os.path.join(out, "jsa.csv"))
     print(f"wrote {os.path.join(out, 'jsa.csv')}")
-    summary = {
-        "config": _resolved_config(args, reg),
-        "metadata": spectra.jsa_metadata(jsa),
-        "intensity_correlation": spectra.intensity_correlation(jsa),
-    }
-    summary.update(extras)
-    _write(os.path.join(out, "jsa.json"), to_json_text(summary))
-    return 0
+    return {"metadata": spectra.jsa_metadata(jsa),
+            "intensity_correlation": spectra.intensity_correlation(jsa),
+            **extras}, []
 
 
-def cmd_schmidt(args, reg) -> int:
+def cmd_schmidt(args):
     jsa, extras = _build_jsa(args)
     dec = schmidt.schmidt_svd(jsa)
     out = _outdir(args)
     _write(os.path.join(out, "schmidt_eigenvalues.csv"),
            _table_csv(["n", "eigenvalue"], enumerate(dec.eigenvalues)))
-    summary = {
-        "config": _resolved_config(args, reg),
-        "K": dec.K,
-        "eigenvalues_head": [float(v)
-                             for v in dec.eigenvalues[: args.n_report]],
-        "n_modes_kept": dec.n_modes,
-        "truncated_mass": dec.truncated_mass,
-    }
-    summary.update(extras)
-    _write(os.path.join(out, "schmidt.json"), to_json_text(summary))
-    print(f"K = {dec.K:.6f}")
-    return 0
+    return {"K": dec.K,
+            "eigenvalues_head": [float(v)
+                                 for v in dec.eigenvalues[: args.n_report]],
+            "n_modes_kept": dec.n_modes,
+            "truncated_mass": dec.truncated_mass,
+            **extras}, [f"K = {dec.K:.6f}"]
 
 
-def cmd_homi(args, reg) -> int:
+def cmd_homi(args):
     model = spectra.GaussianSourceModel(sigma=args.sigma, sigma_F=args.sigma_f)
     taus = interference.default_tau_grid(model, n=args.tau_points,
                                          span_widths=args.tau_span)
@@ -439,7 +437,6 @@ def cmd_homi(args, reg) -> int:
     _write(os.path.join(out, "homi.csv"), _table_csv(header, zip(*cols)))
     mu = schmidt.analytic_mu(model)
     summary = {
-        "config": _resolved_config(args, reg),
         "visibility_analytic": ana.visibility,
         "baseline_analytic": ana.baseline,
         "dip_width_s": interference.analytic_dip_width(model),
@@ -448,9 +445,7 @@ def cmd_homi(args, reg) -> int:
     }
     if num:
         summary["visibility_numeric"] = num.visibility
-    _write(os.path.join(out, "homi.json"), to_json_text(summary))
-    print(f"V = {ana.visibility:.6f}, baseline = {ana.baseline:.6f}")
-    return 0
+    return summary, [f"V = {ana.visibility:.6f}, baseline = {ana.baseline:.6f}"]
 
 
 def _make_pair(args, jsa) -> interference.PolarizedPairState:
@@ -459,7 +454,7 @@ def _make_pair(args, jsa) -> interference.PolarizedPairState:
     return interference.PolarizedPairState(f=jsa, g=g, sign=sign)
 
 
-def cmd_bell(args, reg) -> int:
+def cmd_bell(args):
     jsa, _ = _build_jsa(args)
     pair = _make_pair(args, jsa)
     taus = np.linspace(-args.tau_max, args.tau_max, args.tau_points)
@@ -468,19 +463,14 @@ def cmd_bell(args, reg) -> int:
     _write(os.path.join(out, "bell.csv"), _table_csv(
         ["tau_s", "rate_plus", "rate_minus"], zip(taus, rp[:-1], rm[:-1])))
     rp0, rm0 = float(rp[-1]), float(rm[-1])
-    summary = {
-        "config": _resolved_config(args, reg),
-        "rate_plus_at_zero": rp0,
-        "rate_minus_at_zero": rm0,
-        "exchange_residual": interference.bell_condition_residual(pair),
-        "pairing_residual": interference.pol_pairing_residual(pair),
-    }
-    _write(os.path.join(out, "bell.json"), to_json_text(summary))
-    print(f"Rc+(0) = {rp0:.3e}, Rc-(0) = {rm0:.6f}")
-    return 0
+    return {"rate_plus_at_zero": rp0,
+            "rate_minus_at_zero": rm0,
+            "exchange_residual": interference.bell_condition_residual(pair),
+            "pairing_residual": interference.pol_pairing_residual(pair),
+            }, [f"Rc+(0) = {rp0:.3e}, Rc-(0) = {rm0:.6f}"]
 
 
-def cmd_polcorr(args, reg) -> int:
+def cmd_polcorr(args):
     jsa, _ = _build_jsa(args)
     pair = _make_pair(args, jsa)
     thetas = np.linspace(0.0, math.pi, args.scan_points)
@@ -488,18 +478,14 @@ def cmd_polcorr(args, reg) -> int:
     rates = interference.polarization_fringe(pair, thetas, args.theta_b)
     _write(os.path.join(out, "polcorr.csv"),
            _table_csv(["theta_a_rad", "rate"], zip(thetas, rates)))
-    summary = {
-        "config": _resolved_config(args, reg),
-        "visibility": interference.fringe_visibility(pair, args.theta_b),
-        "overlap_re": interference.pair_overlap(pair).real,
-        "pairing_residual": interference.pol_pairing_residual(pair),
-    }
-    _write(os.path.join(out, "polcorr.json"), to_json_text(summary))
-    print(f"fringe visibility = {summary['visibility']:.6f}")
-    return 0
+    visibility = interference.fringe_visibility(pair, args.theta_b)
+    return {"visibility": visibility,
+            "overlap_re": interference.pair_overlap(pair).real,
+            "pairing_residual": interference.pol_pairing_residual(pair),
+            }, [f"fringe visibility = {visibility:.6f}"]
 
 
-def cmd_design(args, reg) -> int:
+def cmd_design(args):
     material = dispersion.get_material(args.material, args.materials or None)
     pump_um = args.pump * 1e6
     sigma_p = None
@@ -509,9 +495,6 @@ def cmd_design(args, reg) -> int:
                    if kind == "nm_fwhm" else val)
     rep = design.design_report(material, pump_um, args.length, args.theta,
                                w0=args.w0, sigma_p=sigma_p)
-    out = _outdir(args)
-    summary = {"config": _resolved_config(args, reg), "report": rep}
-    _write(os.path.join(out, "design.json"), to_json_text(summary))
     lines = {
         "factorable": f"factorable waist w0 = {rep.factorable_waist * 1e6:.2f} um",
         "bandwidth": f"pump bandwidth threshold = {rep.sigma_p_min:.6g} rad/s",
@@ -520,19 +503,14 @@ def cmd_design(args, reg) -> int:
         "regime": f"waist-regime ratio = {rep.waist_regime_ratio:.4g} "
                   f"({'ok' if rep.waist_regime_ok else 'outside validity'})",
     }
-    if args.what == "report":
-        for line in lines.values():
-            print(line)
-    else:
-        print(lines[args.what])
-    return 0
+    return {"report": rep}, (list(lines.values()) if args.what == "report"
+                             else [lines[args.what]])
 
 
-def cmd_nsgate(args, reg) -> int:
+def cmd_nsgate(args):
     cfg = focksim.NSGateConfig(r=args.r, s=args.s)
     cmap = focksim.ns_conditional_map(cfg)
     summary = {
-        "config": _resolved_config(args, reg),
         "map": {"c0": cmap.c0, "c1": cmap.c1, "c2": cmap.c2,
                 "success": cmap.success,
                 "c1_over_c0": cmap.c1 / cmap.c0,
@@ -555,14 +533,12 @@ def cmd_nsgate(args, reg) -> int:
             "output_state": {str(k): v for k, v
                              in rep.output_state.items()},
         }
-    out = _outdir(args)
-    _write(os.path.join(out, "nsgate.json"), to_json_text(summary))
-    print(f"(c0, c1, c2) = ({cmap.c0.real:+.6f}, {cmap.c1.real:+.6f}, "
-          f"{cmap.c2.real:+.6f}), success = {cmap.success:.6f}")
-    return 0
+    return summary, [f"(c0, c1, c2) = ({cmap.c0.real:+.6f}, "
+                     f"{cmap.c1.real:+.6f}, {cmap.c2.real:+.6f}), "
+                     f"success = {cmap.success:.6f}"]
 
 
-def cmd_economy(args, reg) -> int:
+def cmd_economy(args):
     if args.csv:
         records = design.load_economy_csv(args.csv, rel_tol=args.rel_tol)
     else:
@@ -570,12 +546,10 @@ def cmd_economy(args, reg) -> int:
     out = _outdir(args)
     _write(os.path.join(out, "economy.csv"),
            design.economy_csv_text(records))
-    summary = {"config": _resolved_config(args, reg), "records": records}
-    _write(os.path.join(out, "economy.json"), to_json_text(summary))
-    for r in records:
-        flag = "  [flagged: quoted value disagrees]" if r.flagged else ""
-        print(f"{r.label}: R = {r.r_figure:.4g} Hz/(mm W){flag}")
-    return 0
+    return {"records": records}, [
+        f"{r.label}: R = {r.r_figure:.4g} Hz/(mm W)"
+        + ("  [flagged: quoted value disagrees]" if r.flagged else "")
+        for r in records]
 
 
 # ----------------------------------------------------------------------
@@ -657,14 +631,9 @@ _FIGURES = {
 }
 
 
-def cmd_reproduce(args, reg) -> int:
-    out = _outdir(args)
-    fig = args.figure
-    info = _FIGURES[fig](args, out)
-    manifest = {"config": _resolved_config(args, reg), "figure": fig,
-                "results": info}
-    _write(os.path.join(out, f"{fig}.json"), to_json_text(manifest))
-    return 0
+def cmd_reproduce(args):
+    results = _FIGURES[args.figure](args, _outdir(args))
+    return {"figure": args.figure, "results": results}, []
 
 
 # ----------------------------------------------------------------------
@@ -684,14 +653,20 @@ def main(argv=None) -> int:
     parser, registries = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        if getattr(args, "func", None) is None:
+            parser.print_help()
+            return 2
+        reg = registries[args.command]
+        _merge_config(args, reg)
+        summary, lines = args.func(args)
+        name = getattr(args, "figure", args.command)
+        _write(os.path.join(_outdir(args), f"{name}.json"),
+               to_json_text({"config": _resolved_config(args, reg), **summary}))
+        for line in lines:
+            print(line)
+        return 0
+    except SystemExit as exc:   # --help; usage errors raise ValidationError
         return int(exc.code) if exc.code else 0
-    if getattr(args, "func", None) is None:
-        parser.print_help()
-        return 2
-    try:
-        _merge_config(args, registries[args.command])
-        return args.func(args, registries[args.command])
     except RegimeError as exc:
         _emit_error(exc, 3)
         return 3

@@ -62,21 +62,13 @@ MAX_PERMANENT = 12
 # Elements and networks
 # ----------------------------------------------------------------------
 
-def beamsplitter(r: float, convention: str = "std") -> np.ndarray:
-    """2x2 beamsplitter with intensity reflectivity r.
-
-    "std" puts the pi phase on one reflection:  [[sr, st], [st, -sr]];
-    "flip" moves it to the other side:          [[-sr, st], [st, sr]].
-    Both are real orthogonal; they differ by local pi phases only.
-    """
+def beamsplitter(r: float) -> np.ndarray:
+    """2x2 real orthogonal beamsplitter with intensity reflectivity r and
+    the pi phase on one reflection: [[sr, st], [st, -sr]]."""
     if not 0.0 <= r <= 1.0:
         raise ValidationError("reflectivity must lie in [0, 1]")
     sr, st = math.sqrt(r), math.sqrt(1.0 - r)
-    if convention == "std":
-        return np.array([[sr, st], [st, -sr]])
-    if convention == "flip":
-        return np.array([[-sr, st], [st, sr]])
-    raise ValidationError(f"unknown beamsplitter convention {convention!r}")
+    return np.array([[sr, st], [st, -sr]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,13 +99,12 @@ class LinearNetwork:
         if not 0 <= i < self.n_channels:
             raise ValidationError(f"channel {i} out of range")
 
-    def bs(self, i: int, j: int, r: float,
-           convention: str = "std") -> "LinearNetwork":
+    def bs(self, i: int, j: int, r: float) -> "LinearNetwork":
         self._check_channel(i)
         self._check_channel(j)
         if i == j:
             raise ValidationError("beamsplitter needs two distinct channels")
-        b = beamsplitter(r, convention)
+        b = beamsplitter(r)
         e = np.eye(self.n_channels, dtype=complex)
         e[np.ix_([i, j], [i, j])] = b
         return LinearNetwork(self.n_channels, e @ self.unitary)
@@ -462,8 +453,8 @@ def ns_network(cfg: NSGateConfig, base: Optional[LinearNetwork] = None,
     """Append the three-channel NS sandwich to `base` (default: fresh
     3-channel identity).  channels = (signal A, ancilla B, empty C).
     The central (A, B) splitter carries the sign flip as explicit pi phases
-    on A before and on B after a standard splitter; the flipped element
-    bs(a, b, s, convention="flip") gives the same unitary."""
+    on A before and on B after a standard splitter, which equals a splitter
+    with the pi phase on the other reflection."""
     a, b, c = channels
     net = base if base is not None else LinearNetwork.identity(3)
     net = net.bs(b, c, cfg.r)

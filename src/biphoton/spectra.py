@@ -65,8 +65,8 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.n_points < 2:
             raise ValidationError("FrequencyGrid needs n_points >= 2")
-        if not self.half_span > 0:
-            raise ValidationError("FrequencyGrid needs half_span > 0")
+        if not 0 < self.half_span < math.inf:
+            raise ValidationError("FrequencyGrid needs a finite half_span > 0")
 
     @property
     def detunings(self) -> np.ndarray:

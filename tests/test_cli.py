@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -154,6 +155,65 @@ def test_artifacts_byte_identical_across_runs(tmp_path, argv):
     assert names and names == sorted(p.name for p in d2.iterdir())
     for name in names:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+# the cli_session benchmark's job kinds at --grid 32, plus one design query,
+# each with the summary lines it prints after its JSON
+SUMMARY_KINDS = {
+    "design-report": (["design", "report"],
+                      ["factorable waist w0 = ", "pump bandwidth threshold = ",
+                       "margin = ", "waist-regime ratio = "]),
+    "design-factorable": (["design", "factorable"],
+                          ["factorable waist w0 = "]),
+    "jsa-model": (["jsa", "--builder", "model", "--grid", "32"], []),
+    "jsa-collinear": (["jsa", "--builder", "collinear", "--grid", "32"], []),
+    "jsa-noncollinear-sinc": (["jsa", "--builder", "noncollinear-sinc",
+                               "--grid", "32"], []),
+    "jsa-gaussian-beam": (["jsa", "--builder", "gaussian-beam",
+                           "--grid", "32"], []),
+    "schmidt": (["schmidt", "--builder", "collinear", "--grid", "32"],
+                ["K = "]),
+    "bell": (["bell", "--builder", "collinear", "--grid", "32"],
+             ["Rc+(0) = "]),
+    "polcorr": (["polcorr", "--builder", "collinear", "--pairing",
+                 "transpose", "--grid", "32"], ["fringe visibility = "]),
+    "homi-numeric": (["homi", "--numeric", "--grid", "32"], ["V = "]),
+    "nsgate": (["nsgate", "--search", "--mz", "180deg"], ["(c0, c1, c2) = "]),
+    "economy": (["economy"], [f"{r.label}: R = "
+                              for r in design.builtin_economy_records()]),
+    "fig1": (["reproduce", "fig1", "--grid", "32"], []),
+    "fig3": (["reproduce", "fig3", "--grid", "32"], []),
+    "fig5": (["reproduce", "fig5", "--grid", "32"], []),
+    "config": (["schmidt", "--config", "config.json"], ["K = "]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUMMARY_KINDS))
+def test_summary_json_written_last_then_lines(tmp_path, capsys, kind):
+    argv, expected = SUMMARY_KINDS[kind]
+    if kind == "config":
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"builder": "gaussian-beam", "grid": 32,
+                                   "theta": "2.5deg", "length": "1.5mm"}))
+        argv = argv[:-1] + [str(cfg)]
+    out = tmp_path / "out"
+    argv = argv + ["--out", str(out)]
+    code, cap = run(argv, capsys)
+    assert code == 0
+    lines = cap.out.splitlines()
+    wrote = [i for i, line in enumerate(lines) if line.startswith("wrote ")]
+    name = argv[1] if argv[0] == "reproduce" else argv[0]
+    assert lines[wrote[-1]] == f"wrote {out / name}.json"
+    summary = lines[wrote[-1] + 1:]
+    assert len(summary) == len(expected)
+    for line, start in zip(summary, expected):
+        assert line.startswith(start)
+    parser, registries = cli.build_parser()
+    args = parser.parse_args(argv)
+    cli._merge_config(args, registries[args.command])
+    doc = json.loads((out / f"{name}.json").read_text())
+    assert doc["config"] == cli._resolved_config(args,
+                                                 registries[args.command])
 
 
 def test_schmidt_command(tmp_path, capsys):
@@ -504,12 +564,47 @@ def test_reproduce_looks_up_bbo_in_materials_file(tmp_path, capsys, figure):
 
 def test_no_arguments_prints_help(capsys):
     assert cli.main([]) == 2
-    assert "subcommand" in capsys.readouterr().out.lower() or True
+    out = capsys.readouterr().out
+    assert "usage: biphoton" in out
+    for cmd in cli.build_parser()[1]:
+        assert cmd in out
 
 
-def test_argparse_errors_exit_two(capsys):
-    assert cli.main(["jsa", "--no-such-flag"]) == 2
-    assert cli.main(["jsa", "--theta", "3furlongs"]) == 2
+def test_argparse_errors_exit_two(tmp_path, capsys):
+    # usage errors leave through the JSON error channel like any other
+    for argv in (["jsa", "--no-such-flag"],
+                 ["jsa", "--theta", "3furlongs"],
+                 ["jsa", "--grid", "32.5"],
+                 ["jsa", "--builder", "bogus"],
+                 ["frobnicate"],
+                 ["design"]):
+        out = tmp_path / "out"
+        code, cap = run(argv + ["--out", str(out)], capsys)
+        assert code == 2, argv
+        err = json.loads(cap.err)
+        assert err["error"] == "ValidationError"
+        assert err["exit_code"] == 2
+        assert cap.out == ""
+        assert not out.exists()
+    assert cli.main(["jsa", "--help"]) == 0
+    assert "usage: biphoton jsa" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("builder", ["model", "collinear"])
+@pytest.mark.parametrize("span", ["0", "inf"])
+def test_span_factor_taken_as_given(tmp_path, capsys, builder, span):
+    # 0 is not swapped for the default span, and neither 0 nor inf makes
+    # a grid
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, cap = run(["jsa", "--builder", builder, "--grid", "32",
+                         "--span-factor", span, "--out", str(out)], capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert "half_span" in err["message"]
+    assert not out.exists()
 
 
 def test_validation_error_exit_two(tmp_path, capsys):

@@ -24,31 +24,35 @@ MU_EQUAL = 2.0 - math.sqrt(3.0)
 # elements
 # ----------------------------------------------------------------------
 
+def _flipped_beamsplitter(r):
+    """The splitter with its pi phase on the other reflection:
+    diag(1, -1) . B . diag(-1, 1)."""
+    return np.diag([1.0, -1.0]) @ focksim.beamsplitter(r) @ np.diag([-1.0, 1.0])
+
+
 def test_beamsplitter_limits():
     assert np.array_equal(focksim.beamsplitter(1.0), [[1.0, 0.0], [0.0, -1.0]])
     assert np.array_equal(focksim.beamsplitter(0.0), [[0.0, 1.0], [1.0, 0.0]])
     b = focksim.beamsplitter(0.5)
     assert np.allclose(b, np.array([[1, 1], [1, -1]]) / math.sqrt(2.0))
-    f = focksim.beamsplitter(0.5, convention="flip")
+    f = _flipped_beamsplitter(0.5)
     assert np.allclose(f, np.array([[-1, 1], [1, 1]]) / math.sqrt(2.0))
 
 
 def test_beamsplitter_validation():
     with pytest.raises(ValidationError):
         focksim.beamsplitter(1.2)
-    with pytest.raises(ValidationError):
-        focksim.beamsplitter(0.5, convention="weird")
 
 
 def test_network_building():
     net = focksim.LinearNetwork.identity(3).bs(0, 1, 0.3).phase(2, 0.7) \
-        .bs(1, 2, 0.5, convention="flip")
+        .bs(1, 2, 0.5)
     assert net.unitarity_error() < 1e-12
     # each element acts after the ones before it
     e1, e3 = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
     e1[:2, :2] = focksim.beamsplitter(0.3)
     e2 = np.diag([1.0, 1.0, np.exp(0.7j)])
-    e3[1:, 1:] = focksim.beamsplitter(0.5, convention="flip")
+    e3[1:, 1:] = focksim.beamsplitter(0.5)
     assert np.allclose(net.unitary, e3 @ (e2 @ e1), rtol=0.0, atol=1e-15)
 
 
@@ -538,7 +542,10 @@ def _flipped_ns_network(cfg, base, channels=(0, 1, 2)):
     """The NS sandwich with its sign flip in a flipped central element
     instead of explicit pi phases."""
     a, b, c = channels
-    return base.bs(b, c, cfg.r).bs(a, b, cfg.s, convention="flip") \
+    net = base.bs(b, c, cfg.r)
+    central = np.eye(net.n_channels, dtype=complex)
+    central[np.ix_([a, b], [a, b])] = _flipped_beamsplitter(cfg.s)
+    return focksim.LinearNetwork(net.n_channels, central @ net.unitary) \
         .bs(b, c, cfg.r)
 
 
