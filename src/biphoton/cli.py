@@ -26,6 +26,7 @@ included, are reported as JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -43,6 +44,7 @@ from .serialize import to_json_text
 
 _LENGTH_SUFFIXES = (("mm", 1e-3), ("um", 1e-6), ("nm", 1e-9), ("m", 1.0))
 _TIME_SUFFIXES = (("fs", 1e-15), ("ps", 1e-12), ("ns", 1e-9), ("s", 1.0))
+_ANGLE_SUFFIXES = (("deg", math.pi / 180.0), ("rad", 1.0))
 
 
 def _suffixed(text: str, suffixes, what: str) -> float:
@@ -67,13 +69,7 @@ def parse_time_s(text: str) -> float:
 
 
 def parse_angle_rad(text: str) -> float:
-    t = text.strip()
-    if t.endswith("deg"):
-        return math.radians(float(t[:-3]))
-    if t.endswith("rad"):
-        return float(t[:-3])
-    raise argparse.ArgumentTypeError(
-        f"angle needs a deg or rad suffix, got {text!r}")
+    return _suffixed(text, _ANGLE_SUFFIXES, "angle")
 
 
 def parse_bandwidth(text: str):
@@ -322,19 +318,23 @@ def _pump_envelope(args) -> spectra.PumpEnvelope:
     return spectra.PumpEnvelope(omega0=omega0, sigma_p=val)
 
 
+def _model_jsa(args, **span):
+    """(model, jsa) of the two-width Gaussian model on --grid points."""
+    if not math.isfinite(args.sigma_f):
+        raise ValidationError(
+            "the model builder needs a finite --sigma-f "
+            "(an unfiltered sum-frequency Gaussian is not normalizable)")
+    model = spectra.GaussianSourceModel(sigma=args.sigma, sigma_F=args.sigma_f)
+    grid = spectra.default_model_grid(model, n_points=args.grid, **span)
+    return model, spectra.gaussian_model_jsa(model, grid)
+
+
 def _build_jsa(args):
     """(jsa, extras dict) from the common builder options."""
     extras = {}
     span = {} if args.span_factor is None else {"span_factor": args.span_factor}
     if args.builder == "model":
-        if not math.isfinite(args.sigma_f):
-            raise ValidationError(
-                "the model builder needs a finite --sigma-f "
-                "(an unfiltered sum-frequency Gaussian is not normalizable)")
-        model = spectra.GaussianSourceModel(sigma=args.sigma,
-                                            sigma_F=args.sigma_f)
-        grid = spectra.default_model_grid(model, n_points=args.grid, **span)
-        jsa = spectra.gaussian_model_jsa(model, grid)
+        model, jsa = _model_jsa(args, **span)
         mu = schmidt.analytic_mu(model)
         extras["model"] = {"sigma": model.sigma, "sigma_F": model.sigma_F,
                            "mu": mu, "K_analytic": schmidt.analytic_K(mu)}
@@ -407,6 +407,8 @@ def cmd_jsa(args):
 
 
 def cmd_schmidt(args):
+    if args.n_report < 0:
+        raise ValidationError("--n-report must be >= 0")
     jsa, extras = _build_jsa(args)
     dec = schmidt.schmidt_svd(jsa)
     out = _outdir(args)
@@ -427,9 +429,7 @@ def cmd_homi(args):
     ana = interference.homi_dip_analytic(model, taus)
     num = None
     if args.numeric:
-        grid = spectra.default_model_grid(model, n_points=args.grid)
-        jsa = spectra.gaussian_model_jsa(model, grid)
-        num = interference.two_crystal_homi_numeric(jsa, taus)
+        num = interference.two_crystal_homi_numeric(_model_jsa(args)[1], taus)
     out = _outdir(args)
     header, cols = ["tau_s", "rate_analytic"], [taus, ana.rates]
     if num:
@@ -511,8 +511,7 @@ def cmd_nsgate(args):
     cfg = focksim.NSGateConfig(r=args.r, s=args.s)
     cmap = focksim.ns_conditional_map(cfg)
     summary = {
-        "map": {"c0": cmap.c0, "c1": cmap.c1, "c2": cmap.c2,
-                "success": cmap.success,
+        "map": {**dataclasses.asdict(cmap),
                 "c1_over_c0": cmap.c1 / cmap.c0,
                 "c2_over_c0": cmap.c2 / cmap.c0},
         "topology": focksim.NS_TOPOLOGY,
@@ -556,7 +555,7 @@ def cmd_economy(args):
 # Figure data
 # ----------------------------------------------------------------------
 
-def _fig1(args, out) -> dict:
+def _fig1(args) -> dict:
     material = dispersion.get_material("BBO", args.materials or None)
     pump = spectra.PumpEnvelope.from_pump_fwhm(0.8, 15.0)
     grid = spectra.default_pump_grid(pump, n_points=args.grid,
@@ -566,16 +565,16 @@ def _fig1(args, out) -> dict:
             "typeII_collinear": spectra.build_jsa_collinear(
                 material, "II_eoe", 1e-3, pump, grid)}
     for tag, jsa in jsas.items():
-        spectra.write_jsa_csv(jsa, os.path.join(out, f"fig1_{tag}.csv"))
+        spectra.write_jsa_csv(jsa, os.path.join(_outdir(args), f"fig1_{tag}.csv"))
     return {f"K_{tag}": schmidt.schmidt_svd(jsa).K for tag, jsa in jsas.items()}
 
 
-def _fig3(args, out) -> dict:
+def _fig3(args) -> dict:
     sigma = 4e13
     ratios = np.logspace(-2.0, 2.0, 81)   # sigma_F / sigma
     models = [spectra.GaussianSourceModel(sigma=sigma, sigma_F=sigma * x)
               for x in ratios]
-    _write(os.path.join(out, "fig3.csv"), _table_csv(
+    _write(os.path.join(_outdir(args), "fig3.csv"), _table_csv(
         ["sigma_F_rad_s", "visibility", "baseline"],
         [(m.sigma_F, interference.homi_visibility_analytic(m),
           interference.homi_baseline_analytic(m)) for m in models]))
@@ -586,7 +585,7 @@ def _fig3(args, out) -> dict:
                 "baseline": interference.homi_baseline_analytic(eq)}}
 
 
-def _beam_figure(args, out, tag, L, w0, fwhm_nm) -> dict:
+def _beam_figure(args, tag, L, w0, fwhm_nm) -> dict:
     material = dispersion.get_material("BBO", args.materials or None)
     pump_um = 0.4
     theta = math.radians(3.0)
@@ -601,7 +600,7 @@ def _beam_figure(args, out, tag, L, w0, fwhm_nm) -> dict:
     product = pump_f * long_f * trans_f
     for name, surf in (("pump", pump_f), ("longitudinal", long_f),
                        ("transverse", trans_f), ("product", product)):
-        _write_surface_csv(os.path.join(out, f"{tag}_{name}.csv"),
+        _write_surface_csv(os.path.join(_outdir(args), f"{tag}_{name}.csv"),
                            grid, grid, surf)
     jsa = spectra.JointSpectralAmplitude(grid, grid,
                                          product.astype(complex)).normalized()
@@ -611,10 +610,10 @@ def _beam_figure(args, out, tag, L, w0, fwhm_nm) -> dict:
             "intensity_correlation": spectra.intensity_correlation(jsa)}
 
 
-def _fig9(args, out) -> dict:
+def _fig9(args) -> dict:
     mus = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
-    res = [focksim.ns_sixfold_rate(mu=mu, n_modes=args.n_modes) for mu in mus]
-    _write(os.path.join(out, "fig9.csv"), _table_csv(
+    res = [focksim.ns_sixfold_rate(mu, args.n_modes) for mu in mus]
+    _write(os.path.join(_outdir(args), "fig9.csv"), _table_csv(
         ["K", "rate", "trunc_mass"],
         [(r.cooperativity, r.rate, r.truncation_mass) for r in res]))
     return {"mus": mus, "n_modes": args.n_modes}
@@ -623,16 +622,16 @@ def _fig9(args, out) -> dict:
 _FIGURES = {
     "fig1": _fig1,
     "fig3": _fig3,
-    "fig5": lambda args, out: _beam_figure(args, out, "fig5", L=1e-3, w0=None,
-                                           fwhm_nm=10.0),
-    "fig7": lambda args, out: _beam_figure(args, out, "fig7", L=200e-6,
-                                           w0=1e-3, fwhm_nm=15.0),
+    "fig5": lambda args: _beam_figure(args, "fig5", L=1e-3, w0=None,
+                                      fwhm_nm=10.0),
+    "fig7": lambda args: _beam_figure(args, "fig7", L=200e-6, w0=1e-3,
+                                      fwhm_nm=15.0),
     "fig9": _fig9,
 }
 
 
 def cmd_reproduce(args):
-    results = _FIGURES[args.figure](args, _outdir(args))
+    results = _FIGURES[args.figure](args)
     return {"figure": args.figure, "results": results}, []
 
 

@@ -52,8 +52,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .schmidt import analytic_K, analytic_mu
-from .spectra import GaussianSourceModel
+from .schmidt import analytic_K
 
 MAX_PERMANENT = 12
 
@@ -610,14 +609,13 @@ def _sixfold_layout() -> _PairLayout:
 
 def _sixfold_amplitudes(mu: float, n_modes: int) -> np.ndarray:
     """Schmidt amplitudes sqrt(1 - mu^2) (-mu)^n, n < n_modes, of one
-    sixfold source (a single mode at mu = 0)."""
+    sixfold source."""
     if not 0.0 <= mu < 1.0:
         raise ValidationError("mu must lie in [0, 1)")
     if not isinstance(n_modes, (int, np.integer)) \
             or isinstance(n_modes, bool) or n_modes < 1:
         raise ValidationError("n_modes must be an integer of at least 1")
-    return (math.sqrt(1.0 - mu * mu) * (-mu) ** np.arange(n_modes)
-            if mu > 0.0 else np.array([1.0]))
+    return math.sqrt(1.0 - mu * mu) * (-mu) ** np.arange(n_modes)
 
 
 def sixfold_input(mu: float, n_modes: int) -> SpectralPhotonInput:
@@ -637,25 +635,20 @@ class SixfoldRate:
     truncation_mass: float
 
 
-def ns_sixfold_rate(model: Optional[GaussianSourceModel] = None, *,
-                    mu: Optional[float] = None,
-                    n_modes: int = 8) -> SixfoldRate:
+def ns_sixfold_rate(mu: float, n_modes: int = 8) -> SixfoldRate:
     """Probability of the six-fold pattern (all three triggers, both MZ
     outputs, the NS herald, nothing in the empty port) for three identical
     Gaussian-model sources at zero relative delay through sixfold_network.
 
     For single-mode sources (K = 1) the NS-in-MZ circuit forbids the D1/D2
     coincidence exactly; spectral multimodedness (K > 1) leaks rate back
-    in, growing with mu.  Give either a model or mu directly.
+    in, growing with mu, the sources' Schmidt ratio (schmidt.analytic_mu of
+    a Gaussian model).
 
     The Schmidt ladder is truncated at n_modes per source; the neglected
     mass 1 - (sum_n lambda_n)^3 must stay below SIXFOLD_TRUNC_TOL or the
     call refuses (raise n_modes; the bar tolerates the slow mu = 0.7 tail
     at n_modes >= 6)."""
-    if (model is None) == (mu is None):
-        raise ValidationError("give exactly one of model or mu")
-    if mu is None:
-        mu = analytic_mu(model)
     weights, kept = _pair_weights(SIXFOLD_PAIRS,
                                   [_sixfold_amplitudes(mu, n_modes)])
     truncation_mass = 1.0 - kept
@@ -665,7 +658,7 @@ def ns_sixfold_rate(model: Optional[GaussianSourceModel] = None, *,
             f"{SIXFOLD_TRUNC_TOL:g}; raise n_modes")
     return SixfoldRate(rate=_pair_sum(_sixfold_layout(), weights),
                        mu=float(mu),
-                       cooperativity=analytic_K(mu) if mu > 0 else 1.0,
+                       cooperativity=analytic_K(mu),
                        n_modes=int(n_modes),
                        truncation_mass=truncation_mass)
 

@@ -237,10 +237,10 @@ def polarization_fringe(pair: PolarizedPairState, theta_a, theta_b: float):
 
 def fringe_visibility(pair: PolarizedPairState,
                       theta_b: float = math.pi / 4) -> float:
-    """(max - min)/(max + min) of the fringe over a 721-point theta_a scan
-    of [0, pi]."""
-    thetas = np.linspace(0.0, math.pi, 721)
-    rates = polarization_fringe(pair, thetas, theta_b)
-    hi, lo = float(rates.max()), float(rates.min())
-    return (hi - lo) / (hi + lo)
+    """(max - min)/(max + min) of the fringe over theta_a.  The rate is
+    1/2 - 1/2 cos 2tb cos 2ta +/- 1/2 Re<f,g> sin 2tb sin 2ta, a sinusoid in
+    2 ta about 1/2, so the visibility is its amplitude
+    hypot(cos 2tb, Re<f,g> sin 2tb) for either sign."""
+    ov = pair_overlap(pair).real
+    return math.hypot(math.cos(2.0 * theta_b), ov * math.sin(2.0 * theta_b))
 

@@ -20,8 +20,7 @@ function — it is the convention under which the kernel identity
     sqrt(1-mu^2) sum_n mu^n u_n(x) u_n(y)
         = exp[-(x^2+y^2)(1+mu^2) / (2(1-mu^2)) + 2 x y mu / (1-mu^2)]
 
-holds with no prefactor.  Pass ``include_gauss_norm=True`` to get the
-L2-normalized variant (used for orthonormality checks).
+holds with no prefactor.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ def analytic_K(mu: float) -> float:
 # Hermite-Gaussian modes and the Mehler kernel
 # ----------------------------------------------------------------------
 
-def hermite_modes_upto(n_max: int, x, include_gauss_norm: bool = False) -> np.ndarray:
+def hermite_modes_upto(n_max: int, x) -> np.ndarray:
     """u_0..u_n_max evaluated on x, shape (n_max+1, len(x)).  Three-term
     recurrence on the scaled functions themselves (stable; no factorial
     overflow): u_{n+1} = x sqrt(2/(n+1)) u_n - sqrt(n/(n+1)) u_{n-1}."""
@@ -196,8 +195,6 @@ def hermite_modes_upto(n_max: int, x, include_gauss_norm: bool = False) -> np.nd
     for n in range(1, n_max):
         out[n + 1] = xv * math.sqrt(2.0 / (n + 1)) * out[n] \
             - math.sqrt(n / (n + 1)) * out[n - 1]
-    if include_gauss_norm:
-        out = out * math.pi ** (-0.25)
     return out
 
 

@@ -491,10 +491,9 @@ def read_jsa_csv(path) -> JointSpectralAmplitude:
         n_i = int(header["n_i"])
         grid_s = FrequencyGrid(float(header["omega0_rad_s"]),
                                float(header["half_span_s_rad_s"]), n_s)
-        grid_i = FrequencyGrid(float(header.get("omega0_i_rad_s",
-                                                header["omega0_rad_s"])),
+        grid_i = FrequencyGrid(float(header["omega0_i_rad_s"]),
                                float(header["half_span_i_rad_s"]), n_i)
-        normalized = bool(int(header.get("normalized", "0")))
+        normalized = bool(int(header["normalized"]))
     except KeyError as exc:
         raise ValidationError(f"{path}: missing JSA header field {exc}") from None
     if body.shape != (n_s * n_i, 4):

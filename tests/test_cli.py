@@ -65,6 +65,11 @@ def test_angle_time_bandwidth_suffixes():
         cli.parse_sigma_rad_s("wide")
 
 
+def test_angle_error_names_both_suffixes():
+    with pytest.raises(argparse.ArgumentTypeError, match=r"\(deg\|rad\)"):
+        cli.parse_angle_rad("3")
+
+
 # unit parser -> (suffix, expected value of repr(x) + suffix) cases
 UNIT_CASES = {
     "length": (cli.parse_length_m,
@@ -228,6 +233,15 @@ def test_schmidt_command(tmp_path, capsys):
     assert len(lines) == doc["n_modes_kept"] + 1
 
 
+def test_schmidt_negative_n_report_exit_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, cap = run(["schmidt", "--grid", "32", "--n-report", "-3",
+                     "--out", str(out)], capsys)
+    assert code == 2
+    assert "n-report" in json.loads(cap.err)["message"]
+    assert not out.exists()
+
+
 def test_homi_numeric_column(tmp_path):
     assert run(["homi", "--numeric", "--grid", "64", "--tau-points", "11",
                 "--out", str(tmp_path)]) == 0
@@ -246,6 +260,18 @@ def test_homi_unfiltered_sentinel(tmp_path):
     assert doc["visibility_analytic"] == 0.0
     assert doc["baseline_analytic"] == 1.0
     assert doc["K_analytic"] == math.inf
+
+
+def test_homi_numeric_needs_finite_filter(tmp_path, capsys):
+    # the grid amplitude goes through the model builder's finite check
+    out = tmp_path / "out"
+    code, cap = run(["homi", "--numeric", "--sigma-f", "inf", "--grid", "32",
+                     "--out", str(out)], capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert "sigma-f" in err["message"]
+    assert not out.exists()
 
 
 def test_bell_and_polcorr(tmp_path):
@@ -495,12 +521,12 @@ def test_config_value_checked_like_its_flag(tmp_path, capsys, cmd, doc):
 def test_config_values_of_every_kind_apply(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"numeric": True, "grid": 32, "tau-points": 5,
-                               "sigma-f": "inf"}))
+                               "sigma-f": "8e13rad_s"}))
     assert run(["homi", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "homi.json").read_text())
     assert doc["config"]["numeric"] is True
     assert doc["config"]["grid"] == 32
-    assert doc["config"]["sigma_f"] == math.inf
+    assert doc["config"]["sigma_f"] == 8e13
     assert "visibility_numeric" in doc
     cfg.write_text(json.dumps({"builder": "collinear", "grid": 32}))
     assert run(["jsa", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -556,6 +582,16 @@ def test_reproduce_looks_up_bbo_in_materials_file(tmp_path, capsys, figure):
     assert code == 2
     assert "unknown material 'BBO'" in json.loads(cap.err)["message"]
     assert not any(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig5", "fig7"])
+def test_reproduce_builds_before_creating_out(tmp_path, capsys, figure):
+    out = tmp_path / "out"
+    code, cap = run(["reproduce", figure, "--grid", "32", "--materials",
+                     str(tmp_path / "missing.txt"), "--out", str(out)], capsys)
+    assert code == 2
+    assert json.loads(cap.err)["error"] == "FileNotFoundError"
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------

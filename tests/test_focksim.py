@@ -644,6 +644,16 @@ def test_sixfold_single_mode_is_dark():
     assert res.truncation_mass == 0.0
 
 
+def test_sixfold_single_mode_at_any_mode_count():
+    # at mu = 0 every ladder rung past the first is zero
+    want = focksim.ns_sixfold_rate(mu=0.0, n_modes=1)
+    for n_modes in range(2, 9):
+        got = focksim.ns_sixfold_rate(mu=0.0, n_modes=n_modes)
+        assert got.rate == want.rate
+        assert got.truncation_mass == 0.0
+        assert got.cooperativity == 1.0
+
+
 def test_sixfold_rate_grows_with_multimodedness():
     rates = [focksim.ns_sixfold_rate(mu=m, n_modes=6).rate
              for m in np.linspace(0.0, 0.7, 8)]
@@ -672,15 +682,10 @@ def test_sixfold_rate_accepts_numpy_integer_mode_count():
 def test_sixfold_truncation_guard():
     with pytest.raises(ValidationError):
         focksim.ns_sixfold_rate(mu=0.7, n_modes=2)
-    with pytest.raises(ValidationError):
-        focksim.ns_sixfold_rate()              # needs a model or a mu
-    with pytest.raises(ValidationError):
-        focksim.ns_sixfold_rate(
-            spectra.GaussianSourceModel(sigma=1.0, sigma_F=1.0), mu=0.2)
 
 
 def test_sixfold_rate_from_model(model_equal):
-    by_model = focksim.ns_sixfold_rate(model_equal, n_modes=6)
+    by_model = focksim.ns_sixfold_rate(schmidt.analytic_mu(model_equal), 6)
     by_mu = focksim.ns_sixfold_rate(mu=MU_EQUAL, n_modes=6)
     assert by_model.rate == pytest.approx(by_mu.rate, rel=1e-12)
     assert by_model.cooperativity == pytest.approx(

@@ -391,5 +391,17 @@ def test_fringe_matches_per_angle_oracle(jsa_typeII):
             assert isinstance(one, float)
             assert one == pytest.approx(
                 oracles.polarization_fringe(pair, 0.7, tb), abs=1e-14)
+            # rate = 1/2 - A/2 cos(2 ta - phi), A cos phi = cos 2tb and
+            # A sin phi = -/+ Re<f,g> sin 2tb: a dip at 2 ta = phi and a
+            # peak half a period later
+            ov = (np.vdot(pair.f.values, pair.g.values) * pair.f.measure).real
+            sign = 1.0 if pair.sign == "+" else -1.0
+            phi = math.atan2(-sign * ov * math.sin(2 * tb), math.cos(2 * tb))
+            lo = oracles.polarization_fringe(pair, phi / 2, tb)
+            hi = oracles.polarization_fringe(pair, (phi + math.pi) / 2, tb)
+            assert lo <= min(slow) + 1e-15 and hi >= max(slow) - 1e-15
             assert interference.fringe_visibility(pair, tb) == pytest.approx(
-                oracles.fringe_visibility(pair, tb), abs=1e-14)
+                (hi - lo) / (hi + lo), abs=1e-14)
+        # at tb = pi/4 the 721-point scan holds both extrema
+        assert interference.fringe_visibility(pair) == pytest.approx(
+            oracles.fringe_visibility(pair), abs=1e-14)

@@ -429,6 +429,17 @@ def test_read_jsa_csv_rejects_corrupt_files(tmp_path, capsys, monkeypatch,
     assert err["error"] == "ValidationError" and err["exit_code"] == 2
 
 
+@pytest.mark.parametrize("field", ["omega0_i_rad_s", "normalized"])
+def test_read_jsa_csv_requires_every_header_field(tmp_path, field):
+    path = tmp_path / "j.csv"
+    spectra.write_jsa_csv(chirped_jsa(4, 3), path)
+    lines = [ln for ln in path.read_text().splitlines()
+             if not ln.startswith(f"# {field}=")]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="missing JSA header field"):
+        spectra.read_jsa_csv(path)
+
+
 def test_read_jsa_csv_tolerates_rounding_in_detuning_columns(tmp_path):
     jsa = chirped_jsa(4, 3)
     path = tmp_path / "j.csv"
