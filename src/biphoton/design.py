@@ -61,12 +61,18 @@ def factorable_waist(material, pump_um: float, L: float, theta: float) -> float:
     theta = 0 is rejected: a collinear geometry has no transverse lever arm,
     so no finite waist can do the job.
     """
+    return _factorable_waist(
+        dispersion.noncollinear_group_slopes(material, pump_um, theta), L, theta)
+
+
+def _factorable_waist(slopes, L: float, theta: float) -> float:
+    """factorable_waist from the group slopes (kp', k')."""
     if L <= 0.0:
         raise ValidationError("crystal length must be positive")
     if theta <= 0.0:
         raise ValidationError(
             "collinear geometry has no transverse lever (theta must be > 0)")
-    kp, kd = dispersion.noncollinear_group_slopes(material, pump_um, theta)
+    kp, kd = slopes
     num = kp - kd * math.cos(theta)
     if num <= 0.0:
         raise ValidationError(
@@ -80,9 +86,15 @@ def pump_bandwidth_threshold(material, pump_um: float, L: float,
     """Minimum pump bandwidth sigma_p_min = sqrt(2)/(gamma L (kp' - k' cos
     theta)) below which the pump envelope, not the phase matching, limits the
     sum-frequency width and the factorable design degrades."""
+    return _pump_bandwidth_threshold(
+        dispersion.noncollinear_group_slopes(material, pump_um, theta), L, theta)
+
+
+def _pump_bandwidth_threshold(slopes, L: float, theta: float) -> float:
+    """pump_bandwidth_threshold from the group slopes (kp', k')."""
     if L <= 0.0:
         raise ValidationError("crystal length must be positive")
-    kp, kd = dispersion.noncollinear_group_slopes(material, pump_um, theta)
+    kp, kd = slopes
     num = kp - kd * math.cos(theta)
     if abs(num) < 1e-18:
         raise ValidationError("vanishing group-slope difference")
@@ -117,8 +129,9 @@ def design_report(material, pump_um: float, L: float, theta: float,
     """Run all the design calculators for one configuration.  w0 defaults to
     the factorable waist (margin exactly 1)."""
     theta_pm = dispersion.noncollinear_cut_angle(material, pump_um, theta)
-    w0_fact = factorable_waist(material, pump_um, L, theta)
-    sp_min = pump_bandwidth_threshold(material, pump_um, L, theta)
+    slopes = dispersion.cut_group_slopes(material, pump_um, theta_pm)
+    w0_fact = _factorable_waist(slopes, L, theta)
+    sp_min = _pump_bandwidth_threshold(slopes, L, theta)
     w0_eval = w0_fact if w0 is None else w0
     margin = w0_eval / w0_fact
     ratio, ok = validate_waist_regime(w0_eval, L, theta)

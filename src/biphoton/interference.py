@@ -154,14 +154,6 @@ def factorability_residual(jsa: JointSpectralAmplitude) -> float:
     return float(1.0 - dec.eigenvalues[0])
 
 
-def symmetry_residual(jsa: JointSpectralAmplitude) -> float:
-    """L2 norm of S(nu_s, nu_i) - S(nu_i, nu_s); requires a square grid pair."""
-    if (jsa.grid_s.n_points != jsa.grid_i.n_points
-            or jsa.grid_s.half_span != jsa.grid_i.half_span):
-        raise ValidationError("symmetry residual needs identical square grids")
-    return _l2_distance(jsa.values, jsa.values.T, jsa.measure)
-
-
 def _l2_distance(a, b, measure: float) -> float:
     """L2 norm of a - b under the grid measure."""
     return float(math.sqrt(np.sum(np.abs(a - b) ** 2) * measure))

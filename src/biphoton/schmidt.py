@@ -54,11 +54,6 @@ class SchmidtDecomposition:
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
-    def reconstruct(self) -> np.ndarray:
-        """sum_n sqrt(lambda_n) psi_n(nu_s) phi_n(nu_i) on the grid."""
-        w = np.sqrt(self.eigenvalues)
-        return (self.signal_modes.T * w) @ self.idler_modes
-
 
 @dataclass(frozen=True)
 class MehlerParams:

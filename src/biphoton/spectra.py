@@ -27,8 +27,12 @@ term is exactly ``-4 nu_s nu_i / sigma^2``).
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
+import signal
+import struct
 import warnings
 from dataclasses import dataclass, replace
 
@@ -45,6 +49,11 @@ BOUNDARY_LEAK = 1e-3
 # Weak-focusing bar of the Gaussian-beam model: (w0/L) / (sqrt(gamma)
 # sin^2 theta) must reach it (design.validate_waist_regime reports the ratio).
 REGIME_FACTOR = 10.0
+# CSV round trip: bytes per pipe frame and per parsed piece of a JSA body
+_CHUNK = 1 << 20
+_FRAME = struct.Struct("<q")   # a frame's size; 0 ends a block, < 0 an error
+# a JSA body row as read: nu_s, nu_i as text (any %.17g fits), re, im
+_TEXT_ROW = np.dtype([("nu", "S32", (2,)), ("v", "f8", (2,))])
 # Complex N_s x N_i arrays in a JSA's working set: a build peaks at 5.5
 # (tracemalloc, all four builders) and the Schmidt SVD adds its factors.
 WORKING_ARRAYS = 8
@@ -223,11 +232,6 @@ def sinc_phasematch(delta_k, L: float):
 
 _SINC_HALF = bisect_root(lambda x: math.sin(x) / x - 0.5, 1e-9,
                          math.pi - 1e-9, xtol=1e-15)
-
-
-def sinc_half_point() -> float:
-    """Positive root of sinc(x) = 1/2 in (0, pi)."""
-    return _SINC_HALF
 
 
 def gaussian_sinc_gamma() -> float:
@@ -438,17 +442,139 @@ def intensity_correlation(jsa: JointSpectralAmplitude) -> float:
 # CSV round-trip
 # ----------------------------------------------------------------------
 
+def _cpu_count() -> int:
+    """Blocks a CSV write or read splits its rows into: the CPUs this
+    process may run on, or 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _fork() -> int:
+    # A child only formats or parses its block, writes it to its pipe and
+    # leaves through os._exit.  It takes no lock that another thread of the
+    # parent (a BLAS worker, say) may hold at the fork, which is the hazard
+    # behind Python 3.12's warning about forking a multi-threaded process.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r".*multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        return os.fork()
+
+
+def _child(w, files, make, block) -> None:
+    """Body of a forked child: send the bytes of every piece make(block)
+    yields on pipe end w in frames of at most _CHUNK bytes, then an end
+    frame (an error frame if making them fails), and leave through
+    os._exit.  The inherited read ends in files are closed first, so a
+    sibling's pipe breaks when the parent closes it."""
+    code = 1
+    try:
+        for f in files:
+            f.close()
+        with open(w, "wb") as out:
+            try:
+                # the whole block first: the parent reads it only after its own
+                views = [memoryview(p).cast("B") for p in make(block)]
+                for v in views:
+                    for at in range(0, len(v), _CHUNK):
+                        out.write(_FRAME.pack(len(v[at:at + _CHUNK])))
+                        out.write(v[at:at + _CHUNK])
+                out.write(_FRAME.pack(0))
+            except Exception as exc:
+                msg = (str(exc) if isinstance(exc, ValidationError)
+                       else f"{type(exc).__name__}: {exc}").encode()
+                out.write(_FRAME.pack(-len(msg)))
+                out.write(msg)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _forked(blocks, make):
+    """Fork one child per block; each sends the bytes-like pieces that
+    make(block) yields.  Yields the read ends of their pipes, in block
+    order, as binary files.  On an error every child is killed; on the way
+    out every child is reaped."""
+    pids, files = [], []
+    try:
+        for block in blocks:
+            r, w = os.pipe()
+            files.append(open(r, "rb"))
+            try:
+                pid = _fork()
+            except BaseException:
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(w, files, make, block)
+            os.close(w)
+            pids.append(pid)
+        yield files
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for f in files:
+            f.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _frames(f):
+    """Sizes of the data frames one child sends on f, up to its end frame;
+    the caller reads each frame's bytes before asking for the next.  An
+    error frame raises ValidationError with the child's message."""
+    while True:
+        head = f.read(_FRAME.size)
+        if len(head) < _FRAME.size:
+            raise ValidationError("a CSV worker ended before finishing its block")
+        (size,) = _FRAME.unpack(head)
+        if size == 0:
+            return
+        if size < 0:
+            raise ValidationError(f.read(-size).decode())
+        yield size
+
+
+def _row_blocks(n_rows: int):
+    """(lo, hi) of one contiguous block of rows per CPU, at most one per row."""
+    k = max(1, min(_cpu_count(), n_rows))
+    edges = [n_rows * j // k for j in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _format_rows(template, nu_s, values, lo, hi):
+    """The text of grid rows lo..hi-1, one row at a time."""
+    dtype = complex if np.iscomplexobj(values) else float
+    for ns, row in zip(nu_s[lo:hi], values[lo:hi]):
+        row = np.ascontiguousarray(row, dtype=dtype)
+        yield (template.replace("\0", "%.17g" % ns)
+               % tuple(row.view(np.float64).tolist()))
+
+
 def write_grid_rows(fh, nu_s, nu_i, values) -> None:
     """One "nu_s,nu_i,<value>" line per grid cell in %.17g (re,im for complex
-    values), written one grid row at a time so memory stays bounded."""
-    cplx = np.iscomplexobj(values)
-    fields = ",%.17g,%.17g\n" if cplx else ",%.17g\n"
+    values).  The rows go in one block per CPU: forked children format the
+    blocks after the first while the parent writes the first row by row,
+    then their text follows in row order, so the bytes do not depend on the
+    split and the parent holds one row or one pipe frame at a time."""
+    fields = ",%.17g,%.17g\n" if np.iscomplexobj(values) else ",%.17g\n"
     # "\0" stands for the row's nu_s; "%.17g" text holds no "%" or "\0"
     template = "".join("\0,%.17g" % x + fields for x in nu_i)
-    for ns, row in zip(nu_s, values):
-        row = np.ascontiguousarray(row, dtype=complex if cplx else float)
-        fh.write(template.replace("\0", "%.17g" % ns)
-                 % tuple(row.view(np.float64).tolist()))
+    blocks = _row_blocks(len(nu_s))
+    fh.flush()   # nothing buffered may be left for a child to inherit
+    with _forked(blocks[1:], lambda b: (
+            text.encode() for text in _format_rows(template, nu_s, values, *b))) as pipes:
+        for text in _format_rows(template, nu_s, values, *blocks[0]):
+            fh.write(text)
+        for f in pipes:
+            for size in _frames(f):
+                fh.write(f.read(size).decode())
 
 
 def write_jsa_csv(jsa: JointSpectralAmplitude, path) -> None:
@@ -466,13 +592,15 @@ def write_jsa_csv(jsa: JointSpectralAmplitude, path) -> None:
                         np.asarray(jsa.values, dtype=complex))
 
 
-def read_jsa_csv(path) -> JointSpectralAmplitude:
-    """Inverse of write_jsa_csv.  Raises ValidationError unless every row
-    has 4 fields, there are exactly n_s * n_i rows, and the nu_s / nu_i
-    columns match the header grid to 1e-9 of its half span."""
+def _read_header(path):
+    """(fields, offset): the "# key=value" fields before the "nu_s" column
+    line, and the byte offset of the line after it (the end of the file if
+    there is none).  Lines split as universal newlines split them."""
     header: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    offset = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         for ln in fh:
+            offset += len(ln.encode("utf-8"))
             if ln.startswith("#"):
                 for tok in ln[1:].split():
                     if "=" in tok:
@@ -480,12 +608,98 @@ def read_jsa_csv(path) -> JointSpectralAmplitude:
                         header[k] = vv
             elif ln.startswith("nu_s"):
                 break
-        try:
-            with warnings.catch_warnings():   # an empty body fails below
-                warnings.simplefilter("ignore", UserWarning)
-                body = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:   # ragged or non-numeric rows
-            raise ValidationError(f"{path}: bad JSA data row: {exc}") from None
+    return header, offset
+
+
+def _line_ranges(fh, start: int, end: int, k: int):
+    """k byte ranges tiling start..end of fh, each after the first beginning
+    just after a "\n" (or at the end)."""
+    cuts = [start]
+    for j in range(1, k):
+        fh.seek(max(cuts[-1], start + (end - start) * j // k) - 1)
+        fh.readline()
+        cuts.append(min(fh.tell(), end))
+    cuts.append(end)
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _pieces(fh, lo: int, hi: int):
+    """Bytes lo..hi of fh in pieces of about _CHUNK bytes, each ending on a
+    line end, with "\r" read as "\n" (universal newlines; the empty line
+    this leaves after "\r\n" is skipped like any empty line)."""
+    fh.seek(lo)
+    left, carry = hi - lo, b""
+    while left > 0:
+        data = fh.read(min(_CHUNK, left))
+        if not data:
+            break
+        left -= len(data)
+        buf = carry + data.replace(b"\r", b"\n")
+        cut = len(buf) if left <= 0 else buf.rfind(b"\n") + 1
+        carry = buf[cut:]
+        yield buf[:cut]
+    if carry:
+        yield carry
+
+
+def _data_lines(piece: bytes) -> int:
+    """Lines of a piece that np.loadtxt parses as rows: all but the empty
+    ones and the "#" comments (a piece starts on a line)."""
+    a = np.frombuffer(b"\n" + piece, np.uint8)
+    heads = a[1:][a[:-1] == 10]
+    return int(np.count_nonzero((heads != 10) & (heads != 35)))
+
+
+def _piece_values(path, piece: bytes, first: int, grids, texts):
+    """(m, 2) re/im of the data rows in one piece whose first row is grid
+    cell `first`.  Each cell's nu_s and nu_i must lie within 1e-9 of their
+    grid's half span of the cell's detunings; rows past the grid are left
+    to the row count."""
+    def cells(m):
+        n_i = grids[1].n_points
+        return np.divmod(np.arange(first, min(first + m, grids[0].n_points * n_i)),
+                         n_i)
+
+    try:
+        text = piece.decode("utf-8")
+        with warnings.catch_warnings():   # a piece may hold no data rows
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                rows = np.loadtxt(io.StringIO(text), delimiter=",",
+                                  dtype=_TEXT_ROW, ndmin=1)
+                if all(np.array_equal(rows["nu"][:len(c), k], texts[k][c])
+                       for k, c in enumerate(cells(len(rows)))):
+                    return rows["v"]
+            except ValueError:
+                pass
+            # nu not written as the grid's own %.17g text: parse four
+            # floats and compare the values
+            body = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    except ValueError as exc:   # ragged or non-numeric rows
+        raise ValidationError(f"{path}: bad JSA data row: {exc}") from None
+    if len(body) and body.shape[1] != 4:
+        raise ValidationError(f"{path}: bad JSA data row: "
+                              f"{body.shape[1]} fields, not 4")
+    for k, c in enumerate(cells(len(body))):
+        off = np.max(np.abs(body[:len(c), k] - grids[k].detunings[c]),
+                     initial=0.0)
+        if not off / grids[k].half_span <= 1e-9:
+            raise ValidationError(f"{path}: nu_s/nu_i columns disagree with "
+                                  "the header grid")
+    return body[:, 2:]
+
+
+def read_jsa_csv(path) -> JointSpectralAmplitude:
+    """Inverse of write_jsa_csv.  Raises ValidationError unless every row
+    has 4 fields, there are exactly n_s * n_i rows, and the nu_s / nu_i
+    columns match the header grid to 1e-9 of its half span.
+
+    The body is read in one byte range per CPU, split on line ends: forked
+    children parse the ranges after the first (each first counts the rows
+    before its range) while the parent parses the first, and their values
+    are read straight into the result.  Only re/im are converted to floats
+    as long as nu_s/nu_i are the grid's own %.17g text."""
+    header, start = _read_header(path)
     try:
         n_s = int(header["n_s"])
         n_i = int(header["n_i"])
@@ -496,16 +710,41 @@ def read_jsa_csv(path) -> JointSpectralAmplitude:
         normalized = bool(int(header["normalized"]))
     except KeyError as exc:
         raise ValidationError(f"{path}: missing JSA header field {exc}") from None
-    if body.shape != (n_s * n_i, 4):
+    grids = (grid_s, grid_i)
+    texts = [np.array(["%.17g" % x for x in g.detunings], dtype="S32")
+             for g in grids]
+
+    def values(lo, hi, first=None):   # first=None: count the rows before lo
+        with open(path, "rb") as fh:
+            if first is None:
+                first = sum(map(_data_lines, _pieces(fh, start, lo)))
+            for piece in _pieces(fh, lo, hi):
+                v = _piece_values(path, piece, first, grids, texts)
+                first += len(v)
+                yield np.ascontiguousarray(v)
+
+    out = np.empty((n_s * n_i, 2))
+    flat = memoryview(out).cast("B")
+    got = 0   # bytes of re/im so far, 16 a row
+    with open(path, "rb") as fh:
+        ranges = _line_ranges(fh, start, os.fstat(fh.fileno()).st_size,
+                              min(_cpu_count(), n_s))
+    with _forked(ranges[1:], lambda r: values(*r)) as pipes:
+        for v in values(*ranges[0], first=0):
+            if got + v.nbytes <= len(flat):
+                flat[got:got + v.nbytes] = memoryview(v).cast("B")
+            got += v.nbytes
+        for f in pipes:
+            for size in _frames(f):
+                if got + size <= len(flat):   # a short read fails in _frames
+                    f.readinto(flat[got:got + size])
+                else:                          # past the grid: only counted
+                    f.read(size)
+                got += size
+    if got != flat.nbytes:
         raise ValidationError(f"{path}: expected {n_s * n_i} data rows of 4 "
-                              f"fields, got {body.shape[0]} of {body.shape[1]}")
-    body = body.reshape(n_s, n_i, 4)
-    off_s = np.max(np.abs(body[:, :, 0] - grid_s.detunings[:, None]))
-    off_i = np.max(np.abs(body[:, :, 1] - grid_i.detunings))
-    if max(off_s / grid_s.half_span, off_i / grid_i.half_span) > 1e-9:
-        raise ValidationError(f"{path}: nu_s/nu_i columns disagree with the "
-                              "header grid")
-    vals = np.ascontiguousarray(body[:, :, 2:]).view(complex)[:, :, 0]
+                              f"fields, got {got // 16} of 4")
+    vals = out.view(complex).reshape(n_s, n_i)
     return JointSpectralAmplitude(grid_s, grid_i, vals, norm_flag=normalized)
 
 

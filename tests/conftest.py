@@ -1,6 +1,7 @@
 """Shared fixtures and the suite-level runtime guard."""
 
 import math
+import os
 import time
 
 import numpy as np
@@ -23,6 +24,18 @@ def pytest_sessionfinish(session, exitstatus):
     if elapsed > SUITE_BUDGET_S and session.exitstatus == 0:
         print("SUITE RUNTIME EXCEEDED BUDGET -> failing the run")
         session.exitstatus = 1
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Every child process a test starts (the CSV row-block workers among
+    them) has been reaped when it ends."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left unreaped (waitpid gave pid {pid})")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 """Reference implementations kept as test oracles.
 
 Each function is the direct per-point form of a vectorized path in the
-package: the per-cell JSA CSV writer and reader, the per-cell surface
+package: the per-cell JSA CSV writer and reader, the np.loadtxt reader
+that converts every field (the oracle of the block-parallel one that
+converts only re/im), the per-cell surface
 table of `biphoton reproduce fig5|fig7`, the per-delay cosine sum of the
 numeric dip, the per-angle polarization fringe, and the Bell-analyzer rate
 with the full N^2 phase exp(i dw tau), and the noncollinear sinc JSA in
@@ -18,12 +20,15 @@ a time, and two-mode Fock states go through a 2x2 splitter by their own
 creation-operator expansion: the oracles of the one expansion engine.  The
 pair-source permutation-pair sum that enumerates S_n, its partners and its
 cycles on every call is the oracle of the one on per-n tables built once.
+The exchange-symmetry residual and the Schmidt-sum reconstruction are
+kept here for the tests that check the package against them.
 """
 
 import csv
 import io
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -86,6 +91,63 @@ def read_jsa_csv(path) -> JointSpectralAmplitude:
             vals[a, b] = complex(float(parts[2]), float(parts[3]))
             idx += 1
     return JointSpectralAmplitude(grid_s, grid_i, vals, norm_flag=normalized)
+
+
+def read_jsa_csv_loadtxt(path) -> JointSpectralAmplitude:
+    """The np.loadtxt reader: every field of the body converted to a float,
+    then the nu_s/nu_i columns compared with the header grid by value."""
+    header: dict = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln in fh:
+            if ln.startswith("#"):
+                for tok in ln[1:].split():
+                    if "=" in tok:
+                        k, vv = tok.split("=", 1)
+                        header[k] = vv
+            elif ln.startswith("nu_s"):
+                break
+        try:
+            with warnings.catch_warnings():   # an empty body fails below
+                warnings.simplefilter("ignore", UserWarning)
+                body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:   # ragged or non-numeric rows
+            raise ValidationError(f"{path}: bad JSA data row: {exc}") from None
+    try:
+        n_s = int(header["n_s"])
+        n_i = int(header["n_i"])
+        grid_s = FrequencyGrid(float(header["omega0_rad_s"]),
+                               float(header["half_span_s_rad_s"]), n_s)
+        grid_i = FrequencyGrid(float(header["omega0_i_rad_s"]),
+                               float(header["half_span_i_rad_s"]), n_i)
+        normalized = bool(int(header["normalized"]))
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing JSA header field {exc}") from None
+    if body.shape != (n_s * n_i, 4):
+        raise ValidationError(f"{path}: expected {n_s * n_i} data rows of 4 "
+                              f"fields, got {body.shape[0]} of {body.shape[1]}")
+    body = body.reshape(n_s, n_i, 4)
+    off_s = np.max(np.abs(body[:, :, 0] - grid_s.detunings[:, None]))
+    off_i = np.max(np.abs(body[:, :, 1] - grid_i.detunings))
+    if max(off_s / grid_s.half_span, off_i / grid_i.half_span) > 1e-9:
+        raise ValidationError(f"{path}: nu_s/nu_i columns disagree with the "
+                              "header grid")
+    vals = np.ascontiguousarray(body[:, :, 2:]).view(complex)[:, :, 0]
+    return JointSpectralAmplitude(grid_s, grid_i, vals, norm_flag=normalized)
+
+
+def symmetry_residual(jsa) -> float:
+    """L2 norm of S(nu_s, nu_i) - S(nu_i, nu_s); requires a square grid pair."""
+    if (jsa.grid_s.n_points != jsa.grid_i.n_points
+            or jsa.grid_s.half_span != jsa.grid_i.half_span):
+        raise ValidationError("symmetry residual needs identical square grids")
+    return float(math.sqrt(np.sum(np.abs(jsa.values - jsa.values.T) ** 2)
+                           * jsa.measure))
+
+
+def schmidt_reconstruct(dec) -> np.ndarray:
+    """sum_n sqrt(lambda_n) psi_n(nu_s) phi_n(nu_i) on the grid."""
+    w = np.sqrt(dec.eigenvalues)
+    return (dec.signal_modes.T * w) @ dec.idler_modes
 
 
 def surface_csv(grid_s, grid_i, values) -> str:

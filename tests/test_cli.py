@@ -431,6 +431,20 @@ def test_beam_figure_solves_the_cut_twice(tmp_path, monkeypatch, figure):
     assert len(calls) == 2
 
 
+def test_design_report_solves_the_cut_once(tmp_path, monkeypatch):
+    # theta_pm and both group slopes come from one cut-angle solve
+    calls = []
+    solve = dispersion.noncollinear_cut_angle
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return solve(*a, **kw)
+
+    monkeypatch.setattr(dispersion, "noncollinear_cut_angle", counted)
+    assert run(["design", "report", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_reproduce_fig3(tmp_path):
     assert run(["reproduce", "fig3", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "fig3.json").read_text())

@@ -4,6 +4,7 @@ the CSV dump format."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_gamma_value_and_definition():
     g = spectra.gaussian_sinc_gamma()
     assert g == pytest.approx(0.193, abs=1e-3)
     assert g == pytest.approx(GAMMA, rel=1e-15)
-    xh = spectra.sinc_half_point()
+    xh = spectra._SINC_HALF
     assert math.exp(-g * xh**2) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -66,12 +67,12 @@ def test_half_point_against_bisection():
             lo = mid
         else:
             hi = mid
-    assert spectra.sinc_half_point() == pytest.approx(
+    assert spectra._SINC_HALF == pytest.approx(
         0.5 * (lo + hi), abs=1e-10)
 
 
 def test_half_point_matches_brentq():
-    assert spectra.sinc_half_point() == pytest.approx(
+    assert spectra._SINC_HALF == pytest.approx(
         oracles.sinc_half_point(), abs=2e-15)
 
 
@@ -387,13 +388,13 @@ def test_csv_roundtrip_bit_exact_property(tmp_path, n_s, n_i, omega0,
     assert _same_jsa(spectra.read_jsa_csv(path), jsa)
 
 
-def _corrupt(lines, kind):
+def _corrupt(lines, kind, row=4):
     """Damage the data rows (which start at line 6) of a written JSA."""
     body = lines[6:]
     if kind == "three_fields":
-        body[4] = body[4].rsplit(",", 1)[0]
+        body[row] = body[row].rsplit(",", 1)[0]
     elif kind == "five_fields":
-        body[4] += ",0"
+        body[row] += ",0"
     elif kind == "missing_row":
         body.pop()
     elif kind == "no_rows":
@@ -402,9 +403,9 @@ def _corrupt(lines, kind):
         body.append(body[-1])
     else:   # shift one detuning column by 1e-6 of its half span
         col = 0 if kind == "nu_s_off" else 1
-        fields = body[4].split(",")
+        fields = body[row].split(",")
         fields[col] = "%.17g" % (float(fields[col]) + 1.5e8)
-        body[4] = ",".join(fields)
+        body[row] = ",".join(fields)
     return "\n".join(lines[:6] + body) + "\n"
 
 
@@ -450,6 +451,192 @@ def test_read_jsa_csv_tolerates_rounding_in_detuning_columns(tmp_path):
     lines[10] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     assert _same_jsa(spectra.read_jsa_csv(path), jsa)
+
+
+# ----------------------------------------------------------------------
+# the CSV round trip in row blocks: one per CPU, forced here to 1, 2 or 3
+# ----------------------------------------------------------------------
+
+_CORRUPT = ["three_fields", "five_fields", "missing_row", "no_rows",
+            "extra_row", "nu_s_off", "nu_i_off"]
+
+
+def _moved(lines, col, rel):
+    """Move the nu_s (col 0) or nu_i (col 1) entry of grid cell (5, 3) by
+    rel of its grid's half span (1.5e14 and 1.2e14 in chirped_jsa)."""
+    body = lines[6:]
+    row = 5 * 5 + 3
+    fields = body[row].split(",")
+    fields[col] = "%.17g" % (float(fields[col]) + rel * (1.5e14, 1.2e14)[col])
+    body[row] = ",".join(fields)
+    return "\n".join(lines[:6] + body) + "\n"
+
+
+def _variant(lines, case):
+    """(text, accepted) of one reader case built from a written 7 x 5 JSA."""
+    head, body = lines[:6], lines[6:]
+    join = lambda rows: "\n".join(head + rows) + "\n"
+    if case == "plain":
+        return join(body), True
+    if case == "crlf":
+        return "\r\n".join(head + body) + "\r\n", True
+    if case == "trailing_blank_lines":
+        return join(body) + "\n\n\n", True
+    if case in ("blank_lines_inside", "comment_lines_inside"):
+        extra = "" if case == "blank_lines_inside" else "# a comment, 1,2"
+        for at in (31, 17, 9, 2):   # in every block at every count
+            body.insert(at, extra)
+        return join(body), True
+    if case == "inline_comment":
+        body[20] += " # x"
+        return join(body), True
+    if case == "comma_space_separators":
+        return join([ln.replace(",", ", ") for ln in body]), True
+    if case.startswith("moved_"):
+        col, rel = case[len("moved_"):].rsplit("_", 1)
+        return _moved(lines, ("nu_s", "nu_i").index(col), float(rel)), \
+            rel == "1e-12"
+    kind, _, where = case.rpartition("@")
+    return _corrupt(lines, kind, row=int(where)), False
+
+
+_READER_CASES = (
+    ["plain", "crlf", "trailing_blank_lines", "blank_lines_inside",
+     "comment_lines_inside", "inline_comment", "comma_space_separators"]
+    + [f"{k}@{row}" for k in _CORRUPT for row in (4, 30)]
+    + [f"moved_{col}_{rel}" for col in ("nu_s", "nu_i")
+       for rel in ("1e-12", "1e-6")])
+
+
+def _read_or_none(read, path):
+    try:
+        return read(path)
+    except ValidationError:
+        return None
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("case", _READER_CASES)
+def test_read_jsa_csv_matches_loadtxt_oracle(tmp_path, monkeypatch, case,
+                                             blocks):
+    # 7 rows of 5 cells: no block count here divides the row count
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    jsa = chirped_jsa(7, 5)
+    path = tmp_path / "j.csv"
+    spectra.write_jsa_csv(jsa, path)
+    text, accepted = _variant(path.read_text().splitlines(), case)
+    path.write_bytes(text.encode())
+    want = _read_or_none(oracles.read_jsa_csv_loadtxt, path)
+    got = _read_or_none(spectra.read_jsa_csv, path)
+    assert (want is not None) == accepted
+    assert (got is not None) == accepted
+    if accepted:
+        assert _same_jsa(got, want)
+        assert _same_jsa(got, jsa)
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+@pytest.mark.parametrize("kind, message", [
+    ("three_fields", "bad JSA data row"),
+    ("nu_i_off", "nu_s/nu_i columns disagree"),
+    ("missing_row", "expected 35 data rows of 4 fields, got 34 of 4"),
+    ("extra_row", "expected 35 data rows of 4 fields, got 36 of 4")])
+def test_read_jsa_csv_error_from_a_worker_block(tmp_path, monkeypatch,
+                                                blocks, kind, message):
+    # the damage sits in the last rows, which a forked worker reads
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    path = tmp_path / "j.csv"
+    spectra.write_jsa_csv(chirped_jsa(7, 5), path)
+    path.write_text(_corrupt(path.read_text().splitlines(), kind, row=-2))
+    with pytest.raises(ValidationError, match=message):
+        spectra.read_jsa_csv(path)
+
+
+def test_read_jsa_csv_worker_that_dies_is_an_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: 2)
+    parse = spectra._piece_values
+
+    def dying(path, piece, first, grids, texts):
+        if first > 0:   # only the worker reads past row 0
+            os._exit(3)
+        return parse(path, piece, first, grids, texts)
+
+    path = tmp_path / "j.csv"
+    spectra.write_jsa_csv(chirped_jsa(7, 5), path)
+    monkeypatch.setattr(spectra, "_piece_values", dying)
+    with pytest.raises(ValidationError, match="worker ended before finishing"):
+        spectra.read_jsa_csv(path)
+
+
+def test_read_jsa_csv_rejects_nan_detunings(tmp_path):
+    # the loadtxt reader let nan through: max(nan, x) > 1e-9 is False
+    path = tmp_path / "j.csv"
+    spectra.write_jsa_csv(chirped_jsa(4, 3), path)
+    lines = path.read_text().splitlines()
+    fields = lines[10].split(",")
+    fields[0] = "nan"
+    lines[10] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="disagree with the header grid"):
+        spectra.read_jsa_csv(path)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_csv_writers_match_oracles_in_blocks(tmp_path, monkeypatch, capsys,
+                                             blocks):
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    for n_s in (5, 7):
+        jsa = chirped_jsa(n_s, 4, omega0_offset=1e13)
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        spectra.write_jsa_csv(jsa, fast)
+        oracles.write_jsa_csv(jsa, slow)
+        assert fast.read_bytes() == slow.read_bytes()
+        assert fast.read_text().count("# omega0_rad_s=") == 1
+        assert fast.read_text().count("nu_s,nu_i,re,im") == 1
+        surface = tmp_path / "surface.csv"
+        cli._write_surface_csv(str(surface), jsa.grid_s, jsa.grid_i,
+                               np.abs(jsa.values))
+        assert capsys.readouterr().out == f"wrote {surface}\n"
+        assert surface.read_bytes().decode() == oracles.surface_csv(
+            jsa.grid_s, jsa.grid_i, np.abs(jsa.values))
+
+
+@pytest.mark.parametrize("in_worker", [True, False])
+def test_write_grid_rows_formatter_error_reaches_the_caller(
+        tmp_path, monkeypatch, in_worker):
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: 2)
+    fmt = spectra._format_rows
+
+    def failing(template, nu_s, values, lo, hi):
+        if (lo > 0) == in_worker:
+            raise RuntimeError("formatter broke")
+        return fmt(template, nu_s, values, lo, hi)
+
+    monkeypatch.setattr(spectra, "_format_rows", failing)
+    raised = ValidationError if in_worker else RuntimeError
+    with pytest.raises(raised, match="formatter broke"):
+        spectra.write_jsa_csv(chirped_jsa(5, 3), tmp_path / "j.csv")
+
+
+def test_csv_blocks_never_outnumber_rows(tmp_path, monkeypatch):
+    forks = []
+    fork = spectra._fork
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(spectra, "_fork", lambda: forks.append(1) or fork())
+    jsa = chirped_jsa(2, 9)
+    spectra.write_jsa_csv(jsa, tmp_path / "j.csv")
+    assert len(forks) == 1
+    assert _same_jsa(spectra.read_jsa_csv(tmp_path / "j.csv"), jsa)
+    assert len(forks) == 2
+
+
+def test_csv_without_fork_runs_one_block(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert spectra._cpu_count() == 1
+    monkeypatch.setattr(spectra, "_fork", None)   # never called
+    jsa = chirped_jsa(5, 4)
+    spectra.write_jsa_csv(jsa, tmp_path / "j.csv")
+    assert _same_jsa(spectra.read_jsa_csv(tmp_path / "j.csv"), jsa)
 
 
 def test_metadata_fields(jsa_typeII):
