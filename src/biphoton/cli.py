@@ -52,9 +52,13 @@ def _suffixed(text: str, suffixes, what: str) -> float:
     for suf, scale in suffixes:
         if t.endswith(suf):
             try:
-                return float(t[: -len(suf)]) * scale
+                value = float(t[: -len(suf)]) * scale
             except ValueError:
                 break
+            if not math.isfinite(value):
+                raise argparse.ArgumentTypeError(
+                    f"{what} must be finite, got {text!r}")
+            return value
     units = "|".join(s for s, _ in suffixes)
     raise argparse.ArgumentTypeError(
         f"{what} needs a number with unit suffix ({units}), got {text!r}")
@@ -235,7 +239,7 @@ def build_parser():
     reg.add("--r", type=float, default=focksim.IDEAL_NS_R)
     reg.add("--s", type=float, default=focksim.IDEAL_NS_S)
     reg.add("--search", action="store_true",
-            help="run the grid+simplex recovery of the ideal reflectivities")
+            help="re-derive the ideal reflectivities from the network")
     reg.add("--mz", type=parse_angle_rad, default=None,
             help="also run the two-photon interferometer at this phase")
 

@@ -170,6 +170,8 @@ def economy_figure(label: str, crystal_length_mm: float, pump_power_w: float,
                    singles_rate_hz: float, coincidence_ratio: float,
                    r_printed: Optional[float] = None,
                    rel_tol: float = ECONOMY_REL_TOL) -> EconomyRecord:
+    if not rel_tol >= 0.0:
+        raise ValidationError(f"rel_tol must be >= 0, got {rel_tol!r}")
     if min(crystal_length_mm, pump_power_w, singles_rate_hz) <= 0.0:
         raise ValidationError("economy inputs must be positive")
     if not 0.0 <= coincidence_ratio <= 1.0:

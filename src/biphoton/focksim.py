@@ -51,6 +51,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .dispersion import bisect_root
 from .errors import ValidationError
 from .schmidt import analytic_K
 
@@ -428,8 +429,9 @@ def _cycles(perm):
 # ----------------------------------------------------------------------
 
 # Reflectivities solving c0 = c1 = -c2 with the largest heralding
-# probability (|c0|^2 = 1/4 exactly) in the sandwich topology below; the
-# grid+simplex search in the tests recovers them independently.
+# probability (|c0|^2 = 1/4 exactly) in the sandwich topology below;
+# `ns_search` recovers them from the network by reduction, and the
+# grid + Nelder-Mead search in the tests independently.
 IDEAL_NS_R = 1.0 / (4.0 - 2.0 * math.sqrt(2.0))
 IDEAL_NS_S = (math.sqrt(2.0) - 1.0) ** 2
 
@@ -484,16 +486,6 @@ def ns_conditional_map(cfg: NSGateConfig) -> NSConditionalMap:
                             float(abs(c0) ** 2))
 
 
-def _ns_map_residual(x) -> float:
-    """Distance from the target map shape (c0, c1, c2) proportional to
-    (1, 1, -1); zero exactly on the sign-flipping solution set."""
-    r, s = x
-    if not (1e-6 < r < 1.0 - 1e-6 and 1e-6 < s < 1.0 - 1e-6):
-        return 10.0
-    m = ns_conditional_map(NSGateConfig(r=float(r), s=float(s)))
-    return abs(m.c1 - m.c0) ** 2 + abs(m.c2 + m.c0) ** 2
-
-
 @dataclass(frozen=True)
 class NSSearchResult:
     r: float
@@ -502,38 +494,43 @@ class NSSearchResult:
     map: NSConditionalMap
 
 
+_NS_SCAN = np.linspace(0.0, 1.0, 66)[1:-1].tolist()   # 64 points inside (0, 1)
+_NS_DARK = 1e-12        # a root whose success |c0|^2 is this small is dark
+
+
 def ns_search() -> NSSearchResult:
-    """Recover the ideal reflectivities numerically.
+    """Recover the ideal reflectivities from the network, by reduction.
 
-    Two stages: every strict local minimum of the map residual on a 41 x 41
-    (r, s) grid over [0.02, 0.98] is polished with Nelder-Mead; among the
-    polished points that satisfy the (1, 1, -1) proportionality to 1e-10,
-    the one with the highest success probability |c0|^2 wins.  (The
-    residual alone has more than one zero; the success probability breaks
-    the tie.)
+    A meets only its pi phase and the central splitter, so U_AA depends on
+    s alone.  Dividing by U_BB, c1 = c0 gives U_AB U_BA = U_BB (1 - U_AA),
+    and c2 = -c0 then leaves U_AA^2 - 2 U_AA - 1 = 0: U_AA = 1 - sqrt(2).
+    So s is bisected on Re U_AA(s) = 1 - sqrt(2), r is scanned for sign
+    changes of Re(c1 - c0) at that s, and each change is bisected to full
+    precision.  Dark roots (|c0| ~ 0) and roots whose residual
+    |c1 - c0|^2 + |c2 + c0|^2 exceeds 1e-10 are dropped; the root with the
+    highest success probability |c0|^2 wins.
     """
-    from scipy.optimize import minimize  # only this search needs scipy
+    u_aa = 1.0 - math.sqrt(2.0)     # U_AA does not depend on r: take 1/2
+    s = bisect_root(
+        lambda s: ns_network(NSGateConfig(0.5, s)).unitary[0, 0].real - u_aa,
+        _NS_SCAN[0], _NS_SCAN[-1], 0.0)
 
-    rs = np.linspace(0.02, 0.98, 41)
-    vals = np.array([[_ns_map_residual((r, s)) for s in rs] for r in rs])
-    starts = []
-    for i in range(len(rs)):
-        for j in range(len(rs)):
-            patch = vals[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
-            if vals[i, j] <= patch.min():
-                starts.append((float(rs[i]), float(rs[j])))
+    def gap(r):
+        m = ns_conditional_map(NSGateConfig(r=r, s=s))
+        return (m.c1 - m.c0).real
+
+    scan = [(r, gap(r)) for r in _NS_SCAN]
     best = None
-    for x0 in starts:
-        res = minimize(_ns_map_residual, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-24,
-                                "maxiter": 4000})
-        if res.fun > 1e-10:
+    for (lo, f_lo), (hi, f_hi) in zip(scan, scan[1:]):
+        if (f_lo > 0) == (f_hi > 0):
             continue
-        r, s = float(res.x[0]), float(res.x[1])
-        cand = NSSearchResult(r, s, float(res.fun),
-                              ns_conditional_map(NSGateConfig(r=r, s=s)))
-        if best is None or cand.map.success > best.map.success:
-            best = cand
+        r = bisect_root(gap, lo, hi, 0.0)
+        m = ns_conditional_map(NSGateConfig(r=r, s=s))
+        objective = abs(m.c1 - m.c0) ** 2 + abs(m.c2 + m.c0) ** 2
+        if m.success <= _NS_DARK or objective > 1e-10:
+            continue
+        if best is None or m.success > best.map.success:
+            best = NSSearchResult(r, s, objective, m)
     if best is None:
         raise ValidationError("no (r, s) satisfied the map proportionality")
     return best

@@ -657,6 +657,40 @@ def test_span_factor_taken_as_given(tmp_path, capsys, builder, span):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("argv, suffix", [
+    (["nsgate", "--mz"], "deg"),
+    (["bell", "--grid", "16", "--tau-max"], "ps"),
+    (["jsa", "--grid", "16", "--length"], "mm"),
+    (["jsa", "--grid", "16", "--theta"], "rad"),
+])
+def test_suffixed_number_must_be_finite(tmp_path, capsys, argv, suffix,
+                                        value):
+    # nan and inf (1e400 overflows to it) ran on, writing NaN into the
+    # artifacts or warning from numpy; now the parser refuses them
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, cap = run(argv + [value + suffix, "--out", str(out)], capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert "must be finite" in err["message"]
+    assert cap.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_economy_rel_tol_must_be_non_negative(tmp_path, capsys, tol):
+    code, cap = run(["economy", "--rel-tol", tol, "--out", str(tmp_path)],
+                    capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert "rel_tol" in err["message"]
+    assert not (tmp_path / "economy.json").exists()
+
+
 def test_validation_error_exit_two(tmp_path, capsys):
     code, cap = run(["jsa", "--sigma-f", "inf", "--out", str(tmp_path)],
                     capsys)
@@ -714,10 +748,12 @@ def test_missing_config_file_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["design", "report"],
     ["jsa", "--builder", "collinear", "--grid", "32"],
+    ["nsgate", "--search", "--mz", "180deg"],
+    ["reproduce", "fig9"],
 ])
 def test_command_runs_without_loading_scipy(argv, tmp_path):
-    # scipy.optimize is most of the import floor; only `nsgate --search`
-    # (Nelder-Mead) may load it, so a fresh interpreter must not see scipy
+    # scipy.optimize is most of the import floor and no command needs it,
+    # so a fresh interpreter must not see scipy
     script = ("import sys\n"
               "import biphoton.cli as cli\n"
               f"code = cli.main({argv + ['--out', str(tmp_path)]!r})\n"

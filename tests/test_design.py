@@ -177,6 +177,22 @@ def test_economy_validation():
         design.economy_figure("x", 1.0, 1.0, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, -math.inf])
+def test_economy_rel_tol_must_be_non_negative(tmp_path, tol):
+    # a negative tolerance flagged every row and NaN none; also refused
+    # for a row without a quoted value
+    p = tmp_path / "rows.csv"
+    p.write_text("src a,2.0,0.5,1e6,0.3,1e6\n")
+    for build in (lambda: design.economy_figure("x", 1.0, 1.0, 1.0, 0.5,
+                                                 rel_tol=tol),
+                  lambda: design.builtin_economy_records(rel_tol=tol),
+                  lambda: design.load_economy_csv(p, rel_tol=tol)):
+        with pytest.raises(ValidationError):
+            build()
+    assert design.economy_figure("x", 1.0, 1.0, 1.0, 0.5, r_printed=1.0,
+                                 rel_tol=0.0).flagged is False
+
+
 def test_builtin_benchmark_rows():
     rows = design.builtin_economy_records()
     assert [r.flagged for r in rows] == [False, True, False]

@@ -581,6 +581,38 @@ def test_ns_search_recovers_ideal_point():
     assert res.objective < 1e-10
 
 
+def test_ns_search_matches_grid_simplex_oracle():
+    res = focksim.ns_search()
+    ref = oracles.ns_search_grid_simplex()
+    assert res.r == pytest.approx(ref.r, abs=1e-9)
+    assert res.s == pytest.approx(ref.s, abs=1e-9)
+    assert res.map.success >= ref.map.success - 1e-12
+
+
+def test_ns_search_lands_on_ideal_point_to_rounding():
+    res = focksim.ns_search()
+    assert abs(res.r - focksim.IDEAL_NS_R) <= 1e-12
+    assert abs(res.s - focksim.IDEAL_NS_S) <= 1e-12
+    assert abs(res.map.success - 0.25) <= 1e-12
+    assert res.objective < 1e-10
+
+
+@pytest.mark.parametrize("r1, r2, s", [(0.1, 0.9, 0.3),
+                                       (0.25, 0.75, focksim.IDEAL_NS_S),
+                                       (0.5, 0.05, 0.8)])
+def test_ns_signal_amplitude_depends_on_s_alone(r1, r2, s):
+    # the premise of the reduction in ns_search: U_AA is a function of s
+    def u_aa(r):
+        return focksim.ns_network(focksim.NSGateConfig(r=r, s=s)).unitary[0, 0]
+    assert abs(u_aa(r1) - u_aa(r2)) <= 1e-15
+
+
+def test_ns_search_without_bright_root_raises(monkeypatch):
+    monkeypatch.setattr(focksim, "_NS_DARK", 1.0)   # every root counts dark
+    with pytest.raises(ValidationError):
+        focksim.ns_search()
+
+
 def test_ns_map_via_pattern_probability():
     # the closed-form conditional amplitudes against the generic machinery:
     # herald (0, 1, 0) on signal |n> with the right normalization
