@@ -77,12 +77,15 @@ def parse_angle_rad(text: str) -> float:
 
 
 def parse_bandwidth(text: str):
-    """('nm_fwhm', value) or ('rad_s', value)."""
+    """('nm_fwhm', value) or ('rad_s', value), the value finite and > 0."""
     t = text.strip()
-    if t.endswith("nm_fwhm"):
-        return ("nm_fwhm", float(t[: -len("nm_fwhm")]))
-    if t.endswith("rad_s"):
-        return ("rad_s", float(t[: -len("rad_s")]))
+    for suffix in ("nm_fwhm", "rad_s"):
+        if t.endswith(suffix):
+            value = float(t[: -len(suffix)])
+            if not 0 < value < math.inf:
+                raise argparse.ArgumentTypeError(
+                    f"bandwidth must be finite and positive, got {text!r}")
+            return (suffix, value)
     raise argparse.ArgumentTypeError(
         f"bandwidth needs an nm_fwhm or rad_s suffix, got {text!r}")
 

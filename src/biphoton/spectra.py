@@ -54,6 +54,22 @@ _CHUNK = 1 << 20
 _FRAME = struct.Struct("<q")   # a frame's size; 0 ends a block, < 0 an error
 # a JSA body row as read: nu_s, nu_i as text (any %.17g fits), re, im
 _TEXT_ROW = np.dtype([("nu", "S32", (2,)), ("v", "f8", (2,))])
+# Grid cells whose text a CSV writer makes in one pass: the temporaries
+# stay near 3 MB, and larger pieces write an N=1024 JSA no faster
+_CELLS = 1 << 13
+# %.17g in numpy (_g17_bytes): |x| 10**q, q = 16 - floor(log10 |x|), as a
+# double-double gives the 17 digits; the rest of a value's text is table
+# lookups and byte moves.  A value whose fraction lies within _G17_TIE of
+# 1/2, whose digits fall outside [1e16, 1e17) or that is at least _G17_BIG
+# (where the Dekker split overflows) goes to Python's own '%.17g'.
+_G17 = 28                 # bytes a value's text is made in; the text is 24 at most
+_G17_TIE = 1e-9           # the double-double is good to about 1e-14 here
+_G17_BIG = 1e290
+_Q_MIN, _Q_MAX = -280, 345
+_Q_SCALED = 227           # past this q, |x| times 2**700 and 10**q times 2**-700
+_P10 = None               # hi, lo of 10**q by q - _Q_MIN: filled as values need them
+_TABLES = None            # digit and exponent words of _tables()
+_DIGIT_COLS = [1, *range(4, 20)]   # the 17 digits in a value's scientific text
 # Complex N_s x N_i arrays in a JSA's working set: a build peaks at 5.5
 # (tracemalloc, all four builders) and the Schmidt SVD adds its factors.
 WORKING_ARRAYS = 8
@@ -541,6 +557,151 @@ def _frames(f):
         yield size
 
 
+def _pow10(q):
+    """(hi, lo, hi's Dekker halves): the double-double of 10**q (of
+    10**q / 2**700 past _Q_SCALED) for every q, each rounded from Python
+    integers the first time a value needs it."""
+    global _P10
+    if _P10 is None:
+        _P10 = np.full((4, _Q_MAX - _Q_MIN + 1), np.nan)
+    j = q - _Q_MIN
+    if j.size:
+        lo, hi = j.min(), j.max() + 1
+        for i in (np.flatnonzero(np.isnan(_P10[0, lo:hi])) + lo).tolist():
+            e = i + _Q_MIN
+            num = 10 ** max(e, 0)
+            den = 10 ** max(-e, 0) << (700 if e > _Q_SCALED else 0)
+            h = num / den   # int / int rounds correctly
+            hn, hd = h.as_integer_ratio()
+            _P10[:, i] = (h, (num * hd - hn * den) / (den * hd),
+                          *_split(np.float64(h)))
+    return [np.take(row, j) for row in _P10]
+
+
+def _tables():
+    """(digits, exponents), built on first use.  digits[g] is '%04d' % g as
+    '<u4' bytes and digits[10000 + g] the same with its trailing '0's as
+    NUL; exponents[:, 330 + e] are the two '<u4' words of 'e+dd', 'e-ddd'
+    and so on for an exponent e that %g writes in scientific notation,
+    zero for the rest."""
+    global _TABLES
+    if _TABLES is None:
+        g = np.arange(10000)
+        d = [g // 1000, g // 100 % 10, g // 10 % 10, g % 10]
+        plain = sum((x + 48) << 8 * i for i, x in enumerate(d))
+        zeros = sum(np.cumprod([x == 0 for x in d[::-1]], axis=0))  # trailing
+        e = np.arange(-330, 330)
+        m = np.abs(e)
+        expo = np.where((e < -4) | (e >= 17), [
+            0x65 | np.where(e < 0, 45, 43) << 8            # 'e-', 'e+'
+            | np.where(m >= 100, m // 100 + 48, 0) << 16 | (m // 10 % 10 + 48) << 24,
+            m % 10 + 48], 0)
+        _TABLES = (np.concatenate([plain, plain & 0xFFFFFFFF >> 8 * zeros]
+                                  ).astype("<u4"), expo.astype("<u4"))
+    return _TABLES
+
+
+def _split(a):
+    """Dekker's split of a into two 26-bit halves."""
+    c = a * 134217729.0
+    h = c - (c - a)
+    return h, a - h
+
+
+def _g17_slow(x) -> np.ndarray:
+    """'%.17g' % v by Python for each v of x, as S{_G17}."""
+    return np.array(["%.17g" % v for v in x.tolist()], dtype=f"S{_G17}")
+
+
+def _g17_bytes(x) -> np.ndarray:
+    """(m, _G17) uint8 holding '%.17g' % v for each v of the flat float64
+    array x, with NUL bytes at places: deleting the NULs of a row leaves
+    the text.  The last byte of a row is always NUL."""
+    x = np.ravel(np.asarray(x, dtype=np.float64))
+    a = np.abs(x)
+    fast = (a > 0) & (a < _G17_BIG)   # false for nan
+    big = (a >= _G17_BIG) & (a < np.inf)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)   # the decimal exponent
+    q = 16 - k
+    if q.size and q.max() > _Q_SCALED:
+        a *= np.where(q > _Q_SCALED, 2.0 ** 700, 1.0)
+    hi, lo, hh, hl = _pow10(q)
+    # a * 10**q = p + t: a * hi = p + e exactly (Dekker), t = e + a * lo
+    p = a * hi
+    ah, al = _split(a)
+    t = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    f = np.floor(t)
+    frac = t - f
+    d = p.astype(np.int64) + f.astype(np.int64)   # the digits, truncated
+    # with lo = 0 (10**q exact for 0 <= q <= 22) the sum is exact and a
+    # tie rounds half to even here; ties need such a q, the rest are near
+    # ties only, and those within _G17_TIE of one go to Python
+    slow = fast & (((lo != 0) & (np.abs(frac - 0.5) < _G17_TIE))
+                   | (d < 10 ** 16))
+    d += (frac > 0.5) | ((frac == 0.5) & (d & 1 == 1))
+    slow |= big | (d >= 10 ** 17)
+    fast &= ~slow
+    d = np.where(fast, d, 10 ** 16)
+    # the words of the text: sign, lead and '.'; four groups of four
+    # digits, the trailing '0's as NUL; the exponent
+    digits, expo = _tables()
+    words = np.empty((_G17 // 4, len(x)), "<u4")
+    lead = d // 10 ** 16
+    r = d - lead * 10 ** 16
+    h = (r // 10 ** 8).astype(np.int32)
+    low = (r - h * 10 ** 8).astype(np.int32)
+    zero = np.full(len(x), 10000, np.int32)   # every group after this is 0
+    for col, n in ((4, low), (3, low), (2, h), (1, h)):
+        g = n % 10 ** 4 if col % 2 == 0 else n // 10 ** 4
+        np.take(digits, g + zero, out=words[col])
+        zero *= g == 0
+    words[0] = np.where(fast, (lead.astype(np.uint32) + 48) << 8
+                        | np.where(zero, 0, 46 << 16),   # '.'
+                        np.where(x == 0, 0x3000, 0x666E6900)  # '0', 'inf'
+                        ) | np.signbit(x) * np.uint32(45)       # '-'
+    words[0, np.isnan(x)] = 0x6E616E   # 'nan', no sign
+    np.take(expo[0], k + 330, out=words[5])
+    np.take(expo[1], k + 330, out=words[6])
+    words = np.ascontiguousarray(words.T)
+    text = words.view(np.uint8)
+    rows = np.flatnonzero(fast & (k >= -4) & (k < 17))
+    xs = k[rows]
+    for xe in np.unique(xs).tolist():   # fixed notation, by exponent
+        at = rows[xs == xe]
+        text[at] = _fixed(text[at], xe)
+    if slow.any():
+        text[slow] = _g17_slow(x[slow]).view(np.uint8).reshape(-1, _G17)
+    return text
+
+
+def _fixed(text, xe):
+    """The rows of scientific text (sign, lead, '.', digits) of values with
+    decimal exponent -4 <= xe < 17 laid out in fixed notation."""
+    digits = text[:, _DIGIT_COLS]
+    out = np.zeros_like(text)
+    out[:, 0] = text[:, 0]
+    if xe >= 0:   # the integer part keeps its '0's; a '.' if digits follow
+        out[:, 1:xe + 2] = np.maximum(digits[:, :xe + 1], 48)
+        if xe < 16:
+            out[:, xe + 2] = np.where(digits[:, xe + 1] != 0, 46, 0)
+            out[:, xe + 3:19] = digits[:, xe + 1:]
+    else:         # '0.', then -xe - 1 '0's
+        out[:, 1:2 - xe] = 48
+        out[:, 2] = 46
+        out[:, 2 - xe:19 - xe] = digits
+    return out
+
+
+def _g17(x) -> np.ndarray:
+    """'%.17g' % v for each v of the float64 array x, as S24."""
+    text = _g17_bytes(x)
+    keep = text != 0
+    out = np.zeros((len(text), 24), np.uint8)
+    out[np.arange(24) < np.count_nonzero(keep, axis=1)[:, None]] = text[keep]
+    return out.view("S24").ravel()
+
+
 def _row_blocks(n_rows: int):
     """(lo, hi) of one contiguous block of rows per CPU, at most one per row."""
     k = max(1, min(_cpu_count(), n_rows))
@@ -548,30 +709,43 @@ def _row_blocks(n_rows: int):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _format_rows(template, nu_s, values, lo, hi):
-    """The text of grid rows lo..hi-1, one row at a time."""
-    dtype = complex if np.iscomplexobj(values) else float
-    for ns, row in zip(nu_s[lo:hi], values[lo:hi]):
-        row = np.ascontiguousarray(row, dtype=dtype)
-        yield (template.replace("\0", "%.17g" % ns)
-               % tuple(row.view(np.float64).tolist()))
+def _grid_text(nu_s, nu_i, values, lo, hi):
+    """The text of grid rows lo..hi-1 in pieces of whole rows of about
+    _CELLS cells: each cell's nu_s and nu_i texts (_g17), value texts
+    (_g17_bytes) and separators, made in one byte matrix whose NULs are
+    then deleted."""
+    parts = 2 if np.iscomplexobj(values) else 1
+    nu = [np.c_[_g17(v).view(np.uint8).reshape(-1, 24),
+                np.full(len(v), 44, np.uint8)] for v in (nu_s, nu_i)]
+    step = max(1, _CELLS // max(1, len(nu_i)))
+    for a in range(lo, hi, step):
+        b = min(hi, a + step)
+        block = np.ascontiguousarray(values[a:b], dtype=complex if parts == 2
+                                     else float)
+        vals = _g17_bytes(block.view(np.float64)).reshape(b - a, len(nu_i),
+                                                          parts, _G17)
+        vals[:, :, :-1, -1] = 44          # ','
+        vals[:, :, -1, -1] = 10           # '\n'
+        cells = np.empty((b - a, len(nu_i), 50 + parts * _G17), np.uint8)
+        cells[:, :, :25] = nu[0][a:b, None]
+        cells[:, :, 25:50] = nu[1]
+        cells[:, :, 50:] = vals.reshape(b - a, len(nu_i), -1)
+        yield cells.tobytes().translate(None, b"\0")
 
 
 def write_grid_rows(fh, nu_s, nu_i, values) -> None:
     """One "nu_s,nu_i,<value>" line per grid cell in %.17g (re,im for complex
-    values).  The rows go in one block per CPU: forked children format the
-    blocks after the first while the parent writes the first row by row,
-    then their text follows in row order, so the bytes do not depend on the
-    split and the parent holds one row or one pipe frame at a time."""
-    fields = ",%.17g,%.17g\n" if np.iscomplexobj(values) else ",%.17g\n"
-    # "\0" stands for the row's nu_s; "%.17g" text holds no "%" or "\0"
-    template = "".join("\0,%.17g" % x + fields for x in nu_i)
+    values), each number's text made in numpy by _g17_bytes, whole rows
+    of about _CELLS cells at a time.  The rows go in one block per CPU:
+    forked children make the text of the blocks after the first while the
+    parent writes the first, then their text follows in row order, so the
+    bytes do not depend on the split and the parent holds one piece or one
+    pipe frame at a time."""
     blocks = _row_blocks(len(nu_s))
     fh.flush()   # nothing buffered may be left for a child to inherit
-    with _forked(blocks[1:], lambda b: (
-            text.encode() for text in _format_rows(template, nu_s, values, *b))) as pipes:
-        for text in _format_rows(template, nu_s, values, *blocks[0]):
-            fh.write(text)
+    with _forked(blocks[1:], lambda b: _grid_text(nu_s, nu_i, values, *b)) as pipes:
+        for text in _grid_text(nu_s, nu_i, values, *blocks[0]):
+            fh.write(text.decode())
         for f in pipes:
             for size in _frames(f):
                 fh.write(f.read(size).decode())
@@ -711,8 +885,7 @@ def read_jsa_csv(path) -> JointSpectralAmplitude:
     except KeyError as exc:
         raise ValidationError(f"{path}: missing JSA header field {exc}") from None
     grids = (grid_s, grid_i)
-    texts = [np.array(["%.17g" % x for x in g.detunings], dtype="S32")
-             for g in grids]
+    texts = [_g17(g.detunings).astype(_TEXT_ROW["nu"].base) for g in grids]
 
     def values(lo, hi, first=None):   # first=None: count the rows before lo
         with open(path, "rb") as fh:

@@ -1,7 +1,9 @@
 """Reference implementations kept as test oracles.
 
 Each function is the direct per-point form of a vectorized path in the
-package: the per-cell JSA CSV writer and reader, the np.loadtxt reader
+package: the per-cell JSA CSV writer and reader, the per-row template
+text of a grid's CSV body through Python's %.17g (the byte oracle of the
+numpy formatter), the np.loadtxt reader
 that converts every field (the oracle of the block-parallel one that
 converts only re/im), the per-cell surface
 table of `biphoton reproduce fig5|fig7`, the per-delay cosine sum of the
@@ -58,6 +60,22 @@ def write_jsa_csv(jsa, path) -> None:
             for b in range(gi.n_points):
                 fh.write(f"{ns[a]:.17g},{ni[b]:.17g},"
                          f"{v[a, b].real:.17g},{v[a, b].imag:.17g}\n")
+
+
+def grid_rows_text(nu_s, nu_i, values) -> str:
+    """The body spectra.write_grid_rows writes, made by Python's %.17g one
+    row at a time through a template that holds the row's nu_i texts."""
+    complex_values = np.iscomplexobj(values)
+    fields = ",%.17g,%.17g\n" if complex_values else ",%.17g\n"
+    # "\0" stands for the row's nu_s; "%.17g" text holds no "%" or "\0"
+    template = "".join("\0,%.17g" % x + fields for x in nu_i)
+    out = []
+    for ns, row in zip(nu_s, values):
+        row = np.ascontiguousarray(row, dtype=complex if complex_values
+                                   else float)
+        out.append(template.replace("\0", "%.17g" % ns)
+                   % tuple(row.view(np.float64).tolist()))
+    return "".join(out)
 
 
 def read_jsa_csv(path) -> JointSpectralAmplitude:

@@ -83,11 +83,16 @@ UNIT_CASES = {
                    ("rad_s", lambda x: ("rad_s", x))]),
 }
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# a bandwidth must also be positive (test_bandwidth_must_be_finite_and_positive)
+NUMBERS = {kind: FINITE for kind in UNIT_CASES}
+NUMBERS["bandwidth"] = st.floats(min_value=0.0, exclude_min=True,
+                                 allow_infinity=False)
 
 
 @settings(max_examples=200, deadline=None)
-@given(x=FINITE, kind=st.sampled_from(sorted(UNIT_CASES)), data=st.data())
-def test_unit_parsers_read_repr_with_every_suffix(x, kind, data):
+@given(kind=st.sampled_from(sorted(UNIT_CASES)), data=st.data())
+def test_unit_parsers_read_repr_with_every_suffix(kind, data):
+    x = data.draw(NUMBERS[kind])
     parse, cases = UNIT_CASES[kind]
     suffix, expected = data.draw(st.sampled_from(cases))
     assert parse(repr(x) + suffix) == expected(x)
@@ -104,8 +109,9 @@ UNIT_OPTIONS = {
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(x=FINITE, kind=st.sampled_from(sorted(UNIT_OPTIONS)), data=st.data())
-def test_config_string_resolves_like_the_flag(tmp_path, x, kind, data):
+@given(kind=st.sampled_from(sorted(UNIT_OPTIONS)), data=st.data())
+def test_config_string_resolves_like_the_flag(tmp_path, kind, data):
+    x = data.draw(NUMBERS[kind])
     cmd, flag, key = UNIT_OPTIONS[kind]
     text = repr(x) + data.draw(st.sampled_from(UNIT_CASES[kind][1]))[0]
     cfg = tmp_path / "cfg.json"
@@ -676,6 +682,22 @@ def test_suffixed_number_must_be_finite(tmp_path, capsys, argv, suffix,
     err = json.loads(cap.err)
     assert err["error"] == "ValidationError"
     assert "must be finite" in err["message"]
+    assert cap.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+@pytest.mark.parametrize("suffix", ["rad_s", "nm_fwhm"])
+def test_bandwidth_must_be_finite_and_positive(tmp_path, capsys, value,
+                                               suffix):
+    # all three exited 0: inf and nan ran on, 0 wrote sigma_p 0.0
+    out = tmp_path / "out"
+    code, cap = run(["design", "report", "--bandwidth", value + suffix,
+                     "--out", str(out)], capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert "bandwidth must be finite and positive" in err["message"]
     assert cap.out == ""
     assert not out.exists()
 

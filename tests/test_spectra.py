@@ -601,18 +601,139 @@ def test_csv_writers_match_oracles_in_blocks(tmp_path, monkeypatch, capsys,
             jsa.grid_s, jsa.grid_i, np.abs(jsa.values))
 
 
+def _assert_g17(x):
+    """spectra._g17 gives Python's '%.17g' % v for every v of x."""
+    x = np.asarray(x, dtype=np.float64)
+    got = spectra._g17(x).tolist()
+    want = [("%.17g" % v).encode() for v in x.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+def _count_slow(monkeypatch):
+    """A list that grows by the number of values each call to the Python
+    %.17g path takes."""
+    sent, slow = [], spectra._g17_slow
+    monkeypatch.setattr(spectra, "_g17_slow",
+                        lambda x: sent.append(len(x)) or slow(x))
+    return sent
+
+
+def test_g17_matches_python_on_random_bit_patterns():
+    # both signs and every exponent field: subnormals, inf and nans too
+    rng = np.random.default_rng(18)
+    bits = rng.integers(0, 2 ** 64, size=1_000_000, dtype=np.uint64)
+    assert len(np.unique(bits >> np.uint64(52) & np.uint64(0x7FF))) == 2048
+    _assert_g17(bits.view(np.float64))
+    subnormal = (rng.integers(1, 2 ** 52, size=20_000, dtype=np.uint64)
+                 | rng.integers(0, 2, size=20_000, dtype=np.uint64) << np.uint64(63))
+    _assert_g17(subnormal.view(np.float64))
+
+
+def test_g17_matches_python_on_fixed_notation_and_short_digits():
+    # every fixed-notation exponent, trailing '0's in the integer part and
+    # in the fraction
+    rng = np.random.default_rng(3)
+    scale = 10.0 ** rng.integers(-6, 19, size=200_000)
+    _assert_g17(rng.normal(size=200_000) * scale)
+    ints = rng.integers(-2 ** 53, 2 ** 53, size=50_000)
+    _assert_g17(ints // 10 ** rng.integers(0, 16, size=50_000)
+                * 10.0 ** rng.integers(0, 4, size=50_000))
+    _assert_g17(rng.integers(-10 ** 6, 10 ** 6, size=50_000)
+                / 2.0 ** rng.integers(0, 30, size=50_000))
+
+
+def test_g17_matches_python_on_powers_of_ten_and_neighbours():
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    x = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+    _assert_g17(np.concatenate([x, -x]))
+
+
+def test_g17_ties_round_half_to_even(monkeypatch):
+    # k + 1/4 and k + 3/4 have 18 significant digits ending in 5, which
+    # Python rounds half to even; 10**1 is exact, so numpy rounds them
+    k = np.random.default_rng(5).integers(2 ** 50, 2 ** 51, size=50_000)
+    x = np.concatenate([k + 0.25, k + 0.75])
+    sent = _count_slow(monkeypatch)
+    _assert_g17(np.concatenate([x, -x]))
+    assert sum(sent) == 0
+
+
+def test_g17_special_values():
+    big, tiny = np.finfo(float).max, 5e-324
+    x = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, big, -big,
+         tiny, -tiny, np.finfo(float).tiny, 1e290, -9.99e289]
+    _assert_g17(x)
+    assert spectra._g17(x[:6]).tolist() == [b"0", b"-0", b"inf", b"-inf",
+                                             b"nan", b"nan"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_g17_property(xs):
+    _assert_g17(xs)
+
+
+def test_g17_fallback_is_rare_on_fig1_jsas(tmp_path, monkeypatch, capsys):
+    # a change that sends every float to Python again shows here
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: 1)   # all in-process
+    sent = _count_slow(monkeypatch)
+    assert cli.main(["reproduce", "fig1", "--grid", "256",
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    floats = 2 * (256 * 256 * 2 + 2 * 256)   # two JSAs: re, im and the grids
+    assert sum(sent) < 1e-4 * floats
+
+
+def _every_layout(rng, n):
+    """n floats of every %.17g layout: fixed at every exponent, scientific
+    with 2- and 3-digit exponents, short digit strings, ties, both zeros."""
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, size=n)
+    x[::3] = rng.normal(size=len(x[::3])) * 10.0 ** rng.integers(-6, 19, size=len(x[::3]))
+    special = [0.0, -0.0, 0.5, -1e16, 12345.0, 2.0 ** 50 + 0.25, 1e-5,
+               -0.0001, 1e17, 100.0, 5e-324, 1e23]
+    x[:len(special)] = special
+    return x
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("cells", [4, 12, 1 << 15])
+def test_grid_rows_match_template_oracle(tmp_path, monkeypatch, blocks,
+                                         cells):
+    # 7 rows of 4 cells: 12 cells make 3-row pieces, so neither the row
+    # count nor a block's is a multiple of the piece
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    monkeypatch.setattr(spectra, "_CELLS", cells)
+    rng = np.random.default_rng(blocks * cells)
+    jsa = chirped_jsa(7, 4, omega0_offset=1e13)
+    nu_s, nu_i = jsa.grid_s.detunings, jsa.grid_i.detunings
+    mixed = _every_layout(rng, 56)
+    surface = mixed[:28].reshape(7, 4).copy()
+    surface.ravel()[-3:] = [math.inf, -math.inf, math.nan]
+    for values in (jsa.values, mixed.view(complex).reshape(7, 4), surface,
+                   np.abs(jsa.values)):
+        path = tmp_path / "rows.csv"
+        with open(path, "w", newline="") as fh:
+            spectra.write_grid_rows(fh, nu_s, nu_i, values)
+        assert path.read_bytes().decode() == oracles.grid_rows_text(
+            nu_s, nu_i, values)
+    spectra.write_jsa_csv(jsa, tmp_path / "fast.csv")
+    oracles.write_jsa_csv(jsa, tmp_path / "slow.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
 @pytest.mark.parametrize("in_worker", [True, False])
 def test_write_grid_rows_formatter_error_reaches_the_caller(
         tmp_path, monkeypatch, in_worker):
     monkeypatch.setattr(spectra, "_cpu_count", lambda: 2)
-    fmt = spectra._format_rows
+    fmt = spectra._grid_text
 
-    def failing(template, nu_s, values, lo, hi):
+    def failing(nu_s, nu_i, values, lo, hi):
         if (lo > 0) == in_worker:
             raise RuntimeError("formatter broke")
-        return fmt(template, nu_s, values, lo, hi)
+        return fmt(nu_s, nu_i, values, lo, hi)
 
-    monkeypatch.setattr(spectra, "_format_rows", failing)
+    monkeypatch.setattr(spectra, "_grid_text", failing)
     raised = ValidationError if in_worker else RuntimeError
     with pytest.raises(raised, match="formatter broke"):
         spectra.write_jsa_csv(chirped_jsa(5, 3), tmp_path / "j.csv")
