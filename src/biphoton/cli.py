@@ -30,6 +30,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -42,8 +43,9 @@ from .serialize import to_json_text
 # Unit parsing
 # ----------------------------------------------------------------------
 
-_LENGTH_SUFFIXES = (("mm", 1e-3), ("um", 1e-6), ("nm", 1e-9), ("m", 1.0))
-_TIME_SUFFIXES = (("fs", 1e-15), ("ps", 1e-12), ("ns", 1e-9), ("s", 1.0))
+# decimal suffixes shift the exponent: 400nm is float("400e-9"); deg is a factor
+_LENGTH_SUFFIXES = (("mm", -3), ("um", -6), ("nm", -9), ("m", 0))
+_TIME_SUFFIXES = (("fs", -15), ("ps", -12), ("ns", -9), ("s", 0))
 _ANGLE_SUFFIXES = (("deg", math.pi / 180.0), ("rad", 1.0))
 
 
@@ -51,14 +53,18 @@ def _suffixed(text: str, suffixes, what: str) -> float:
     t = text.strip()
     for suf, scale in suffixes:
         if t.endswith(suf):
+            number = t[: -len(suf)].strip()
             try:
-                value = float(t[: -len(suf)]) * scale
+                value = float(number)
             except ValueError:
                 break
             if not math.isfinite(value):
                 raise argparse.ArgumentTypeError(
                     f"{what} must be finite, got {text!r}")
-            return value
+            if isinstance(scale, float):
+                return value * scale
+            digits, _, exp = number.lower().partition("e")
+            return float(f"{digits}e{int(exp or 0) + scale}")
     units = "|".join(s for s, _ in suffixes)
     raise argparse.ArgumentTypeError(
         f"{what} needs a number with unit suffix ({units}), got {text!r}")
@@ -95,8 +101,6 @@ def parse_sigma_rad_s(text: str) -> float:
     t = text.strip()
     if t.endswith("rad_s"):
         t = t[: -len("rad_s")]
-    if t.lower() in ("inf", "infinity"):
-        return math.inf
     try:
         return float(t)
     except ValueError:
@@ -109,7 +113,12 @@ def parse_sigma_rad_s(text: str) -> float:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors leave through main's JSON error channel (exit 2)
-    instead of argparse's usage text; the subparsers inherit this."""
+    instead of argparse's usage text; the subparsers inherit this.  An
+    argument starting -<digit> or -.<digit> is a value (--theta-b -45deg)."""
+
+    def __init__(self, *a, **kw):
+        super().__init__(*a, **kw)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ValidationError(message)
@@ -316,13 +325,19 @@ def _resolved_config(args, reg: _Registry) -> dict:
 # Shared construction helpers
 # ----------------------------------------------------------------------
 
-def _pump_envelope(args) -> spectra.PumpEnvelope:
-    kind, val = args.bandwidth
+def _cli_source(args):
+    """(material, pump_um, pump envelope or None without --bandwidth): --pump
+    is converted here only, so every stage of a run solves at one wavelength."""
+    material = dispersion.get_material(args.material, args.materials or None)
     pump_um = args.pump * 1e6
+    if args.bandwidth is None:
+        return material, pump_um, None
+    kind, val = args.bandwidth
     if kind == "nm_fwhm":
-        return spectra.PumpEnvelope.from_pump_fwhm(pump_um, val)
-    omega0 = math.pi * spectra.C_LIGHT / args.pump
-    return spectra.PumpEnvelope(omega0=omega0, sigma_p=val)
+        pump = spectra.PumpEnvelope.from_pump_fwhm(pump_um, val)
+    else:
+        pump = spectra.PumpEnvelope(pump_um=pump_um, sigma_p=val)
+    return material, pump_um, pump
 
 
 def _model_jsa(args, **span):
@@ -346,8 +361,7 @@ def _build_jsa(args):
         extras["model"] = {"sigma": model.sigma, "sigma_F": model.sigma_F,
                            "mu": mu, "K_analytic": schmidt.analytic_K(mu)}
     else:
-        material = dispersion.get_material(args.material, args.materials or None)
-        pump = _pump_envelope(args)
+        material, _, pump = _cli_source(args)
         grid = spectra.default_pump_grid(pump, n_points=args.grid, **span)
         if args.builder == "collinear":
             jsa = spectra.build_jsa_collinear(material, args.pdc_type,
@@ -356,9 +370,8 @@ def _build_jsa(args):
             jsa = spectra.build_jsa_noncollinear_sinc(
                 material, args.length, pump, args.theta, grid)
         else:  # gaussian-beam
-            pump_um = args.pump * 1e6
             w0 = args.w0 if args.w0 is not None else design.factorable_waist(
-                material, pump_um, args.length, args.theta)
+                material, pump.pump_um, args.length, args.theta)
             extras["w0"] = w0
             beam = spectra.BeamGeometry(w0=w0, theta=args.theta,
                                         L=args.length)
@@ -414,8 +427,6 @@ def cmd_jsa(args):
 
 
 def cmd_schmidt(args):
-    if args.n_report < 0:
-        raise ValidationError("--n-report must be >= 0")
     jsa, extras = _build_jsa(args)
     dec = schmidt.schmidt_svd(jsa)
     out = _outdir(args)
@@ -493,15 +504,9 @@ def cmd_polcorr(args):
 
 
 def cmd_design(args):
-    material = dispersion.get_material(args.material, args.materials or None)
-    pump_um = args.pump * 1e6
-    sigma_p = None
-    if args.bandwidth is not None:
-        kind, val = args.bandwidth
-        sigma_p = (spectra.sigma_p_from_fwhm(val * 1e-9, args.pump)
-                   if kind == "nm_fwhm" else val)
+    material, pump_um, pump = _cli_source(args)
     rep = design.design_report(material, pump_um, args.length, args.theta,
-                               w0=args.w0, sigma_p=sigma_p)
+                               w0=args.w0, sigma_p=pump and pump.sigma_p)
     lines = {
         "factorable": f"factorable waist w0 = {rep.factorable_waist * 1e6:.2f} um",
         "bandwidth": f"pump bandwidth threshold = {rep.sigma_p_min:.6g} rad/s",
@@ -594,12 +599,11 @@ def _fig3(args) -> dict:
 
 def _beam_figure(args, tag, L, w0, fwhm_nm) -> dict:
     material = dispersion.get_material("BBO", args.materials or None)
-    pump_um = 0.4
     theta = math.radians(3.0)
-    pump = spectra.PumpEnvelope.from_pump_fwhm(pump_um, fwhm_nm)
+    pump = spectra.PumpEnvelope.from_pump_fwhm(0.4, fwhm_nm)
     grid = spectra.default_pump_grid(pump, n_points=args.grid,
                                      span_factor=2.5)
-    w0_fact = design.factorable_waist(material, pump_um, L, theta)
+    w0_fact = design.factorable_waist(material, pump.pump_um, L, theta)
     w0 = w0_fact if w0 is None else w0
     beam = spectra.BeamGeometry(w0=w0, theta=theta, L=L)
     pump_f, long_f, trans_f = spectra.noncollinear_gaussian_beam_factors(
@@ -664,6 +668,11 @@ def main(argv=None) -> int:
             return 2
         reg = registries[args.command]
         _merge_config(args, reg)
+        for dest, least in (("n_report", 0), ("tau_points", 1),
+                            ("scan_points", 1)):
+            if getattr(args, dest, least) < least:
+                raise ValidationError(
+                    f"--{dest.replace('_', '-')} must be >= {least}")
         summary, lines = args.func(args)
         name = getattr(args, "figure", args.command)
         _write(os.path.join(_outdir(args), f"{name}.json"),

@@ -108,20 +108,28 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class PumpEnvelope:
-    """Gaussian pump amplitude exp[-(omega_p - 2 omega0)^2 / sigma_p^2]."""
+    """Gaussian pump amplitude exp[-(omega_p - 2 omega0)^2 / sigma_p^2] at
+    vacuum wavelength pump_um [um]; every stage takes the wavelength here."""
 
-    omega0: float
+    pump_um: float
     sigma_p: float
 
     def __post_init__(self):
+        if not 0 < self.pump_um < math.inf:
+            raise ValidationError(
+                f"PumpEnvelope needs a finite pump_um > 0, got {self.pump_um!r}")
         if not self.sigma_p > 0:
             raise ValidationError("PumpEnvelope needs sigma_p > 0")
 
+    @property
+    def omega0(self) -> float:
+        """Half the pump frequency: the degenerate daughter frequency."""
+        return math.pi * C_LIGHT / (self.pump_um * 1e-6)
+
     @classmethod
     def from_pump_fwhm(cls, pump_um: float, fwhm_nm: float) -> "PumpEnvelope":
-        lam_p = pump_um * 1e-6
-        omega0 = math.pi * C_LIGHT / lam_p  # half the pump frequency
-        return cls(omega0=omega0, sigma_p=sigma_p_from_fwhm(fwhm_nm * 1e-9, lam_p))
+        return cls(pump_um=pump_um,
+                   sigma_p=sigma_p_from_fwhm(fwhm_nm * 1e-9, pump_um * 1e-6))
 
 
 @dataclass(frozen=True)
@@ -310,12 +318,6 @@ def gaussian_model_jsa(model: GaussianSourceModel,
 # Dispersion-based JSAs
 # ----------------------------------------------------------------------
 
-def _center_wavelengths(pump: PumpEnvelope):
-    """(lam0_um, lam_p_um) of the degenerate photons and the pump."""
-    lam0 = 2.0 * math.pi * C_LIGHT / pump.omega0
-    return lam0 * 1e6, 0.5 * lam0 * 1e6
-
-
 def build_jsa_collinear(material: Material, pdc_type: str, L: float,
                         pump: PumpEnvelope, grid: FrequencyGrid
                         ) -> JointSpectralAmplitude:
@@ -331,8 +333,7 @@ def build_jsa_collinear(material: Material, pdc_type: str, L: float,
         return build_jsa_noncollinear_sinc(material, L, pump, 0.0, grid)
     if pdc_type != "II_eoe":
         raise ValidationError(f"unknown pdc_type {pdc_type!r} (I_eoo or II_eoe)")
-    lam0_um, _ = _center_wavelengths(pump)
-    th = dispersion.typeII_cut_angle(material, lam0_um)
+    th = dispersion.typeII_cut_angle(material, 2.0 * pump.pump_um)
     return _sellmeier_sinc(material, L, pump, grid, th, ("e", th), 1.0)
 
 
@@ -343,8 +344,7 @@ def build_jsa_noncollinear_sinc(material: Material, L: float, pump: PumpEnvelope
     pump axis: S = alpha(nu_s+nu_i) sinc(L dk_z / 2) on grid x grid, with the
     longitudinal mismatch dk_z = kp - (ks + ki) cos(theta), both daughters
     ordinary and the pump cut to phase-match at degeneracy."""
-    _, lam_p_um = _center_wavelengths(pump)
-    th_pm = dispersion.noncollinear_cut_angle(material, lam_p_um, theta)
+    th_pm = dispersion.noncollinear_cut_angle(material, pump.pump_um, theta)
     return _sellmeier_sinc(material, L, pump, grid, th_pm, "o",
                            math.cos(theta))
 
@@ -403,9 +403,8 @@ def noncollinear_gaussian_beam_factors(material: Material, pump: PumpEnvelope,
         raise RegimeError(
             f"focusing too strong for the factorized phase-matching model: "
             f"w0/L = {lhs:.4g} < {rhs:.4g}", lhs=lhs, rhs=rhs)
-    _, lam_p_um = _center_wavelengths(pump)
     kp_prime, k_prime = dispersion.noncollinear_group_slopes(
-        material, lam_p_um, beam.theta)
+        material, pump.pump_um, beam.theta)
 
     ns = grid.detunings[:, None]
     ni = grid.detunings[None, :]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +27,20 @@ def run(argv, capsys=None):
     if capsys is not None:
         return code, capsys.readouterr()
     return code
+
+
+def record_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its positional arguments
+    to the returned list; the wrapped function still runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 # ----------------------------------------------------------------------
@@ -70,12 +85,17 @@ def test_angle_error_names_both_suffixes():
         cli.parse_angle_rad("3")
 
 
+def _decimal(k):
+    """repr(x) times 10**k, exactly, then correctly rounded to a float."""
+    return lambda x: float(Fraction(repr(x)) * Fraction(10) ** k)
+
+
 # unit parser -> (suffix, expected value of repr(x) + suffix) cases
 UNIT_CASES = {
     "length": (cli.parse_length_m,
-               [(suf, lambda x, k=k: x * k) for suf, k in cli._LENGTH_SUFFIXES]),
+               [(suf, _decimal(k)) for suf, k in cli._LENGTH_SUFFIXES]),
     "time": (cli.parse_time_s,
-             [(suf, lambda x, k=k: x * k) for suf, k in cli._TIME_SUFFIXES]),
+             [(suf, _decimal(k)) for suf, k in cli._TIME_SUFFIXES]),
     "angle": (cli.parse_angle_rad,
               [("deg", math.radians), ("rad", lambda x: x)]),
     "bandwidth": (cli.parse_bandwidth,
@@ -117,7 +137,8 @@ def test_config_string_resolves_like_the_flag(tmp_path, kind, data):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: text}))
     resolved = []
-    for argv in (cmd + [f"{flag}={text}"], cmd + ["--config", str(cfg)]):
+    for argv in (cmd + [f"{flag}={text}"], cmd + [flag, text],
+                 cmd + ["--config", str(cfg)]):
         parser, registries = cli.build_parser()
         args = parser.parse_args(argv)
         cli._merge_config(args, registries[args.command])
@@ -237,6 +258,26 @@ def test_schmidt_command(tmp_path, capsys):
     lines = (tmp_path / "schmidt_eigenvalues.csv").read_text().splitlines()
     assert lines[0] == "n,eigenvalue"
     assert len(lines) == doc["n_modes_kept"] + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["homi", "--tau-points", "0"],
+    ["bell", "--grid", "16", "--tau-points", "0"],
+    ["polcorr", "--grid", "16", "--scan-points", "0"],
+], ids=lambda argv: argv[0])
+def test_zero_point_count_exit_two(tmp_path, capsys, argv):
+    # each wrote a CSV holding only its header and exited 0, from the flag
+    # or from the config file alike
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({argv[-2][2:]: 0}))
+    out = tmp_path / "out"
+    for given in (argv, argv[:-2] + ["--config", str(cfg)]):
+        code, cap = run(given + ["--out", str(out)], capsys)
+        assert code == 2
+        err = json.loads(cap.err)
+        assert err["error"] == "ValidationError"
+        assert argv[-2] in err["message"]
+        assert not out.exists()
 
 
 def test_schmidt_negative_n_report_exit_two(tmp_path, capsys):
@@ -407,14 +448,8 @@ def test_reproduce_fig5(tmp_path):
 def test_beam_figure_evaluates_factors_once(tmp_path, monkeypatch, figure):
     # the product surface written to CSV is the amplitude the figure
     # decomposes; the factors are not evaluated a second time for it
-    calls = []
-    factors = spectra.noncollinear_gaussian_beam_factors
-
-    def counted(*a, **kw):
-        calls.append(a)
-        return factors(*a, **kw)
-
-    monkeypatch.setattr(spectra, "noncollinear_gaussian_beam_factors", counted)
+    calls = record_calls(monkeypatch, spectra,
+                         "noncollinear_gaussian_beam_factors")
     assert run(["reproduce", figure, "--grid", "32",
                 "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
@@ -424,14 +459,7 @@ def test_beam_figure_evaluates_factors_once(tmp_path, monkeypatch, figure):
 def test_beam_figure_solves_the_cut_twice(tmp_path, monkeypatch, figure):
     # once for the factorable waist (which also gives the margin), once
     # inside the beam factors
-    calls = []
-    solve = dispersion.noncollinear_cut_angle
-
-    def counted(*a, **kw):
-        calls.append(a)
-        return solve(*a, **kw)
-
-    monkeypatch.setattr(dispersion, "noncollinear_cut_angle", counted)
+    calls = record_calls(monkeypatch, dispersion, "noncollinear_cut_angle")
     assert run(["reproduce", figure, "--grid", "64",
                 "--out", str(tmp_path)]) == 0
     assert len(calls) == 2
@@ -439,16 +467,75 @@ def test_beam_figure_solves_the_cut_twice(tmp_path, monkeypatch, figure):
 
 def test_design_report_solves_the_cut_once(tmp_path, monkeypatch):
     # theta_pm and both group slopes come from one cut-angle solve
-    calls = []
-    solve = dispersion.noncollinear_cut_angle
-
-    def counted(*a, **kw):
-        calls.append(a)
-        return solve(*a, **kw)
-
-    monkeypatch.setattr(dispersion, "noncollinear_cut_angle", counted)
+    calls = record_calls(monkeypatch, dispersion, "noncollinear_cut_angle")
     assert run(["design", "report", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+# the solves that take the pump wavelength, and how to read it from a
+# call's positional arguments (the type-II cut takes the degenerate one)
+PUMP_UM_OF = {
+    (dispersion, "noncollinear_cut_angle"): lambda a: a[1],
+    (dispersion, "cut_group_slopes"): lambda a: a[1],
+    (dispersion, "typeII_cut_angle"): lambda a: a[1] / 2.0,
+    (design, "factorable_waist"): lambda a: a[1],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["jsa", "--builder", builder, "--grid", "32", "--bandwidth", bandwidth]
+    for builder in ("collinear", "noncollinear-sinc", "gaussian-beam")
+    for bandwidth in ("10nm_fwhm", "1e14rad_s")
+] + [
+    ["jsa", "--builder", "collinear", "--pdc-type", "I_eoo", "--grid", "32"],
+    ["design", "report"],
+    ["design", "report", "--bandwidth", "10nm_fwhm", "--pump", "405nm"],
+    ["reproduce", "fig1", "--grid", "32"],
+    ["reproduce", "fig5", "--grid", "32"],
+    ["reproduce", "fig7", "--grid", "32"],
+], ids=lambda argv: "-".join(a for a in argv
+                            if not a.startswith("-") and a != "32"))
+def test_one_pump_wavelength_per_run(tmp_path, monkeypatch, argv):
+    # the cut angles, the group slopes and the matched waist of one run are
+    # all solved at the same bits of the pump wavelength
+    calls = {key: record_calls(monkeypatch, *key) for key in PUMP_UM_OF}
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    pump_ums = {PUMP_UM_OF[key](a) for key, got in calls.items() for a in got}
+    assert len(pump_ums) == 1, pump_ums
+
+
+@pytest.mark.parametrize("builder", ["collinear", "noncollinear-sinc",
+                                     "gaussian-beam"])
+def test_bandwidth_forms_and_design_share_one_pump(tmp_path, builder):
+    # design reports the sigma_p that jsa builds with, and that sigma_p given
+    # in rad/s builds the same JSA on the same grid as the nm FWHM it came from
+    assert run(["design", "report", "--bandwidth", "10nm_fwhm",
+                "--out", str(tmp_path / "design")]) == 0
+    sigma_p = json.loads((tmp_path / "design" / "design.json").read_text())[
+        "report"]["sigma_p"]
+    docs = []
+    for tag, bandwidth in (("nm", "10nm_fwhm"), ("rad", f"{sigma_p!r}rad_s")):
+        assert run(["jsa", "--builder", builder, "--grid", "32", "--bandwidth",
+                    bandwidth, "--out", str(tmp_path / tag)]) == 0
+        doc = json.loads((tmp_path / tag / "jsa.json").read_text())
+        docs.append({k: v for k, v in doc.items() if k != "config"})
+    assert docs[0] == docs[1]
+    assert (tmp_path / "nm" / "jsa.csv").read_bytes() == \
+        (tmp_path / "rad" / "jsa.csv").read_bytes()
+
+
+def test_documented_defaults_spelled_out_write_the_same_bytes(tmp_path):
+    # 400nm reads as the default 400e-9, not as 400 * 1e-9 one ulp above it
+    argv = ["jsa", "--builder", "gaussian-beam", "--grid", "64"]
+    given = ["--pump", "400nm", "--bandwidth", "10nm_fwhm", "--length", "1mm",
+             "--theta", "3deg"]
+    assert run(argv + ["--out", str(tmp_path / "bare")]) == 0
+    assert run(argv + given + ["--out", str(tmp_path / "given")]) == 0
+    names = sorted(p.name for p in (tmp_path / "bare").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "given").iterdir())
+    for name in names:
+        assert (tmp_path / "bare" / name).read_bytes() == \
+            (tmp_path / "given" / name).read_bytes(), name
 
 
 def test_reproduce_fig3(tmp_path):
@@ -700,6 +787,33 @@ def test_bandwidth_must_be_finite_and_positive(tmp_path, capsys, value,
     assert "bandwidth must be finite and positive" in err["message"]
     assert cap.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pump", ["0nm", "-400nm"])
+def test_pump_must_be_positive(tmp_path, capsys, pump):
+    # 0nm with a rad/s bandwidth left through a ZeroDivisionError traceback
+    out = tmp_path / "out"
+    code, cap = run(["jsa", "--builder", "collinear", "--pump", pump,
+                     "--bandwidth", "1e13rad_s", "--out", str(out)], capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert "pump_um" in err["message"]
+    assert not out.exists()
+
+
+def test_negative_value_may_follow_its_flag(capsys):
+    # -<digit> and -.<digit> are values, as in the flag=value form; -x is
+    # still an option
+    for argv in (["polcorr", "--theta-b", "-45deg"],
+                 ["bell", "--tau-max", "-1ps"],
+                 ["design", "report", "--theta", "-.5rad"]):
+        parser, _ = cli.build_parser()
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        assert vars(parser.parse_args(argv)) == vars(parser.parse_args(joined))
+    code, cap = run(["jsa", "--out", "-x"], capsys)
+    assert code == 2
+    assert "expected one argument" in json.loads(cap.err)["message"]
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan"])

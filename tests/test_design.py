@@ -83,8 +83,7 @@ def test_narrow_pump_degrades_cooperativity(bbo):
     sp_min = design.pump_bandwidth_threshold(bbo, 0.4, 1e-3, theta)
 
     def K_at(sigma_p):
-        pump = spectra.PumpEnvelope(
-            omega0=math.pi * spectra.C_LIGHT / 400e-9, sigma_p=sigma_p)
+        pump = spectra.PumpEnvelope(pump_um=0.4, sigma_p=sigma_p)
         grid = spectra.default_pump_grid(pump, n_points=128, span_factor=3.0)
         jsa = spectra.build_jsa_noncollinear_gaussian_beam(bbo, pump, beam, grid)
         return schmidt.schmidt_svd(jsa).K

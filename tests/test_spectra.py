@@ -26,14 +26,27 @@ GAMMA = 0.19292144696099914
 # ----------------------------------------------------------------------
 
 def test_pump_envelope_peak_and_efold():
-    pump = spectra.PumpEnvelope(omega0=1e15, sigma_p=3e13)
+    pump = spectra.PumpEnvelope(pump_um=0.8, sigma_p=3e13)
     assert spectra.pump_envelope_value(pump, 0.0) == 1.0
     assert spectra.pump_envelope_value(pump, pump.sigma_p) == pytest.approx(
         math.exp(-1.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("pump_um", [0.0, -0.4, math.inf, math.nan])
+def test_pump_envelope_needs_finite_positive_wavelength(pump_um):
+    with pytest.raises(ValidationError, match="pump_um"):
+        spectra.PumpEnvelope(pump_um=pump_um, sigma_p=3e13)
+
+
+def test_pump_envelope_omega0_is_half_the_pump_frequency():
+    pump = spectra.PumpEnvelope.from_pump_fwhm(0.4, 10.0)
+    assert pump.pump_um == 0.4
+    assert pump.omega0 == math.pi * spectra.C_LIGHT / 4e-7
+    assert pump.sigma_p == SIGMA_P_400_10NM
+
+
 def test_pump_envelope_even():
-    pump = spectra.PumpEnvelope(omega0=1e15, sigma_p=3e13)
+    pump = spectra.PumpEnvelope(pump_um=0.8, sigma_p=3e13)
     xs = np.random.default_rng(3).uniform(-1e14, 1e14, size=100)
     for x in xs:
         assert spectra.pump_envelope_value(pump, x) == pytest.approx(
