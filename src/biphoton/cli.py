@@ -394,6 +394,11 @@ def _write(path: str, text: str):
     print(f"wrote {path}")
 
 
+def _write_jsa_csv(path: str, jsa):
+    spectra.write_jsa_csv(jsa, path)
+    print(f"wrote {path}")
+
+
 def _table_csv(header, rows) -> str:
     """CSV text: the header line, then one line of %.17g numbers per row."""
     return "".join([",".join(header) + "\n"] + [
@@ -418,9 +423,7 @@ def _write_surface_csv(path: str, grid_s, grid_i, values):
 
 def cmd_jsa(args):
     jsa, extras = _build_jsa(args)
-    out = _outdir(args)
-    spectra.write_jsa_csv(jsa, os.path.join(out, "jsa.csv"))
-    print(f"wrote {os.path.join(out, 'jsa.csv')}")
+    _write_jsa_csv(os.path.join(_outdir(args), "jsa.csv"), jsa)
     return {"metadata": spectra.jsa_metadata(jsa),
             "intensity_correlation": spectra.intensity_correlation(jsa),
             **extras}, []
@@ -577,7 +580,7 @@ def _fig1(args) -> dict:
             "typeII_collinear": spectra.build_jsa_collinear(
                 material, "II_eoe", 1e-3, pump, grid)}
     for tag, jsa in jsas.items():
-        spectra.write_jsa_csv(jsa, os.path.join(_outdir(args), f"fig1_{tag}.csv"))
+        _write_jsa_csv(os.path.join(_outdir(args), f"fig1_{tag}.csv"), jsa)
     return {f"K_{tag}": schmidt.schmidt_svd(jsa).K for tag, jsa in jsas.items()}
 
 

@@ -89,6 +89,9 @@ def analytic_dip_width(model: GaussianSourceModel) -> float:
 
 def default_tau_grid(model: GaussianSourceModel, n: int = 41,
                      span_widths: float = 4.0) -> np.ndarray:
+    if not 0 < span_widths < math.inf:
+        raise ValidationError(
+            f"the delay span must be finite and > 0 widths, got {span_widths!r}")
     w = analytic_dip_width(model)
     return np.linspace(-span_widths * w, span_widths * w, n)
 

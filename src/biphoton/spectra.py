@@ -27,7 +27,6 @@ term is exactly ``-4 nu_s nu_i / sigma^2``).
 
 from __future__ import annotations
 
-import contextlib
 import io
 import math
 import os
@@ -49,7 +48,7 @@ BOUNDARY_LEAK = 1e-3
 # Weak-focusing bar of the Gaussian-beam model: (w0/L) / (sqrt(gamma)
 # sin^2 theta) must reach it (design.validate_waist_regime reports the ratio).
 REGIME_FACTOR = 10.0
-# CSV round trip: bytes per pipe frame and per parsed piece of a JSA body
+# CSV round trip: bytes a JSA reader parses in one piece
 _CHUNK = 1 << 20
 _FRAME = struct.Struct("<q")   # a frame's size; 0 ends a block, < 0 an error
 # a JSA body row as read: nu_s, nu_i as text (any %.17g fits), re, im
@@ -355,6 +354,8 @@ def _sellmeier_sinc(material: Material, L: float, pump: PumpEnvelope,
     """alpha(nu_s + nu_i) sinc(L dk / 2) with dk = kp - (ks + ki) cos_theta:
     the signal ordinary, the idler on ray_i, the pump extraordinary at the
     cut angle th_pm."""
+    if not 0 < L < math.inf:
+        raise ValidationError(f"crystal length must be finite and > 0, got {L!r}")
     _check_memory(grid)
     lam_um = lambda omega: 2.0 * math.pi * C_LIGHT / np.asarray(omega) * 1e6
     omega = grid.omegas
@@ -481,10 +482,10 @@ def _fork() -> int:
 
 def _child(w, files, make, block) -> None:
     """Body of a forked child: send the bytes of every piece make(block)
-    yields on pipe end w in frames of at most _CHUNK bytes, then an end
-    frame (an error frame if making them fails), and leave through
-    os._exit.  The inherited read ends in files are closed first, so a
-    sibling's pipe breaks when the parent closes it."""
+    yields on pipe end w, one frame each, then an end frame (an error
+    frame if making them fails), and leave through os._exit.  The
+    inherited read ends in files are closed first, so a sibling's pipe
+    breaks when the parent closes it."""
     code = 1
     try:
         for f in files:
@@ -493,10 +494,9 @@ def _child(w, files, make, block) -> None:
             try:
                 # the whole block first: the parent reads it only after its own
                 views = [memoryview(p).cast("B") for p in make(block)]
-                for v in views:
-                    for at in range(0, len(v), _CHUNK):
-                        out.write(_FRAME.pack(len(v[at:at + _CHUNK])))
-                        out.write(v[at:at + _CHUNK])
+                for v in filter(len, views):   # an empty frame ends the block
+                    out.write(_FRAME.pack(len(v)))
+                    out.write(v)
                 out.write(_FRAME.pack(0))
             except Exception as exc:
                 msg = (str(exc) if isinstance(exc, ValidationError)
@@ -508,15 +508,16 @@ def _child(w, files, make, block) -> None:
         os._exit(code)
 
 
-@contextlib.contextmanager
-def _forked(blocks, make):
-    """Fork one child per block; each sends the bytes-like pieces that
-    make(block) yields.  Yields the read ends of their pipes, in block
-    order, as binary files.  On an error every child is killed; on the way
-    out every child is reaped."""
+def _blockwise(blocks, make):
+    """The bytes-like pieces that make(block) yields, block by block in
+    order: block 0's made here, each other block's by one forked child and
+    read back from its pipe.  A child's error frame raises ValidationError
+    with its message.  On any error, the consumer's own included when it
+    closes this generator, every child is killed; on the way out every
+    child is reaped."""
     pids, files = [], []
     try:
-        for block in blocks:
+        for block in blocks[1:]:
             r, w = os.pipe()
             files.append(open(r, "rb"))
             try:
@@ -528,7 +529,19 @@ def _forked(blocks, make):
                 _child(w, files, make, block)
             os.close(w)
             pids.append(pid)
-        yield files
+        yield from make(blocks[0])
+        for f in files:
+            while True:
+                head = f.read(_FRAME.size)
+                if len(head) < _FRAME.size:   # a short piece ends here too
+                    raise ValidationError(
+                        "a CSV worker ended before finishing its block")
+                (size,) = _FRAME.unpack(head)
+                if size < 0:
+                    raise ValidationError(f.read(-size).decode())
+                if size == 0:
+                    break
+                yield f.read(size)
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -538,22 +551,6 @@ def _forked(blocks, make):
             f.close()
         for pid in pids:
             os.waitpid(pid, 0)
-
-
-def _frames(f):
-    """Sizes of the data frames one child sends on f, up to its end frame;
-    the caller reads each frame's bytes before asking for the next.  An
-    error frame raises ValidationError with the child's message."""
-    while True:
-        head = f.read(_FRAME.size)
-        if len(head) < _FRAME.size:
-            raise ValidationError("a CSV worker ended before finishing its block")
-        (size,) = _FRAME.unpack(head)
-        if size == 0:
-            return
-        if size < 0:
-            raise ValidationError(f.read(-size).decode())
-        yield size
 
 
 def _pow10(q):
@@ -692,62 +689,45 @@ def _fixed(text, xe):
     return out
 
 
-def _g17(x) -> np.ndarray:
-    """'%.17g' % v for each v of the float64 array x, as S24."""
-    text = _g17_bytes(x)
-    keep = text != 0
-    out = np.zeros((len(text), 24), np.uint8)
-    out[np.arange(24) < np.count_nonzero(keep, axis=1)[:, None]] = text[keep]
-    return out.view("S24").ravel()
-
-
-def _row_blocks(n_rows: int):
-    """(lo, hi) of one contiguous block of rows per CPU, at most one per row."""
-    k = max(1, min(_cpu_count(), n_rows))
-    edges = [n_rows * j // k for j in range(k + 1)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def _grid_text(nu_s, nu_i, values, lo, hi):
     """The text of grid rows lo..hi-1 in pieces of whole rows of about
-    _CELLS cells: each cell's nu_s and nu_i texts (_g17), value texts
-    (_g17_bytes) and separators, made in one byte matrix whose NULs are
-    then deleted."""
+    _CELLS cells: each cell's nu_s, nu_i and value texts (_g17_bytes) and
+    separators, made in one byte matrix whose NULs are then deleted."""
     parts = 2 if np.iscomplexobj(values) else 1
-    nu = [np.c_[_g17(v).view(np.uint8).reshape(-1, 24),
-                np.full(len(v), 44, np.uint8)] for v in (nu_s, nu_i)]
+    nu = [_g17_bytes(v) for v in (nu_s, nu_i)]
     step = max(1, _CELLS // max(1, len(nu_i)))
     for a in range(lo, hi, step):
         b = min(hi, a + step)
         block = np.ascontiguousarray(values[a:b], dtype=complex if parts == 2
                                      else float)
-        vals = _g17_bytes(block.view(np.float64)).reshape(b - a, len(nu_i),
-                                                          parts, _G17)
-        vals[:, :, :-1, -1] = 44          # ','
-        vals[:, :, -1, -1] = 10           # '\n'
-        cells = np.empty((b - a, len(nu_i), 50 + parts * _G17), np.uint8)
-        cells[:, :, :25] = nu[0][a:b, None]
-        cells[:, :, 25:50] = nu[1]
-        cells[:, :, 50:] = vals.reshape(b - a, len(nu_i), -1)
+        cells = np.empty((b - a, len(nu_i), 2 + parts, _G17), np.uint8)
+        cells[:, :, 0] = nu[0][a:b, None]
+        cells[:, :, 1] = nu[1]
+        cells[:, :, 2:] = _g17_bytes(block.view(np.float64)).reshape(
+            b - a, len(nu_i), parts, _G17)
+        cells[..., -1] = 44               # ',' in place of each text's last NUL
+        cells[:, :, -1, -1] = 10          # '\n'
         yield cells.tobytes().translate(None, b"\0")
 
 
 def write_grid_rows(fh, nu_s, nu_i, values) -> None:
     """One "nu_s,nu_i,<value>" line per grid cell in %.17g (re,im for complex
     values), each number's text made in numpy by _g17_bytes, whole rows
-    of about _CELLS cells at a time.  The rows go in one block per CPU:
-    forked children make the text of the blocks after the first while the
-    parent writes the first, then their text follows in row order, so the
-    bytes do not depend on the split and the parent holds one piece or one
-    pipe frame at a time."""
-    blocks = _row_blocks(len(nu_s))
+    of about _CELLS cells at a time.  The rows go in one block per CPU,
+    at most one per row: forked children make the text of the blocks after
+    the first while the parent writes the first, then their text follows in
+    row order, so the bytes do not depend on the split and the parent holds
+    one piece at a time."""
     fh.flush()   # nothing buffered may be left for a child to inherit
-    with _forked(blocks[1:], lambda b: _grid_text(nu_s, nu_i, values, *b)) as pipes:
-        for text in _grid_text(nu_s, nu_i, values, *blocks[0]):
+    n = len(nu_s)
+    k = max(1, min(_cpu_count(), n))
+    blocks = [(n * j // k, n * (j + 1) // k) for j in range(k)]
+    pieces = _blockwise(blocks, lambda b: _grid_text(nu_s, nu_i, values, *b))
+    try:
+        for text in pieces:
             fh.write(text.decode())
-        for f in pipes:
-            for size in _frames(f):
-                fh.write(f.read(size).decode())
+    finally:
+        pieces.close()   # kills and reaps the children if fh.write raised
 
 
 def write_jsa_csv(jsa: JointSpectralAmplitude, path) -> None:
@@ -870,8 +850,8 @@ def read_jsa_csv(path) -> JointSpectralAmplitude:
     The body is read in one byte range per CPU, split on line ends: forked
     children parse the ranges after the first (each first counts the rows
     before its range) while the parent parses the first, and their values
-    are read straight into the result.  Only re/im are converted to floats
-    as long as nu_s/nu_i are the grid's own %.17g text."""
+    are copied into the result in row order.  Only re/im are converted to
+    floats as long as nu_s/nu_i are the grid's own %.17g text."""
     header, start = _read_header(path)
     try:
         n_s = int(header["n_s"])
@@ -884,16 +864,17 @@ def read_jsa_csv(path) -> JointSpectralAmplitude:
     except KeyError as exc:
         raise ValidationError(f"{path}: missing JSA header field {exc}") from None
     grids = (grid_s, grid_i)
-    texts = [_g17(g.detunings).astype(_TEXT_ROW["nu"].base) for g in grids]
+    # S32 as in the rows: two widths compare through a copy (+8 MB peak RSS)
+    texts = [_g17_slow(g.detunings).astype(_TEXT_ROW["nu"].base)
+             for g in grids]
 
-    def values(lo, hi, first=None):   # first=None: count the rows before lo
+    def values(lo, hi):
         with open(path, "rb") as fh:
-            if first is None:
-                first = sum(map(_data_lines, _pieces(fh, start, lo)))
+            first = sum(map(_data_lines, _pieces(fh, start, lo)))
             for piece in _pieces(fh, lo, hi):
                 v = _piece_values(path, piece, first, grids, texts)
                 first += len(v)
-                yield np.ascontiguousarray(v)
+                yield np.ascontiguousarray(v).view(np.uint8).ravel()
 
     out = np.empty((n_s * n_i, 2))
     flat = memoryview(out).cast("B")
@@ -901,18 +882,14 @@ def read_jsa_csv(path) -> JointSpectralAmplitude:
     with open(path, "rb") as fh:
         ranges = _line_ranges(fh, start, os.fstat(fh.fileno()).st_size,
                               min(_cpu_count(), n_s))
-    with _forked(ranges[1:], lambda r: values(*r)) as pipes:
-        for v in values(*ranges[0], first=0):
-            if got + v.nbytes <= len(flat):
-                flat[got:got + v.nbytes] = memoryview(v).cast("B")
-            got += v.nbytes
-        for f in pipes:
-            for size in _frames(f):
-                if got + size <= len(flat):   # a short read fails in _frames
-                    f.readinto(flat[got:got + size])
-                else:                          # past the grid: only counted
-                    f.read(size)
-                got += size
+    pieces = _blockwise(ranges, lambda r: values(*r))
+    try:
+        for v in pieces:
+            if got + len(v) <= len(flat):   # rows past the grid: counted
+                flat[got:got + len(v)] = v
+            got += len(v)
+    finally:
+        pieces.close()
     if got != flat.nbytes:
         raise ValidationError(f"{path}: expected {n_s * n_i} data rows of 4 "
                               f"fields, got {got // 16} of 4")

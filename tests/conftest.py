@@ -38,6 +38,20 @@ def no_leaked_workers():
     pytest.fail(f"a child process was left unreaped (waitpid gave pid {pid})")
 
 
+@pytest.fixture
+def no_leaked_fds():
+    """Every file descriptor a test opens (a CSV worker's pipe end among
+    them) is closed when it ends.  Checked only where /proc/self/fd lists
+    the open descriptors."""
+    fds = "/proc/self/fd"
+    before = set(os.listdir(fds)) if os.path.isdir(fds) else None
+    yield
+    if before is not None:
+        left = set(os.listdir(fds)) - before
+        if left:
+            pytest.fail(f"file descriptors left open: {sorted(left, key=int)}")
+
+
 @pytest.fixture(scope="session")
 def bbo():
     return dispersion.get_material("BBO")

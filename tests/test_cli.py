@@ -189,8 +189,9 @@ def test_artifacts_byte_identical_across_runs(tmp_path, argv):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
-# the cli_session benchmark's job kinds at --grid 32, plus one design query,
-# each with the summary lines it prints after its JSON
+# the cli_session benchmark's job kinds at --grid 32, plus one design query
+# and the other two figures, each with the summary lines it prints after
+# its JSON
 SUMMARY_KINDS = {
     "design-report": (["design", "report"],
                       ["factorable waist w0 = ", "pump bandwidth threshold = ",
@@ -216,20 +217,29 @@ SUMMARY_KINDS = {
     "fig1": (["reproduce", "fig1", "--grid", "32"], []),
     "fig3": (["reproduce", "fig3", "--grid", "32"], []),
     "fig5": (["reproduce", "fig5", "--grid", "32"], []),
+    "fig7": (["reproduce", "fig7", "--grid", "32"], []),
+    "fig9": (["reproduce", "fig9", "--grid", "32"], []),
     "config": (["schmidt", "--config", "config.json"], ["K = "]),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(SUMMARY_KINDS))
-def test_summary_json_written_last_then_lines(tmp_path, capsys, kind):
-    argv, expected = SUMMARY_KINDS[kind]
+def _summary_argv(kind, tmp_path):
+    """SUMMARY_KINDS[kind]'s command with its config file written into
+    tmp_path and --out tmp_path / "out"."""
+    argv = SUMMARY_KINDS[kind][0]
     if kind == "config":
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"builder": "gaussian-beam", "grid": 32,
                                    "theta": "2.5deg", "length": "1.5mm"}))
         argv = argv[:-1] + [str(cfg)]
+    return argv + ["--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("kind", sorted(SUMMARY_KINDS))
+def test_summary_json_written_last_then_lines(tmp_path, capsys, kind):
+    expected = SUMMARY_KINDS[kind][1]
     out = tmp_path / "out"
-    argv = argv + ["--out", str(out)]
+    argv = _summary_argv(kind, tmp_path)
     code, cap = run(argv, capsys)
     assert code == 0
     lines = cap.out.splitlines()
@@ -246,6 +256,17 @@ def test_summary_json_written_last_then_lines(tmp_path, capsys, kind):
     doc = json.loads((out / f"{name}.json").read_text())
     assert doc["config"] == cli._resolved_config(args,
                                                  registries[args.command])
+
+
+@pytest.mark.parametrize("kind", sorted(SUMMARY_KINDS))
+def test_wrote_lines_name_every_file_once(tmp_path, capsys, kind):
+    # reproduce fig1 wrote its two JSA CSVs without a line
+    code, cap = run(_summary_argv(kind, tmp_path), capsys)
+    assert code == 0
+    wrote = [line[len("wrote "):] for line in cap.out.splitlines()
+             if line.startswith("wrote ")]
+    files = [str(p) for p in (tmp_path / "out").rglob("*") if p.is_file()]
+    assert sorted(wrote) == sorted(files)
 
 
 def test_schmidt_command(tmp_path, capsys):
@@ -278,6 +299,33 @@ def test_zero_point_count_exit_two(tmp_path, capsys, argv):
         assert err["error"] == "ValidationError"
         assert argv[-2] in err["message"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("builder", ["collinear", "noncollinear-sinc"])
+@pytest.mark.parametrize("length", ["-1mm", "0mm"])
+def test_sellmeier_sinc_length_must_be_positive(tmp_path, capsys, builder,
+                                                length):
+    # sinc is even: -1mm wrote the +1mm JSA and exited 0
+    out = tmp_path / "out"
+    code, cap = run(["jsa", "--builder", builder, "--grid", "16",
+                     f"--length={length}", "--out", str(out)], capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert "crystal length" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("span", ["0", "-2", "nan", "inf"])
+def test_homi_tau_span_must_be_finite_and_positive(tmp_path, capsys, span):
+    # 0 wrote 81 rows at tau = 0, -2 a reversed grid, nan and inf nan rows
+    out = tmp_path / "out"
+    code, cap = run(["homi", "--tau-span", span, "--out", str(out)], capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert "delay span" in err["message"]
+    assert not out.exists()
 
 
 def test_schmidt_negative_n_report_exit_two(tmp_path, capsys):

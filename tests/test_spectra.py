@@ -17,6 +17,8 @@ from biphoton.errors import RegimeError, ValidationError
 from tests import oracles
 from tests.conftest import chirped_jsa
 
+pytestmark = pytest.mark.usefixtures("no_leaked_fds")
+
 SIGMA_P_400_10NM = 99989146266381.52    # rad/s, 10 nm FWHM at 400 nm
 GAMMA = 0.19292144696099914
 
@@ -581,6 +583,18 @@ def test_read_jsa_csv_worker_that_dies_is_an_error(tmp_path, monkeypatch):
         spectra.read_jsa_csv(path)
 
 
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_read_jsa_csv_in_pieces_without_rows(tmp_path, monkeypatch, blocks):
+    # 64-byte reads are shorter than a row, so most pieces hold no row and
+    # parse to no values: a worker must not send those as its end frame
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    monkeypatch.setattr(spectra, "_CHUNK", 64)
+    jsa = chirped_jsa(7, 5)
+    path = tmp_path / "j.csv"
+    spectra.write_jsa_csv(jsa, path)
+    assert _same_jsa(spectra.read_jsa_csv(path), jsa)
+
+
 def test_read_jsa_csv_rejects_nan_detunings(tmp_path):
     # the loadtxt reader let nan through: max(nan, x) > 1e-9 is False
     path = tmp_path / "j.csv"
@@ -614,10 +628,18 @@ def test_csv_writers_match_oracles_in_blocks(tmp_path, monkeypatch, capsys,
             jsa.grid_s, jsa.grid_i, np.abs(jsa.values))
 
 
+def _g17_texts(x):
+    """The texts spectra._g17_bytes makes for x, with their NULs deleted."""
+    text = spectra._g17_bytes(x)
+    assert not text[:, -1].any()   # a row's last byte is always NUL
+    text[:, -1] = 10
+    return text.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+
+
 def _assert_g17(x):
-    """spectra._g17 gives Python's '%.17g' % v for every v of x."""
+    """spectra._g17_bytes gives Python's '%.17g' % v for every v of x."""
     x = np.asarray(x, dtype=np.float64)
-    got = spectra._g17(x).tolist()
+    got = _g17_texts(x)
     want = [("%.17g" % v).encode() for v in x.tolist()]
     bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
     assert not bad, bad[:5]
@@ -677,8 +699,7 @@ def test_g17_special_values():
     x = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, big, -big,
          tiny, -tiny, np.finfo(float).tiny, 1e290, -9.99e289]
     _assert_g17(x)
-    assert spectra._g17(x[:6]).tolist() == [b"0", b"-0", b"inf", b"-inf",
-                                             b"nan", b"nan"]
+    assert _g17_texts(x[:6]) == [b"0", b"-0", b"inf", b"-inf", b"nan", b"nan"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -750,6 +771,69 @@ def test_write_grid_rows_formatter_error_reaches_the_caller(
     raised = ValidationError if in_worker else RuntimeError
     with pytest.raises(raised, match="formatter broke"):
         spectra.write_jsa_csv(chirped_jsa(5, 3), tmp_path / "j.csv")
+
+
+def _assert_no_children(info):
+    """No child is left, running or unreaped, while the traceback of info
+    still holds the frames of the failed call."""
+    assert info.tb is not None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _FailingFile:
+    """A text file whose write of piece fail_at (from 1) raises OSError."""
+
+    def __init__(self, fail_at):
+        self.fail_at, self.pieces = fail_at, 0
+
+    def flush(self):
+        pass
+
+    def write(self, text):
+        self.pieces += 1
+        if self.pieces == self.fail_at:
+            raise OSError("disk full")
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+@pytest.mark.parametrize("in_worker", [False, True])
+def test_write_grid_rows_consumer_error_kills_the_workers(monkeypatch, blocks,
+                                                         in_worker):
+    # 5 of the 90 rows a piece: every worker has more text than its pipe
+    # holds, so it is alive, blocked on a write, when the parent's write
+    # fails on the second piece of its own block or on the first piece a
+    # worker sent
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    monkeypatch.setattr(spectra, "_CELLS", 5 * 90)
+    jsa = chirped_jsa(90, 90)
+    fh = _FailingFile(90 // blocks // 5 + 1 if in_worker else 2)
+    with pytest.raises(OSError, match="disk full") as info:
+        spectra.write_grid_rows(fh, jsa.grid_s.detunings,
+                                jsa.grid_i.detunings, jsa.values)
+    assert fh.pieces == fh.fail_at
+    _assert_no_children(info)
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_read_jsa_csv_error_in_its_own_block_kills_the_workers(
+        tmp_path, monkeypatch, blocks):
+    # 200 x 200 rows: each worker's values outgrow its pipe, so the
+    # workers are alive when the parent's first piece fails
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    path = tmp_path / "j.csv"
+    spectra.write_jsa_csv(chirped_jsa(200, 200), path)
+    parse = spectra._piece_values
+
+    def failing(path, piece, first, grids, texts):
+        if first == 0:   # only the parent's block starts at row 0
+            raise ValidationError("parent block broke")
+        return parse(path, piece, first, grids, texts)
+
+    monkeypatch.setattr(spectra, "_piece_values", failing)
+    with pytest.raises(ValidationError, match="parent block broke") as info:
+        spectra.read_jsa_csv(path)
+    _assert_no_children(info)
 
 
 def test_csv_blocks_never_outnumber_rows(tmp_path, monkeypatch):
