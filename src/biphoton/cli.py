@@ -293,17 +293,17 @@ def _merge_config(args, reg: _Registry):
 
 
 def _config_value(key: str, val, action):
-    """A config value put through its flag's checks: a string through the
-    option's type, then the option's choices; an integer option takes only
-    an integer, a flag without argument only true or false."""
-    if isinstance(val, str) and action.type is not None:
+    """A config value through its flag's checks: true/false for an on/off
+    flag, a string for an untyped option (a name, a path), else a string,
+    number or boolean put as its JSON text through the type; then choices."""
+    ok = isinstance(val, bool if action.nargs == 0 else
+                    str if action.type is None else (str, int, float))
+    if ok and action.type is not None:
         try:
-            val = action.type(val)
+            val = action.type(val if isinstance(val, str) else json.dumps(val))
         except (argparse.ArgumentTypeError, ValueError) as exc:
             raise ValidationError(f"config key {key!r}: {exc}")
-    wrong_type = (not isinstance(val, bool) if action.nargs == 0
-                  else action.type is int and type(val) is not int)
-    if wrong_type or (action.choices is not None and val not in action.choices):
+    if not ok or (action.choices is not None and val not in action.choices):
         raise ValidationError(f"config key {key!r}: invalid value {val!r}")
     return val
 
@@ -476,6 +476,9 @@ def _make_pair(args, jsa) -> interference.PolarizedPairState:
 
 
 def cmd_bell(args):
+    if not 0.0 < args.tau_max < math.inf:
+        raise ValidationError(
+            f"--tau-max must be finite and > 0, got {args.tau_max!r}")
     jsa, _ = _build_jsa(args)
     pair = _make_pair(args, jsa)
     taus = np.linspace(-args.tau_max, args.tau_max, args.tau_points)
@@ -606,9 +609,8 @@ def _beam_figure(args, tag, L, w0, fwhm_nm) -> dict:
     pump = spectra.PumpEnvelope.from_pump_fwhm(0.4, fwhm_nm)
     grid = spectra.default_pump_grid(pump, n_points=args.grid,
                                      span_factor=2.5)
-    w0_fact = design.factorable_waist(material, pump.pump_um, L, theta)
-    w0 = w0_fact if w0 is None else w0
-    beam = spectra.BeamGeometry(w0=w0, theta=theta, L=L)
+    rep = design.design_report(material, pump.pump_um, L, theta, w0=w0)
+    beam = spectra.BeamGeometry(w0=rep.waist, theta=theta, L=L)
     pump_f, long_f, trans_f = spectra.noncollinear_gaussian_beam_factors(
         material, pump, beam, grid)
     product = pump_f * long_f * trans_f
@@ -618,9 +620,9 @@ def _beam_figure(args, tag, L, w0, fwhm_nm) -> dict:
                            grid, grid, surf)
     jsa = spectra.JointSpectralAmplitude(grid, grid,
                                          product.astype(complex)).normalized()
-    return {"w0": w0, "L": L, "theta": theta, "pump_fwhm_nm": fwhm_nm,
+    return {"w0": rep.waist, "L": L, "theta": theta, "pump_fwhm_nm": fwhm_nm,
             "K": schmidt.schmidt_svd(jsa).K,
-            "margin": w0 / w0_fact,
+            "margin": rep.margin,
             "intensity_correlation": spectra.intensity_correlation(jsa)}
 
 

@@ -55,50 +55,10 @@ class DesignReport:
 
 def factorable_waist(material, pump_um: float, L: float, theta: float) -> float:
     """Pump waist w0 = L sqrt(gamma) (kp' - k' cos theta)/(k' sin theta) that
-    balances the longitudinal and transverse spectral widths.  L and the
-    result are in meters; theta in radians.
-
-    theta = 0 is rejected: a collinear geometry has no transverse lever arm,
-    so no finite waist can do the job.
-    """
-    return _factorable_waist(
-        dispersion.noncollinear_group_slopes(material, pump_um, theta), L, theta)
-
-
-def _factorable_waist(slopes, L: float, theta: float) -> float:
-    """factorable_waist from the group slopes (kp', k')."""
-    if L <= 0.0:
-        raise ValidationError("crystal length must be positive")
-    if theta <= 0.0:
-        raise ValidationError(
-            "collinear geometry has no transverse lever (theta must be > 0)")
-    kp, kd = slopes
-    num = kp - kd * math.cos(theta)
-    if num <= 0.0:
-        raise ValidationError(
-            "pump group slope does not exceed the daughter projection; "
-            "no positive waist solves the matching condition")
-    return L * math.sqrt(gaussian_sinc_gamma()) * num / (kd * math.sin(theta))
-
-
-def pump_bandwidth_threshold(material, pump_um: float, L: float,
-                             theta: float) -> float:
-    """Minimum pump bandwidth sigma_p_min = sqrt(2)/(gamma L (kp' - k' cos
-    theta)) below which the pump envelope, not the phase matching, limits the
-    sum-frequency width and the factorable design degrades."""
-    return _pump_bandwidth_threshold(
-        dispersion.noncollinear_group_slopes(material, pump_um, theta), L, theta)
-
-
-def _pump_bandwidth_threshold(slopes, L: float, theta: float) -> float:
-    """pump_bandwidth_threshold from the group slopes (kp', k')."""
-    if L <= 0.0:
-        raise ValidationError("crystal length must be positive")
-    kp, kd = slopes
-    num = kp - kd * math.cos(theta)
-    if abs(num) < 1e-18:
-        raise ValidationError("vanishing group-slope difference")
-    return math.sqrt(2.0) / (gaussian_sinc_gamma() * L * num)
+    balances the longitudinal and transverse spectral widths (L and w0 in m,
+    theta in rad).  theta = 0 is rejected: a collinear geometry has no
+    transverse lever arm, so no finite waist can do the job."""
+    return design_report(material, pump_um, L, theta).factorable_waist
 
 
 def freq_correlated_margin(material, pump_um: float, L: float, theta: float,
@@ -109,7 +69,7 @@ def freq_correlated_margin(material, pump_um: float, L: float, theta: float,
     margin = 1 is the factorable design itself."""
     if w0 <= 0.0:
         raise ValidationError("waist must be positive")
-    return w0 / factorable_waist(material, pump_um, L, theta)
+    return design_report(material, pump_um, L, theta, w0=w0).margin
 
 
 def validate_waist_regime(w0: float, L: float, theta: float):
@@ -126,19 +86,32 @@ def validate_waist_regime(w0: float, L: float, theta: float):
 def design_report(material, pump_um: float, L: float, theta: float,
                   w0: Optional[float] = None,
                   sigma_p: Optional[float] = None) -> DesignReport:
-    """Run all the design calculators for one configuration.  w0 defaults to
-    the factorable waist (margin exactly 1)."""
+    """Every design rule for one configuration, from one cut-angle solve.  w0
+    defaults to the factorable waist (margin exactly 1); below sigma_p_min =
+    sqrt(2)/(gamma L (kp' - k' cos theta)) the pump envelope, not the phase
+    matching, sets the sum-frequency width and the factorable design degrades."""
     theta_pm = dispersion.noncollinear_cut_angle(material, pump_um, theta)
-    slopes = dispersion.cut_group_slopes(material, pump_um, theta_pm)
-    w0_fact = _factorable_waist(slopes, L, theta)
-    sp_min = _pump_bandwidth_threshold(slopes, L, theta)
+    kp, kd = dispersion.cut_group_slopes(material, pump_um, theta_pm)
+    if L <= 0.0:
+        raise ValidationError("crystal length must be positive")
+    if theta <= 0.0:
+        raise ValidationError(
+            "collinear geometry has no transverse lever (theta must be > 0)")
+    num = kp - kd * math.cos(theta)
+    if num <= 0.0:
+        raise ValidationError(
+            "pump group slope does not exceed the daughter projection; "
+            "no positive waist solves the matching condition")
+    gamma = gaussian_sinc_gamma()
+    w0_fact = L * math.sqrt(gamma) * num / (kd * math.sin(theta))
+    sp_min = math.sqrt(2.0) / (gamma * L * num)
     w0_eval = w0_fact if w0 is None else w0
     margin = w0_eval / w0_fact
     ratio, ok = validate_waist_regime(w0_eval, L, theta)
     return DesignReport(
         material=material.name, pump_um=pump_um, crystal_length=L, theta=theta,
         theta_pm=theta_pm, waist=w0_eval, factorable_waist=w0_fact,
-        sigma_p_min=sp_min, gamma=gaussian_sinc_gamma(),
+        sigma_p_min=sp_min, gamma=gamma,
         margin=margin, freq_correlated=margin >= REGIME_FACTOR,
         waist_regime_ratio=ratio, waist_regime_ok=ok,
         sigma_p=sigma_p,

@@ -278,17 +278,9 @@ def noncollinear_cut_angle(material: Material, pump_um: float,
     return math.asin(math.sqrt(s2))
 
 
-def noncollinear_group_slopes(material: Material, pump_um: float,
-                              theta: float):
-    """(kp', k'): pump group slope at lambda_p, extraordinary at the cut
-    angle that phase-matches emission angle theta, and daughter ordinary
-    group slope at 2 lambda_p."""
-    return cut_group_slopes(material, pump_um,
-                            noncollinear_cut_angle(material, pump_um, theta))
-
-
 def cut_group_slopes(material: Material, pump_um: float, theta_pm: float):
-    """(kp', k') of noncollinear_group_slopes for a cut angle already solved."""
+    """(kp', k'): pump group slope at lambda_p, extraordinary at the cut
+    angle theta_pm, and daughter ordinary group slope at 2 lambda_p."""
     return (float(group_slope(material, pump_um, ("e", theta_pm))),
             float(group_slope(material, 2.0 * pump_um, "o")))
 

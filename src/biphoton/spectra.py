@@ -404,8 +404,9 @@ def noncollinear_gaussian_beam_factors(material: Material, pump: PumpEnvelope,
         raise RegimeError(
             f"focusing too strong for the factorized phase-matching model: "
             f"w0/L = {lhs:.4g} < {rhs:.4g}", lhs=lhs, rhs=rhs)
-    kp_prime, k_prime = dispersion.noncollinear_group_slopes(
-        material, pump.pump_um, beam.theta)
+    kp_prime, k_prime = dispersion.cut_group_slopes(
+        material, pump.pump_um,
+        dispersion.noncollinear_cut_angle(material, pump.pump_um, beam.theta))
 
     ns = grid.detunings[:, None]
     ni = grid.detunings[None, :]

@@ -328,6 +328,29 @@ def test_homi_tau_span_must_be_finite_and_positive(tmp_path, capsys, span):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("given", [
+    ["--tau-max", "0ps"], ["--tau-max=-1ps"], ["--tau-max", "nanps"],
+    ["--tau-max", "infps"], {"tau_max": "0ps"}, {"tau-max": "-1ps"},
+    {"tau_max": -1e-12}, {"tau_max": math.nan}, {"tau_max": math.inf},
+], ids=["flag-0", "flag-neg", "flag-nan", "flag-inf", "config-0",
+        "config-neg", "config-bare-neg", "config-nan", "config-inf"])
+def test_bell_tau_max_must_be_finite_and_positive(tmp_path, capsys, given):
+    # 0 wrote 81 rows at tau = 0, -1ps and -1e-12 a reversed grid, nan and
+    # inf nan rows
+    if isinstance(given, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(given))
+        given = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    code, cap = run(["bell", "--grid", "16"] + given + ["--out", str(out)],
+                    capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert "tau" in err["message"]
+    assert not out.exists()
+
+
 def test_schmidt_negative_n_report_exit_two(tmp_path, capsys):
     out = tmp_path / "out"
     code, cap = run(["schmidt", "--grid", "32", "--n-report", "-3",
@@ -658,8 +681,22 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     (["polcorr"], {"sign": "*", "grid": 32}),
     (["homi"], {"numeric": "yes"}),                  # flags take true/false
     (["homi"], {"numeric": 1}),
+    (["jsa"], {"length": [1]}),                      # a list is no value
+    (["jsa"], {"pump": [400]}),
+    (["jsa"], {"span_factor": [1]}),
+    (["jsa"], {"bandwidth": ["nm_fwhm", "inf"]}),
+    (["jsa", "--builder", "noncollinear-sinc"], {"theta": None}),
+    (["bell"], {"tau_max": [1]}),
+    (["jsa", "--builder", "collinear"], {"sigma": [1]}),
+    (["design", "report"], {"length": math.inf}),    # no unit suffix
+    (["design", "report"], {"w0": math.nan}),
+    (["design", "report"], {"length": 1e-3}),
+    (["jsa"], {"builder": 1, "grid": 32}),          # names take strings
+    (["jsa"], {"material": True, "grid": 32}),
 ], ids=["choice", "float-int", "string-int", "bool-int", "sign", "flag-string",
-        "flag-int"])
+        "flag-int", "length-list", "pump-list", "span-list", "bandwidth-list",
+        "theta-null", "tau-max-list", "sigma-list", "length-inf", "w0-nan",
+        "length-bare", "builder-int", "material-bool"])
 def test_config_value_checked_like_its_flag(tmp_path, capsys, cmd, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))

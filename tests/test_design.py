@@ -48,12 +48,26 @@ def test_factorable_waist_from_primitives(bbo):
 
 
 def test_factorable_waist_validation(bbo):
-    with pytest.raises(ValidationError):
-        design.factorable_waist(bbo, 0.4, 1e-3, 0.0)
-    with pytest.raises(ValidationError):
-        design.factorable_waist(bbo, 0.4, 1e-3, -0.1)
-    with pytest.raises(ValidationError):
-        design.factorable_waist(bbo, 0.4, 0.0, THETA3)
+    # every entry point refuses with the one message the report raises
+    lever = "collinear geometry has no transverse lever (theta must be > 0)"
+    for L, theta, message in ((1e-3, 0.0, lever), (1e-3, -0.1, lever),
+                              (0.0, THETA3, "crystal length must be positive"),
+                              (-1e-3, THETA3, "crystal length must be positive")):
+        for call in (design.factorable_waist, design.design_report,
+                     lambda *a: design.freq_correlated_margin(*a, 1e-3)):
+            with pytest.raises(ValidationError) as info:
+                call(bbo, 0.4, L, theta)
+            assert str(info.value) == message
+
+
+@pytest.mark.parametrize("L", [0.2e-3, 1e-3, 2e-3])
+@pytest.mark.parametrize("theta_deg", [3.0, 5.0])
+def test_scalar_rules_read_the_report(bbo, L, theta_deg):
+    theta = math.radians(theta_deg)
+    rep = design.design_report(bbo, 0.4, L, theta, w0=1e-3)
+    assert design.factorable_waist(bbo, 0.4, L, theta) == rep.factorable_waist
+    assert design.freq_correlated_margin(bbo, 0.4, L, theta, 1e-3) \
+        == rep.margin
 
 
 # ----------------------------------------------------------------------
@@ -61,9 +75,9 @@ def test_factorable_waist_validation(bbo):
 # ----------------------------------------------------------------------
 
 def test_bandwidth_threshold_pinned_and_scaling(bbo):
-    sp1 = design.pump_bandwidth_threshold(bbo, 0.4, 1e-3, THETA3)
+    sp1 = design.design_report(bbo, 0.4, 1e-3, THETA3).sigma_p_min
     assert sp1 == pytest.approx(SP_MIN_BBO_1MM, rel=1e-9)
-    sp2 = design.pump_bandwidth_threshold(bbo, 0.4, 2e-3, THETA3)
+    sp2 = design.design_report(bbo, 0.4, 2e-3, THETA3).sigma_p_min
     assert sp2 == pytest.approx(0.5 * sp1, rel=1e-12)
 
 
@@ -80,7 +94,7 @@ def test_narrow_pump_degrades_cooperativity(bbo):
     theta = THETA3
     w0 = design.factorable_waist(bbo, 0.4, 1e-3, theta)
     beam = spectra.BeamGeometry(w0=w0, theta=theta, L=1e-3)
-    sp_min = design.pump_bandwidth_threshold(bbo, 0.4, 1e-3, theta)
+    sp_min = design.design_report(bbo, 0.4, 1e-3, theta).sigma_p_min
 
     def K_at(sigma_p):
         pump = spectra.PumpEnvelope(pump_um=0.4, sigma_p=sigma_p)
@@ -104,8 +118,14 @@ def test_margin_linear_and_flagged(bbo):
     assert m1 >= design.REGIME_FACTOR
     m2 = design.freq_correlated_margin(bbo, 0.4, 200e-6, THETA3, 2e-3)
     assert m2 == pytest.approx(2.0 * m1, rel=1e-12)
-    with pytest.raises(ValidationError):
-        design.freq_correlated_margin(bbo, 0.4, 200e-6, THETA3, 0.0)
+    # the margin checks its waist before anything is solved, the report in
+    # the regime check
+    for w0 in (0.0, -1e-3):
+        with pytest.raises(ValidationError, match="^waist must be positive$"):
+            design.freq_correlated_margin(bbo, 0.4, 200e-6, THETA3, w0)
+        with pytest.raises(ValidationError,
+                           match="^w0 and L must be positive$"):
+            design.design_report(bbo, 0.4, 200e-6, THETA3, w0=w0)
 
 
 def test_matched_waist_margin_is_one(bbo):
