@@ -148,7 +148,7 @@ def _n2(coeffs: Sequence[float], lam_um):
     val = coeffs[0] + coeffs[1] * lam2
     for i in range(2, len(coeffs), 3):
         a, b, cc = coeffs[i], coeffs[i + 1], coeffs[i + 2]
-        val = val + (a * lam2 + b) / (lam2 - cc)
+        val += (a * lam2 + b) / (lam2 - cc)
     return val
 
 
@@ -181,6 +181,12 @@ def _ray_kind(ray: Ray):
     raise ValidationError(f"unknown ray spec {ray!r}; use 'o', 'e' or ('e', theta)")
 
 
+def _ellipsoid(no, ne, theta: float):
+    """Extraordinary index at polar angle theta from the principal ones."""
+    ct2, st2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+    return 1.0 / np.sqrt(ct2 / no**2 + st2 / ne**2)
+
+
 def _index_and_slope(material: Material, lam_um, ray: Ray):
     """(n, dn/dlam_um) for any ray spec, range-checked."""
     material.check_range(lam_um)
@@ -191,18 +197,24 @@ def _index_and_slope(material: Material, lam_um, ray: Ray):
     ne, dne = _principal(material.sellmeier_e, lam_um)
     if theta is None:
         return ne, dne
-    ct2, st2 = math.cos(theta) ** 2, math.sin(theta) ** 2
-    n = 1.0 / np.sqrt(ct2 / no**2 + st2 / ne**2)
+    n = _ellipsoid(no, ne, theta)
     # dn/dl of the ellipsoid index at fixed theta
+    ct2, st2 = math.cos(theta) ** 2, math.sin(theta) ** 2
     dn = n**3 * (ct2 * dno / no**3 + st2 * dne / ne**3)
     return n, dn
 
 
 def refractive_index(material: Material, wavelength_um, ray: Ray):
-    """Phase index n(lambda) for the requested ray.  Raises RangeError outside
-    the shipped validity window of the fit."""
-    n, _ = _index_and_slope(material, wavelength_um, ray)
-    return n
+    """Phase index n(lambda) for the requested ray, the n of _index_and_slope
+    without its slope.  Raises RangeError outside the shipped validity
+    window of the fit."""
+    material.check_range(wavelength_um)
+    kind, theta = _ray_kind(ray)
+    n = np.sqrt(_n2(material.sellmeier_o if kind == "o"
+                    else material.sellmeier_e, wavelength_um))
+    if theta is None:
+        return n
+    return _ellipsoid(np.sqrt(_n2(material.sellmeier_o, wavelength_um)), n, theta)
 
 
 def group_slope(material: Material, wavelength_um, ray: Ray):
@@ -214,9 +226,8 @@ def group_slope(material: Material, wavelength_um, ray: Ray):
 
 def wavevector(material: Material, wavelength_um, ray: Ray):
     """Vector-friendly k(lambda) [rad/m]."""
-    n = refractive_index(material, wavelength_um, ray)
-    lam_m = np.asarray(wavelength_um, dtype=float) * 1e-6
-    return 2.0 * math.pi * n / lam_m
+    return (2.0 * math.pi * refractive_index(material, wavelength_um, ray)
+            / (np.asarray(wavelength_um, dtype=float) * 1e-6))
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +277,10 @@ def noncollinear_cut_angle(material: Material, pump_um: float,
     emission angle theta: n_e(pump, theta_pm) = n_o(2*pump) cos(theta) = t.
     theta = 0 is the collinear cut.  On the index ellipsoid this is closed
     form: sin^2 theta_pm = (t^-2 - n_o^-2) / (n_e^-2 - n_o^-2), both principal
-    indices at the pump."""
+    indices at the pump.  Emission at theta >= 90 deg is refused."""
+    if theta >= math.pi / 2:
+        raise ValidationError(f"emission angle theta={math.degrees(theta):.6g} "
+                              "deg must be below 90 deg")
     t = float(refractive_index(material, 2.0 * pump_um, "o")) * math.cos(theta)
     n_o = float(refractive_index(material, pump_um, "o"))
     n_e = float(refractive_index(material, pump_um, "e"))
@@ -295,10 +309,8 @@ def typeII_cut_angle(material: Material, degenerate_um: float) -> float:
     no_p, ne_p, no, ne = (_principal(c, x)[0] for x in (0.5 * lam, lam)
                           for c in (material.sellmeier_o, material.sellmeier_e))
 
-    def f(th):  # the ellipsoid index of _index_and_slope at both wavelengths
-        ct2, st2 = math.cos(th) ** 2, math.sin(th) ** 2
-        return (2.0 * (1.0 / np.sqrt(ct2 / no_p**2 + st2 / ne_p**2)) - no
-                - 1.0 / np.sqrt(ct2 / no**2 + st2 / ne**2))
+    def f(th):
+        return 2.0 * _ellipsoid(no_p, ne_p, th) - no - _ellipsoid(no, ne, th)
 
     if f(_CUT_LO) * f(_CUT_HI) > 0:
         raise PhaseMatchError(f"no cut angle phase-matches {material.name} "

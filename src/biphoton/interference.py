@@ -117,6 +117,7 @@ def reduced_signal_kernel(jsa: JointSpectralAmplitude) -> np.ndarray:
     (Gaussian-beam tails reach 1e-308) they slow the product several-fold."""
     f, mag = jsa.values.copy(), np.abs(jsa.values)
     f[mag < 2.0**-200 * mag.max()] = 0.0
+    del mag   # gone before the product and f's conjugate exist
     return (f @ f.conj().T) * jsa.grid_i.spacing
 
 
@@ -177,9 +178,12 @@ def bell_analyzer_rates(pair: PolarizedPairState, tau):
     floats, an array tau arrays from one _dephasing evaluation."""
     f, g = _exchange_pair(pair)
     gs, gi, meas = pair.f.grid_s, pair.f.grid_i, pair.f.measure
-    deph = _dephasing(f.conj() * g.T, gs.omega0 - gi.omega0 + gs.detunings,
+    w = f.conj()   # one buffer: conj(f) g^T, then f - g^T
+    w *= g.T
+    deph = _dephasing(w, gs.omega0 - gi.omega0 + gs.detunings,
                       gi.detunings, np.atleast_1d(tau))
-    r_plus = 0.25 * (float(np.sum(np.abs(f - g.T) ** 2)) + 2.0 * deph) * meas
+    diff2 = np.abs(np.subtract(f, g.T, out=w)) ** 2   # squared in place
+    r_plus = 0.25 * (float(np.sum(diff2)) + 2.0 * deph) * meas
     r_minus = 0.5 * float(np.vdot(f, f).real + np.vdot(g, g).real) * meas \
         - r_plus
     return ((float(r_plus[0]), float(r_minus[0])) if np.ndim(tau) == 0

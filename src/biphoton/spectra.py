@@ -69,8 +69,10 @@ _Q_SCALED = 227           # past this q, |x| times 2**700 and 10**q times 2**-70
 _P10 = None               # hi, lo of 10**q by q - _Q_MIN: filled as values need them
 _TABLES = None            # digit and exponent words of _tables()
 _DIGIT_COLS = [1, *range(4, 20)]   # the 17 digits in a value's scientific text
-# Complex N_s x N_i arrays in a JSA's working set: a build peaks at 5.5
-# (tracemalloc, all four builders) and the Schmidt SVD adds its factors.
+# Complex N_s x N_i arrays in a JSA's working set.  tracemalloc at N = 1024:
+# a build peaks at 3.0 (the model builder at 2.0), the numeric dip at 3.0
+# beside its JSA, a whole command at 4.2 (reproduce fig1) and at 5.5
+# (reproduce fig7: three factor surfaces, their product and the JSA).
 WORKING_ARRAYS = 8
 
 
@@ -232,10 +234,17 @@ def _boundary_leakage(values: np.ndarray) -> float:
 
 
 def _finish(grid_s, grid_i, values) -> JointSpectralAmplitude:
+    """The normalized JSA of a fresh real or complex array; a complex one is
+    divided by its norm in place."""
     warn = _boundary_leakage(values) > BOUNDARY_LEAK
-    jsa = JointSpectralAmplitude(grid_s, grid_i, np.asarray(values, dtype=complex),
-                                 norm_flag=False, boundary_warning=warn)
-    return jsa.normalized()
+    values = np.asarray(values, dtype=complex)
+    jsa = JointSpectralAmplitude(grid_s, grid_i, values, norm_flag=True,
+                                 boundary_warning=warn)
+    n = jsa.norm()
+    if n == 0.0:
+        raise ValidationError("cannot normalize an all-zero JSA")
+    values /= n
+    return jsa
 
 
 # ----------------------------------------------------------------------
@@ -243,14 +252,18 @@ def _finish(grid_s, grid_i, values) -> JointSpectralAmplitude:
 # ----------------------------------------------------------------------
 
 def pump_envelope_value(pump: PumpEnvelope, nu_sum):
-    """Pump amplitude as a function of nu_s + nu_i."""
-    x = np.asarray(nu_sum, dtype=float) / pump.sigma_p
-    return np.exp(-(x**2))
+    """Pump amplitude as a function of nu_s + nu_i; for an array, numpy
+    squares and negates the quotient in place, and exp overwrites it."""
+    x = -((np.asarray(nu_sum, dtype=float) / pump.sigma_p) ** 2)
+    return np.exp(x, out=x) if np.ndim(x) else np.exp(x)
 
 
 def sinc_phasematch(delta_k, L: float):
-    """phi = sinc(L delta_k / 2) with sinc(0) = 1 (np.sinc is sin(pi x)/(pi x))."""
-    return np.sinc(np.asarray(delta_k, dtype=float) * L / (2.0 * math.pi))
+    """phi = sinc(L delta_k / 2) with sinc(0) = 1, by np.sinc's steps on one
+    copy: y = pi L delta_k / (2 pi), eps where y == 0, then sin(y) / y."""
+    y = np.asarray(np.asarray(delta_k, dtype=float) * L / (2.0 * math.pi) * math.pi)
+    y[y == 0] = np.finfo(float).eps
+    return np.sin(y) / y
 
 
 _SINC_HALF = bisect_root(lambda x: math.sin(x) / x - 0.5, 1e-9,
@@ -309,8 +322,8 @@ def gaussian_model_jsa(model: GaussianSourceModel,
     ni = grid.detunings[None, :]
     expo = -2.0 * (ns + ni) ** 2 / model.sigma**2
     if math.isfinite(model.sigma_F):
-        expo = expo - 2.0 * (ns**2 + ni**2) / model.sigma_F**2
-    return _finish(grid, grid, np.exp(expo))
+        expo -= 2.0 * (ns**2 + ni**2) / model.sigma_F**2
+    return _finish(grid, grid, np.exp(expo, out=expo))
 
 
 # ----------------------------------------------------------------------
@@ -361,11 +374,13 @@ def _sellmeier_sinc(material: Material, L: float, pump: PumpEnvelope,
     omega = grid.omegas
     ks = dispersion.wavevector(material, lam_um(omega), "o")
     ki = dispersion.wavevector(material, lam_um(omega), ray_i)
-    omega_p = omega[:, None] + omega[None, :]
-    kp = dispersion.wavevector(material, lam_um(omega_p), ("e", th_pm))
-    dk = kp - ks[:, None] * cos_theta - ki[None, :] * cos_theta
-    nu_sum = (omega[:, None] - pump.omega0) + (omega[None, :] - pump.omega0)
-    values = pump_envelope_value(pump, nu_sum) * sinc_phasematch(dk, L)
+    dk = dispersion.wavevector(material, lam_um(omega[:, None] + omega[None, :]),
+                               ("e", th_pm))   # kp, made dk in place
+    dk -= ks[:, None] * cos_theta
+    dk -= ki[None, :] * cos_theta
+    values = sinc_phasematch(dk, L)
+    values *= pump_envelope_value(
+        pump, (omega[:, None] - pump.omega0) + (omega[None, :] - pump.omega0))
     return _finish(grid, grid, values)
 
 
@@ -382,9 +397,11 @@ def build_jsa_noncollinear_gaussian_beam(material: Material, pump: PumpEnvelope,
 
     Raises RegimeError outside weak focusing, as the factors do.
     """
-    pump_f, long_f, trans_f = noncollinear_gaussian_beam_factors(
+    values, long_f, trans_f = noncollinear_gaussian_beam_factors(
         material, pump, beam, grid)
-    return _finish(grid, grid, pump_f * long_f * trans_f)
+    values *= long_f
+    values *= trans_f
+    return _finish(grid, grid, values)
 
 
 def noncollinear_gaussian_beam_factors(material: Material, pump: PumpEnvelope,
@@ -397,6 +414,8 @@ def noncollinear_gaussian_beam_factors(material: Material, pump: PumpEnvelope,
     otherwise raises RegimeError carrying both sides of the inequality.
     """
     _check_memory(grid)
+    # first, so that theta >= 90 deg is refused as such, not as a regime
+    th_pm = dispersion.noncollinear_cut_angle(material, pump.pump_um, beam.theta)
     gam = gaussian_sinc_gamma()
     lhs = beam.w0 / beam.L
     rhs = REGIME_FACTOR * math.sqrt(gam) * math.sin(beam.theta) ** 2
@@ -404,9 +423,7 @@ def noncollinear_gaussian_beam_factors(material: Material, pump: PumpEnvelope,
         raise RegimeError(
             f"focusing too strong for the factorized phase-matching model: "
             f"w0/L = {lhs:.4g} < {rhs:.4g}", lhs=lhs, rhs=rhs)
-    kp_prime, k_prime = dispersion.cut_group_slopes(
-        material, pump.pump_um,
-        dispersion.noncollinear_cut_angle(material, pump.pump_um, beam.theta))
+    kp_prime, k_prime = dispersion.cut_group_slopes(material, pump.pump_um, th_pm)
 
     ns = grid.detunings[:, None]
     ni = grid.detunings[None, :]

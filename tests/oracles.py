@@ -25,7 +25,12 @@ cycles on every call is the oracle of the one on per-n tables built once.
 The NS-gate reflectivities from a 41 x 41 grid polished by Nelder-Mead are
 the oracle of the search that solves the reduced system by bisection.
 The exchange-symmetry residual and the Schmidt-sum reconstruction are
-kept here for the tests that check the package against them.
+kept here for the tests that check the package against them.  The JSA
+builders that make a new array at every N^2 stage (np.sinc, the
+three-factor Gaussian-beam product, the model exponent, normalized()'s
+quotient), the index taken as the first half of (n, dn/dlambda), and the
+Bell analyzer with its four N^2 temporaries are the bit-for-bit oracles of
+the in-place ones.
 """
 
 import csv
@@ -38,7 +43,7 @@ from collections import Counter
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from biphoton import dispersion, focksim, schmidt
+from biphoton import dispersion, focksim, interference, schmidt, spectra
 from biphoton.dispersion import C_LIGHT
 from biphoton.errors import PhaseMatchError, ValidationError
 from biphoton.spectra import FrequencyGrid, JointSpectralAmplitude
@@ -200,6 +205,71 @@ def noncollinear_sinc_values(material, L: float, pump, theta: float,
     return values / np.sqrt(np.sum(values**2) * grid.spacing**2)
 
 
+def refractive_index(material, wavelength_um, ray):
+    """The index as the first half of (n, dn/dlambda)."""
+    return dispersion._index_and_slope(material, wavelength_um, ray)[0]
+
+
+def wavevector(material, wavelength_um, ray):
+    lam_m = np.asarray(wavelength_um, dtype=float) * 1e-6
+    return 2.0 * math.pi * refractive_index(material, wavelength_um, ray) / lam_m
+
+
+def normalized_jsa(grid, values) -> JointSpectralAmplitude:
+    """values on grid x grid, flagged and normalized through a complex copy
+    and normalized()'s quotient array."""
+    warn = spectra._boundary_leakage(values) > spectra.BOUNDARY_LEAK
+    return JointSpectralAmplitude(grid, grid, np.asarray(values, dtype=complex),
+                                  boundary_warning=warn).normalized()
+
+
+def sellmeier_sinc_jsa(material, L: float, pump, grid, th_pm: float, ray_i,
+                       cos_theta: float) -> JointSpectralAmplitude:
+    """alpha(nu_s + nu_i) sinc(L dk / 2) with np.sinc, each N^2 stage a new
+    array: the body both Sellmeier-sinc builders share."""
+    lam_um = lambda omega: 2.0 * math.pi * C_LIGHT / np.asarray(omega) * 1e6
+    omega = grid.omegas
+    ks = wavevector(material, lam_um(omega), "o")
+    ki = wavevector(material, lam_um(omega), ray_i)
+    omega_p = omega[:, None] + omega[None, :]
+    kp = wavevector(material, lam_um(omega_p), ("e", th_pm))
+    dk = kp - ks[:, None] * cos_theta - ki[None, :] * cos_theta
+    nu_sum = (omega[:, None] - pump.omega0) + (omega[None, :] - pump.omega0)
+    alpha = np.exp(-((np.asarray(nu_sum, dtype=float) / pump.sigma_p) ** 2))
+    phi = np.sinc(np.asarray(dk, dtype=float) * L / (2.0 * math.pi))
+    return normalized_jsa(grid, alpha * phi)
+
+
+def gaussian_beam_factors(material, pump, beam, grid):
+    """(pump envelope, longitudinal, transverse) surfaces, each a new array."""
+    gam = spectra.gaussian_sinc_gamma()
+    kp_prime, k_prime = dispersion.cut_group_slopes(
+        material, pump.pump_um,
+        dispersion.noncollinear_cut_angle(material, pump.pump_um, beam.theta))
+    ns = grid.detunings[:, None]
+    ni = grid.detunings[None, :]
+    dkz = (kp_prime - k_prime * math.cos(beam.theta)) * (ns + ni)
+    dkt = -k_prime * math.sin(beam.theta) * (ns - ni)
+    pump_f = np.exp(-(((ns + ni) / pump.sigma_p) ** 2))
+    long_f = np.exp(-gam * dkz**2 * beam.L**2 / 4.0)
+    trans_f = np.exp(-(dkt**2) * beam.w0**2 / 4.0)
+    return pump_f, long_f, trans_f
+
+
+def gaussian_beam_jsa(material, pump, beam, grid) -> JointSpectralAmplitude:
+    pump_f, long_f, trans_f = gaussian_beam_factors(material, pump, beam, grid)
+    return normalized_jsa(grid, pump_f * long_f * trans_f)
+
+
+def gaussian_model_jsa(model, grid) -> JointSpectralAmplitude:
+    ns = grid.detunings[:, None]
+    ni = grid.detunings[None, :]
+    expo = -2.0 * (ns + ni) ** 2 / model.sigma**2
+    if math.isfinite(model.sigma_F):
+        expo = expo - 2.0 * (ns**2 + ni**2) / model.sigma_F**2
+    return normalized_jsa(grid, np.exp(expo))
+
+
 def homi_rates(jsa, taus) -> np.ndarray:
     """Rc(tau) = 1 - sum_ab |rho_ab|^2 cos((nu_a - nu_b) tau) ds^2, one N^2
     cosine per delay."""
@@ -263,6 +333,21 @@ def fringe_visibility(pair, theta_b: float = math.pi / 4,
     rates = np.array([polarization_fringe(pair, t, theta_b) for t in thetas])
     hi, lo = float(rates.max()), float(rates.min())
     return (hi - lo) / (hi + lo)
+
+
+def bell_analyzer_rates_by_temporaries(pair, tau):
+    """The package's Bell-analyzer rates with a new array for each of
+    conj(f), conj(f) g^T, f - g^T and its squared modulus."""
+    f, g = pair.f.values, pair.g.values
+    gs, gi, meas = pair.f.grid_s, pair.f.grid_i, pair.f.measure
+    deph = interference._dephasing(
+        f.conj() * g.T, gs.omega0 - gi.omega0 + gs.detunings, gi.detunings,
+        np.atleast_1d(tau))
+    r_plus = 0.25 * (float(np.sum(np.abs(f - g.T) ** 2)) + 2.0 * deph) * meas
+    r_minus = 0.5 * float(np.vdot(f, f).real + np.vdot(g, g).real) * meas \
+        - r_plus
+    return ((float(r_plus[0]), float(r_minus[0])) if np.ndim(tau) == 0
+            else (r_plus, r_minus))
 
 
 def bell_analyzer_rates(pair, tau: float):

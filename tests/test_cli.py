@@ -316,6 +316,23 @@ def test_sellmeier_sinc_length_must_be_positive(tmp_path, capsys, builder,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["jsa", "--builder", "noncollinear-sinc", "--grid", "16"],
+    ["jsa", "--builder", "gaussian-beam", "--grid", "16"],
+    ["design", "report"]])
+@pytest.mark.parametrize("theta", ["90deg", "100deg", "183deg", "363deg"])
+def test_emission_angle_must_be_below_90deg(tmp_path, capsys, argv, theta):
+    # cos(183 deg) < 0 mirrored the cut: noncollinear-sinc wrote a JSA, and
+    # gaussian-beam and design report blamed the waist
+    out = tmp_path / "out"
+    code, cap = run(argv + ["--theta", theta, "--out", str(out)], capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "ValidationError"
+    assert "emission angle" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("span", ["0", "-2", "nan", "inf"])
 def test_homi_tau_span_must_be_finite_and_positive(tmp_path, capsys, span):
     # 0 wrote 81 rows at tau = 0, -2 a reversed grid, nan and inf nan rows

@@ -54,6 +54,21 @@ def test_extraordinary_at_right_angle_is_principal(bbo):
     assert n_mix == pytest.approx(n_e, rel=1e-14)
 
 
+@pytest.mark.parametrize("ray", ["o", "e", ("e", 0.0), ("e", 0.6),
+                                 ("e", math.pi / 2)])
+def test_index_bit_identical_to_index_and_slope(bbo, ktp, kdp, ray):
+    # the index without its slope keeps the bits of (n, dn/dlambda)[0]
+    for mat in (bbo, ktp, kdp):
+        lam = np.linspace(*mat.range_um, 1200)
+        for x in (lam, lam.reshape(30, 40), *lam[::97]):
+            for got, want in ((dispersion.refractive_index(mat, x, ray),
+                               oracles.refractive_index(mat, x, ray)),
+                              (dispersion.wavevector(mat, x, ray),
+                               oracles.wavevector(mat, x, ray))):
+                assert type(got) is type(want)
+                assert np.array_equal(got, want)
+
+
 def test_out_of_range_raises(bbo):
     with pytest.raises(RangeError):
         dispersion.refractive_index(bbo, 12.0, "o")
@@ -204,6 +219,13 @@ def test_bisect_root_stops_at_the_bracket_width():
     # decreasing functions are bracketed the other way round
     assert dispersion.bisect_root(lambda x: 1.0 - x, 0.0, 3.0,
                                   xtol=1e-14) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("deg", [90.0, 100.0, 183.0, 363.0])
+def test_cut_angle_refuses_emission_at_or_beyond_90deg(bbo, deg):
+    # cos(theta) <= 0 mirrored the cut instead of failing
+    with pytest.raises(ValidationError, match="emission angle"):
+        dispersion.noncollinear_cut_angle(bbo, 0.4, math.radians(deg))
 
 
 def test_unmatchable_cut_raises(bbo, ktp):

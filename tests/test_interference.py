@@ -254,6 +254,11 @@ def test_delay_scans_match_per_delay_oracles_property(
     taus[rng.integers(n_taus)] = 0.0
     r_plus, r_minus = interference.bell_analyzer_rates(pair, taus)
     scalar = [interference.bell_analyzer_rates(pair, tau) for tau in taus]
+    # one buffer keeps the bits of four N^2 temporaries
+    want = oracles.bell_analyzer_rates_by_temporaries(pair, taus)
+    assert np.array_equal(r_plus, want[0]) and np.array_equal(r_minus, want[1])
+    assert scalar == [oracles.bell_analyzer_rates_by_temporaries(pair, tau)
+                      for tau in taus]
     for j, tau in enumerate(taus):
         want = oracles.bell_analyzer_rates(pair, tau)
         assert abs(r_plus[j] - want[0]) < 1e-14

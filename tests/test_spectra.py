@@ -5,6 +5,7 @@ the CSV dump format."""
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from biphoton import cli, design, dispersion, schmidt, spectra
+from biphoton import cli, design, dispersion, interference, schmidt, spectra
 from biphoton.errors import RegimeError, ValidationError
 from tests import oracles
 from tests.conftest import chirped_jsa
@@ -62,6 +63,23 @@ def test_sinc_phasematch_points():
         0.0, abs=1e-12)
     assert spectra.sinc_phasematch(math.pi / L, L) == pytest.approx(
         2.0 / math.pi, rel=1e-14)
+
+
+def test_envelope_and_sinc_bit_identical_to_numpy_forms():
+    # the in-place forms keep np.exp(-(x**2)) and np.sinc's bits, scalar or array
+    pump = spectra.PumpEnvelope(pump_um=0.8, sigma_p=3e13)
+    L = 1e-3
+    xs = np.concatenate([np.random.default_rng(5).uniform(-3e4, 3e4, 2000),
+                         [0.0, -0.0, math.pi / L, 2e8, math.nan]])
+    for x in (xs, xs.reshape(-1, 5), *xs):
+        want_env = np.exp(-((np.asarray(x * 3e9) / pump.sigma_p) ** 2))
+        want_sinc = np.sinc(np.asarray(x) * L / (2.0 * math.pi))
+        got_env = spectra.pump_envelope_value(pump, x * 3e9)
+        got_sinc = spectra.sinc_phasematch(x, L)
+        assert type(got_env) is type(want_env)
+        assert type(got_sinc) is type(want_sinc)
+        assert np.array_equal(got_env, want_env, equal_nan=True)
+        assert np.array_equal(got_sinc, want_sinc, equal_nan=True)
 
 
 def test_gamma_value_and_definition():
@@ -193,6 +211,86 @@ def test_noncollinear_sinc_matches_oracle(name, theta_deg):
     j = spectra.build_jsa_noncollinear_sinc(mat, 1e-3, pump, theta, grid)
     ref = oracles.noncollinear_sinc_values(mat, 1e-3, pump, theta, grid)
     assert np.max(np.abs(j.values - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_builders_bit_identical_to_new_array_oracles(bbo, n):
+    # every builder, built in place, keeps the bits of the one that makes
+    # a new array at each N^2 stage; jittered draws as in the benchmark
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        j = lambda: rng.uniform(0.9, 1.1)
+        L, theta = 1e-3 * j(), math.radians(3.0 * j())
+        p8 = spectra.PumpEnvelope.from_pump_fwhm(0.8, 15.0 * j())
+        g8 = spectra.default_pump_grid(p8, n_points=n)
+        p4 = spectra.PumpEnvelope.from_pump_fwhm(0.4, 10.0 * j())
+        g4 = spectra.default_pump_grid(p4, n_points=n)
+        beam = spectra.BeamGeometry(
+            j() * design.factorable_waist(bbo, 0.4, L, theta), theta, L)
+        th2 = dispersion.typeII_cut_angle(bbo, 1.6)
+        th1 = dispersion.noncollinear_cut_angle(bbo, 0.8, theta)
+        col = spectra.build_jsa_collinear(bbo, "II_eoe", L, p8, g8)
+        cases = [
+            (col, oracles.sellmeier_sinc_jsa(bbo, L, p8, g8, th2, ("e", th2),
+                                             1.0)),
+            (spectra.build_jsa_noncollinear_sinc(bbo, L, p8, theta, g8),
+             oracles.sellmeier_sinc_jsa(bbo, L, p8, g8, th1, "o",
+                                        math.cos(theta))),
+            (spectra.build_jsa_noncollinear_gaussian_beam(bbo, p4, beam, g4),
+             oracles.gaussian_beam_jsa(bbo, p4, beam, g4))]
+        sigma_f = 3e13 * j()   # the filter's complex array, divided in place
+        t = np.exp(-2.0 * g8.detunings**2 / sigma_f**2)
+        cases.append((spectra.apply_gaussian_filter(col, sigma_f)[0],
+                      oracles.normalized_jsa(g8, col.values * t[:, None]
+                                             * t[None, :])))
+        for model in (spectra.GaussianSourceModel(4e13 * j(), 4e13 * j()),
+                      spectra.GaussianSourceModel(4e13 * j())):
+            grid = spectra.default_model_grid(model, n_points=n)
+            cases.append((spectra.gaussian_model_jsa(model, grid),
+                           oracles.gaussian_model_jsa(model, grid)))
+        for got, want in cases:
+            assert np.array_equal(got.values, want.values)
+            assert got.norm_flag and want.norm_flag
+            assert got.boundary_warning == want.boundary_warning
+        for got, want in zip(
+                spectra.noncollinear_gaussian_beam_factors(bbo, p4, beam, g4),
+                oracles.gaussian_beam_factors(bbo, p4, beam, g4)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("stage", ["collinear", "noncollinear-sinc",
+                                   "gaussian-beam", "model", "dip"])
+def test_working_set_peak_at_n1024(bbo, stage):
+    # each N^2 stage overwrites arrays it owns: no build and no numeric dip
+    # holds more than about three complex N x N arrays (16 N^2 bytes) at once
+    n, theta = 1024, math.radians(3.0)
+    p8 = spectra.PumpEnvelope.from_pump_fwhm(0.8, 15.0)
+    p4 = spectra.PumpEnvelope.from_pump_fwhm(0.4, 10.0)
+    model = spectra.GaussianSourceModel(4e13, 4e13)
+    beam = spectra.BeamGeometry(design.factorable_waist(bbo, 0.4, 1e-3, theta),
+                                theta, 1e-3)
+    build = {
+        "collinear": lambda: spectra.build_jsa_collinear(
+            bbo, "II_eoe", 1e-3, p8, spectra.default_pump_grid(p8, n)),
+        "noncollinear-sinc": lambda: spectra.build_jsa_noncollinear_sinc(
+            bbo, 1e-3, p8, theta, spectra.default_pump_grid(p8, n)),
+        "gaussian-beam": lambda: spectra.build_jsa_noncollinear_gaussian_beam(
+            bbo, p4, beam, spectra.default_pump_grid(p4, n)),
+        "model": lambda: spectra.gaussian_model_jsa(
+            model, spectra.default_model_grid(model, n))}
+    if stage == "dip":
+        jsa = build["model"]()
+        taus = interference.default_tau_grid(model, 81)
+        fn = lambda: interference.two_crystal_homi_numeric(jsa, taus)
+    else:
+        fn = build[stage]
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * 16 * n * n
 
 
 def test_collinear_grid_refinement(bbo):
