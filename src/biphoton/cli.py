@@ -611,15 +611,19 @@ def _beam_figure(args, tag, L, w0, fwhm_nm) -> dict:
                                      span_factor=2.5)
     rep = design.design_report(material, pump.pump_um, L, theta, w0=w0)
     beam = spectra.BeamGeometry(w0=rep.waist, theta=theta, L=L)
-    pump_f, long_f, trans_f = spectra.noncollinear_gaussian_beam_factors(
+    product, long_f, trans_f = spectra.noncollinear_gaussian_beam_factors(
         material, pump, beam, grid)
-    product = pump_f * long_f * trans_f
-    for name, surf in (("pump", pump_f), ("longitudinal", long_f),
-                       ("transverse", trans_f), ("product", product)):
-        _write_surface_csv(os.path.join(_outdir(args), f"{tag}_{name}.csv"),
-                           grid, grid, surf)
-    jsa = spectra.JointSpectralAmplitude(grid, grid,
-                                         product.astype(complex)).normalized()
+    write = lambda name, surf: _write_surface_csv(
+        os.path.join(_outdir(args), f"{tag}_{name}.csv"), grid, grid, surf)
+    write("pump", product)
+    write("longitudinal", long_f)
+    write("transverse", trans_f)
+    product *= long_f   # in the pump surface, and the other two factors go
+    product *= trans_f
+    del long_f, trans_f
+    write("product", product)
+    jsa = spectra._finish(grid, grid, product)   # one complex copy, normalized
+    del product
     return {"w0": rep.waist, "L": L, "theta": theta, "pump_fwhm_nm": fwhm_nm,
             "K": schmidt.schmidt_svd(jsa).K,
             "margin": rep.margin,

@@ -31,7 +31,7 @@ import io
 import math
 import os
 import signal
-import struct
+import tempfile
 import warnings
 from dataclasses import dataclass, replace
 
@@ -48,9 +48,8 @@ BOUNDARY_LEAK = 1e-3
 # Weak-focusing bar of the Gaussian-beam model: (w0/L) / (sqrt(gamma)
 # sin^2 theta) must reach it (design.validate_waist_regime reports the ratio).
 REGIME_FACTOR = 10.0
-# CSV round trip: bytes a JSA reader parses in one piece
+# CSV round trip: bytes of one JSA reader piece and of one worker-file read
 _CHUNK = 1 << 20
-_FRAME = struct.Struct("<q")   # a frame's size; 0 ends a block, < 0 an error
 # a JSA body row as read: nu_s, nu_i as text (any %.17g fits), re, im
 _TEXT_ROW = np.dtype([("nu", "S32", (2,)), ("v", "f8", (2,))])
 # Grid cells whose text a CSV writer makes in one pass: the temporaries
@@ -71,8 +70,8 @@ _TABLES = None            # digit and exponent words of _tables()
 _DIGIT_COLS = [1, *range(4, 20)]   # the 17 digits in a value's scientific text
 # Complex N_s x N_i arrays in a JSA's working set.  tracemalloc at N = 1024:
 # a build peaks at 3.0 (the model builder at 2.0), the numeric dip at 3.0
-# beside its JSA, a whole command at 4.2 (reproduce fig1) and at 5.5
-# (reproduce fig7: three factor surfaces, their product and the JSA).
+# beside its JSA, a whole command at 4.2 at most (reproduce fig1; fig5 and
+# fig7 at 3.3 and 3.6, their product formed in the pump surface).
 WORKING_ARRAYS = 8
 
 
@@ -488,7 +487,7 @@ def _cpu_count() -> int:
 
 
 def _fork() -> int:
-    # A child only formats or parses its block, writes it to its pipe and
+    # A child only formats or parses its block, writes it to its file and
     # leaves through os._exit.  It takes no lock that another thread of the
     # parent (a BLAS worker, say) may hold at the fork, which is the hazard
     # behind Python 3.12's warning about forking a multi-threaded process.
@@ -498,68 +497,56 @@ def _fork() -> int:
         return os.fork()
 
 
-def _child(w, files, make, block) -> None:
-    """Body of a forked child: send the bytes of every piece make(block)
-    yields on pipe end w, one frame each, then an end frame (an error
-    frame if making them fails), and leave through os._exit.  The
-    inherited read ends in files are closed first, so a sibling's pipe
-    breaks when the parent closes it."""
+def _child(fh, make, block) -> None:
+    """Body of a forked child: write the bytes of every piece make(block)
+    yields to fh as soon as it is made and exit 0.  If making or writing
+    them fails, fh holds the error's text alone and the exit code is 2."""
     code = 1
     try:
-        for f in files:
-            f.close()
-        with open(w, "wb") as out:
-            try:
-                # the whole block first: the parent reads it only after its own
-                views = [memoryview(p).cast("B") for p in make(block)]
-                for v in filter(len, views):   # an empty frame ends the block
-                    out.write(_FRAME.pack(len(v)))
-                    out.write(v)
-                out.write(_FRAME.pack(0))
-            except Exception as exc:
-                msg = (str(exc) if isinstance(exc, ValidationError)
-                       else f"{type(exc).__name__}: {exc}").encode()
-                out.write(_FRAME.pack(-len(msg)))
-                out.write(msg)
-        code = 0
+        try:
+            for piece in make(block):
+                fh.write(piece)
+            fh.flush()
+            code = 0
+        except Exception as exc:
+            fh.seek(0)
+            fh.truncate()
+            fh.write((str(exc) if isinstance(exc, ValidationError)
+                      else f"{type(exc).__name__}: {exc}").encode())
+            fh.flush()
+            code = 2
     finally:
         os._exit(code)
 
 
 def _blockwise(blocks, make):
     """The bytes-like pieces that make(block) yields, block by block in
-    order: block 0's made here, each other block's by one forked child and
-    read back from its pipe.  A child's error frame raises ValidationError
-    with its message.  On any error, the consumer's own included when it
-    closes this generator, every child is killed; on the way out every
-    child is reaped."""
+    order: block 0's made here, each other block's by one forked child
+    into an unnamed temporary file, read back in _CHUNK pieces once the
+    child has exited 0.  A child that exits 2 raises ValidationError with
+    the text it left.  On any error, the consumer's own included when it
+    closes this generator, every child not yet reaped is killed; on the
+    way out every file is closed and every child reaped."""
     pids, files = [], []
     try:
         for block in blocks[1:]:
-            r, w = os.pipe()
-            files.append(open(r, "rb"))
-            try:
-                pid = _fork()
-            except BaseException:
-                os.close(w)
-                raise
+            files.append(tempfile.TemporaryFile())
+            pid = _fork()
             if pid == 0:
-                _child(w, files, make, block)
-            os.close(w)
+                _child(files[-1], make, block)
             pids.append(pid)
         yield from make(blocks[0])
         for f in files:
-            while True:
-                head = f.read(_FRAME.size)
-                if len(head) < _FRAME.size:   # a short piece ends here too
-                    raise ValidationError(
-                        "a CSV worker ended before finishing its block")
-                (size,) = _FRAME.unpack(head)
-                if size < 0:
-                    raise ValidationError(f.read(-size).decode())
-                if size == 0:
-                    break
-                yield f.read(size)
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]   # reaped: its pid may be reused, so it is never killed
+            f.seek(0)
+            if code == 2:
+                raise ValidationError(f.read().decode())
+            if code != 0:
+                raise ValidationError(
+                    "a CSV worker ended before finishing its block")
+            while piece := f.read(_CHUNK):
+                yield piece
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)

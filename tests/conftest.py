@@ -40,9 +40,9 @@ def no_leaked_workers():
 
 @pytest.fixture
 def no_leaked_fds():
-    """Every file descriptor a test opens (a CSV worker's pipe end among
-    them) is closed when it ends.  Checked only where /proc/self/fd lists
-    the open descriptors."""
+    """Every file descriptor a test opens (a CSV worker's temporary file
+    among them) is closed when it ends.  Checked only where /proc/self/fd
+    lists the open descriptors."""
     fds = "/proc/self/fd"
     before = set(os.listdir(fds)) if os.path.isdir(fds) else None
     yield

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -553,6 +554,24 @@ def test_beam_figure_solves_the_cut_twice(tmp_path, monkeypatch, figure):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("figure, n", [("fig5", 512), ("fig7", 640)])
+def test_beam_figure_working_set(tmp_path, figure, n):
+    # the product is formed in the pump surface once the three factors are
+    # written, the other two go, and one complex copy is normalized: the
+    # Schmidt sketch then sets the peak (3.4 and 3.8 N x N complex arrays
+    # here, 3.9 and 4.1 in a fresh process; 5.4 and 5.8 when all four
+    # surfaces stayed).  fig7 is run past 512 points because there its
+    # rank-128 sketch is the full SVD.
+    tracemalloc.start()
+    try:
+        assert run(["reproduce", figure, "--grid", str(n),
+                    "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2 * 16 * n * n
+
+
 def test_design_report_solves_the_cut_once(tmp_path, monkeypatch):
     # theta_pm and both group slopes come from one cut-angle solve
     calls = record_calls(monkeypatch, dispersion, "noncollinear_cut_angle")
@@ -960,6 +979,23 @@ def test_oversized_grid_exit_two_before_allocating(tmp_path, capsys, argv):
     assert "physical memory" in err["message"]
     assert peak < 4 * 2**20
     assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_temporary_directory_exit_two(tmp_path, capsys, monkeypatch):
+    # a CSV worker hands its block back in a temporary file: with two row
+    # blocks a missing temporary directory is an error, with one it is
+    # never used
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: 2)
+    code, cap = run(["jsa", "--grid", "16", "--out", str(tmp_path / "a")],
+                    capsys)
+    assert code == 2
+    err = json.loads(cap.err)
+    assert err["error"] == "FileNotFoundError"
+    assert err["exit_code"] == 2
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: 1)
+    assert run(["jsa", "--grid", "16", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "jsa.csv").exists()
 
 
 def test_regime_error_exit_three(tmp_path, capsys):

@@ -2,9 +2,11 @@
 sinc phase matching, the gaussian-beam factorized builder, filters, and
 the CSV dump format."""
 
+import io
 import json
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -684,7 +686,8 @@ def test_read_jsa_csv_worker_that_dies_is_an_error(tmp_path, monkeypatch):
 @pytest.mark.parametrize("blocks", [2, 3])
 def test_read_jsa_csv_in_pieces_without_rows(tmp_path, monkeypatch, blocks):
     # 64-byte reads are shorter than a row, so most pieces hold no row and
-    # parse to no values: a worker must not send those as its end frame
+    # parse to no values: a worker's empty pieces neither end nor shorten
+    # its block
     monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
     monkeypatch.setattr(spectra, "_CHUNK", 64)
     jsa = chirped_jsa(7, 5)
@@ -898,10 +901,10 @@ class _FailingFile:
 @pytest.mark.parametrize("in_worker", [False, True])
 def test_write_grid_rows_consumer_error_kills_the_workers(monkeypatch, blocks,
                                                          in_worker):
-    # 5 of the 90 rows a piece: every worker has more text than its pipe
-    # holds, so it is alive, blocked on a write, when the parent's write
-    # fails on the second piece of its own block or on the first piece a
-    # worker sent
+    # 5 of the 90 rows a piece: the parent's write fails on the second
+    # piece of its own block, while the workers may still be writing, or on
+    # the first piece read back from a worker's file, after that worker was
+    # reaped; either way every worker is gone when the error arrives
     monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
     monkeypatch.setattr(spectra, "_CELLS", 5 * 90)
     jsa = chirped_jsa(90, 90)
@@ -916,8 +919,8 @@ def test_write_grid_rows_consumer_error_kills_the_workers(monkeypatch, blocks,
 @pytest.mark.parametrize("blocks", [2, 3])
 def test_read_jsa_csv_error_in_its_own_block_kills_the_workers(
         tmp_path, monkeypatch, blocks):
-    # 200 x 200 rows: each worker's values outgrow its pipe, so the
-    # workers are alive when the parent's first piece fails
+    # 200 x 200 rows: the parent's first piece fails while the workers
+    # may still be parsing theirs
     monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
     path = tmp_path / "j.csv"
     spectra.write_jsa_csv(chirped_jsa(200, 200), path)
@@ -931,6 +934,28 @@ def test_read_jsa_csv_error_in_its_own_block_kills_the_workers(
     monkeypatch.setattr(spectra, "_piece_values", failing)
     with pytest.raises(ValidationError, match="parent block broke") as info:
         spectra.read_jsa_csv(path)
+    _assert_no_children(info)
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_csv_error_in_its_own_block_kills_workers_still_making_theirs(
+        monkeypatch, blocks):
+    # the workers' formatter sleeps for a minute while the parent's fails
+    # at once: the call returns within seconds only if they are killed
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+
+    def failing(nu_s, nu_i, values, lo, hi):
+        if lo > 0:   # only a worker's block starts past row 0
+            time.sleep(60)
+        raise RuntimeError("parent block broke")
+
+    monkeypatch.setattr(spectra, "_grid_text", failing)
+    jsa = chirped_jsa(5, 3)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="parent block broke") as info:
+        spectra.write_grid_rows(io.StringIO(), jsa.grid_s.detunings,
+                                jsa.grid_i.detunings, jsa.values)
+    assert time.perf_counter() - t0 < 5
     _assert_no_children(info)
 
 
