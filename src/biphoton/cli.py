@@ -265,7 +265,8 @@ def build_parser():
     reg = new("reproduce", cmd_reproduce, "emit the data behind a figure")
     reg.sub.add_argument("figure", choices=sorted(_FIGURES))
     reg.add("--grid", type=int, default=256)
-    reg.add("--n-modes", type=int, default=8)
+    reg.add("--n-modes", type=int, default=8,
+            help=f"fig9 modes per source, 1 to {focksim.MAX_SIXFOLD_MODES}")
 
     return parser, registries
 

@@ -19,8 +19,9 @@ the network and each counted once, have a closed form instead:
 each signal in a diagonal state, and sums over permutation pairs of the
 signal submatrix weighted by cycle traces of the Schmidt ladders (Tichy,
 PRA 91, 022316 (2015); Shchesnovich, PRA 91, 013844 (2015)).  It refuses
-any input that breaks those preconditions; `ns_sixfold_rate` runs its
-ladder sum on the six-fold layout, checked once per process.
+any input that breaks those preconditions.  The sum takes cycle traces:
+`ns_sixfold_rate`'s sources share one ladder, so it needs three (one per
+cycle length), on the six-fold layout checked once per process.
 
 All sources in one simulation must share a single orthonormal spectral
 basis; for identical Gaussian-model sources the Schmidt bases coincide
@@ -318,12 +319,12 @@ def pair_source_probability(network: LinearNetwork, pairs, weights,
     diagonal, the pattern counts exactly one photon on each idler channel,
     the channels are distinct, each source's mass is at most 1, and the
     pattern carries all 2n photons with 2n <= MAX_PERMANENT.  The checks
-    and the ladder-free terms (_pair_layout) come before the sum over the
-    ladders (_pair_sum), so a fixed layout can be built once."""
+    and the ladder-free terms (_pair_layout) precede the cycle traces
+    (_ladder_traces) and their sum (_pair_sum): a layout can be built once."""
     pairs = [(int(s), int(i)) for s, i in pairs]
     weights, _ = _pair_weights(pairs, weights)
     return _pair_sum(_pair_layout(network.unitary, pairs, pattern.counts),
-                     weights)
+                     _ladder_traces(len(pairs), weights))
 
 
 class _PairLayout(NamedTuple):
@@ -360,18 +361,23 @@ def _pair_layout(u, pairs, counts) -> _PairLayout:
                        float(abs(np.sum(amps)) ** 2), gram)
 
 
-def _pair_sum(layout: _PairLayout, weights) -> float:
-    """The permutation-pair sum over a layout for per-source weights: all
-    distinct cycle traces in one reduction over the padded cycle rows (the
-    pad row of lambda is ones, and multiplying by 1.0 is exact), then the
-    floor-split sum of the Gram terms in permutation order."""
-    n = layout.sub.shape[1]
-    _, _, cycle_rows, cycle_ids = _perm_pairs(n)
+def _ladder_traces(n: int, weights) -> list:
+    """Per distinct cycle C of S_n, in _perm_pairs order, its trace sum_m
+    prod_{j in C} lambda_jm for per-source weights: one reduction over the
+    padded cycle rows (the pad row of lambda is ones; times 1.0 is exact)."""
+    _, _, cycle_rows, _ = _perm_pairs(n)
     lam = np.zeros((n + 1, max(len(w) for w in weights)))
     lam[n] = 1.0
     for j, w in enumerate(weights):
         lam[j, :len(w)] = np.abs(w) ** 2
-    cycle_traces = np.prod(lam[cycle_rows], axis=1).sum(axis=1).tolist()
+    return np.prod(lam[cycle_rows], axis=1).sum(axis=1).tolist()
+
+
+def _pair_sum(layout: _PairLayout, cycle_traces) -> float:
+    """The permutation-pair sum over a layout given the trace of each
+    distinct cycle in _perm_pairs order: the floor-split sum of the Gram
+    terms in permutation order, on Python complex values."""
+    _, _, _, cycle_ids = _perm_pairs(layout.sub.shape[1])
     traces = [math.prod(map(cycle_traces.__getitem__, ids))
               for ids in cycle_ids]
     # The pi-sums of sum_sigma a_sigma conj(a_{pi sigma}) add up to
@@ -379,9 +385,9 @@ def _pair_sum(layout: _PairLayout, weights) -> float:
     # pattern that indistinguishable photons cannot reach dark to roundoff.
     floor = min(traces)
     total = floor * layout.amp_sq
-    for trace, g in zip(traces, layout.gram):
+    for trace, g in zip(traces, layout.gram.tolist()):
         total += (trace - floor) * g
-    return float(np.real(total)) / layout.norm
+    return total.real / layout.norm
 
 
 @functools.cache
@@ -587,6 +593,7 @@ def homi_mz_stage_states(phase: float) -> MZStageReport:
 SIXFOLD_PAIRS = ((3, 0), (4, 1), (5, 2))   # (signal, idler) per source
 SIXFOLD_PATTERN = DetectionPattern((1, 1, 1, 1, 1, 1, 0))
 SIXFOLD_TRUNC_TOL = 0.05                   # largest truncated Schmidt mass
+MAX_SIXFOLD_MODES = 2 ** 16                # longest ladder, checked before use
 
 def sixfold_network() -> LinearNetwork:
     """Two balanced splitters on (3, 4) bracketing an ideal NS gate on
@@ -600,6 +607,8 @@ def sixfold_network() -> LinearNetwork:
 def _sixfold_layout() -> _PairLayout:
     """sixfold_network()'s _pair_layout for SIXFOLD_PAIRS and SIXFOLD_PATTERN,
     checked and built once per process; it keeps a copy of the submatrix."""
+    if len({c for p in SIXFOLD_PAIRS for c in p}) != 2 * len(SIXFOLD_PAIRS):
+        raise ValidationError("source channels must be distinct")
     return _pair_layout(sixfold_network().unitary, SIXFOLD_PAIRS,
                         SIXFOLD_PATTERN.counts)
 
@@ -612,6 +621,8 @@ def _sixfold_amplitudes(mu: float, n_modes: int) -> np.ndarray:
     if not isinstance(n_modes, (int, np.integer)) \
             or isinstance(n_modes, bool) or n_modes < 1:
         raise ValidationError("n_modes must be an integer of at least 1")
+    if n_modes > MAX_SIXFOLD_MODES:
+        raise ValidationError(f"n_modes must be at most {MAX_SIXFOLD_MODES}")
     return math.sqrt(1.0 - mu * mu) * (-mu) ** np.arange(n_modes)
 
 
@@ -646,14 +657,21 @@ def ns_sixfold_rate(mu: float, n_modes: int = 8) -> SixfoldRate:
     mass 1 - (sum_n lambda_n)^3 must stay below SIXFOLD_TRUNC_TOL or the
     call refuses (raise n_modes; the bar tolerates the slow mu = 0.7 tail
     at n_modes >= 6)."""
-    weights, kept = _pair_weights(SIXFOLD_PAIRS,
-                                  [_sixfold_amplitudes(mu, n_modes)])
-    truncation_mass = 1.0 - kept
+    amps = _sixfold_amplitudes(mu, n_modes)
+    # one shared ladder: a k-cycle's trace is sum_m lambda_m^k (k = 1, 2, 3
+    # in one sum), and its padded row in _perm_pairs(3) holds 3 - k pads
+    by_length = np.multiply.accumulate([amps * amps] * 3).sum(axis=1).tolist()
+    mass = by_length[0]             # each source's kept mass
+    if mass > 1.0 + 1e-9:
+        raise ValidationError("source weights exceed unit mass")
+    truncation_mass = 1.0 - mass * mass * mass
     if truncation_mass > SIXFOLD_TRUNC_TOL:
         raise ValidationError(
             f"truncated Schmidt mass {truncation_mass:.3g} exceeds "
             f"{SIXFOLD_TRUNC_TOL:g}; raise n_modes")
-    return SixfoldRate(rate=_pair_sum(_sixfold_layout(), weights),
+    traces = [by_length[2 - row.count(3)]
+              for row in _perm_pairs(3)[2].tolist()]
+    return SixfoldRate(rate=_pair_sum(_sixfold_layout(), traces),
                        mu=float(mu),
                        cooperativity=analytic_K(mu),
                        n_modes=int(n_modes),

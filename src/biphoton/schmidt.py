@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -153,17 +152,6 @@ def cooperativity(eigenvalues) -> float:
 def analytic_mu(model: GaussianSourceModel) -> float:
     r = model.ratio
     return 1.0 + r**2 - math.sqrt(2.0 * r**2 + r**4)
-
-
-def analytic_eigenvalues(mu: float, n_max: int) -> Tuple[np.ndarray, float]:
-    """Geometric spectrum lambda_n = (1-mu^2) mu^(2n) for n = 0..n_max,
-    plus the truncated tail mass mu^(2(n_max+1))."""
-    if not 0.0 <= mu < 1.0:
-        raise ValidationError("need 0 <= mu < 1")
-    n = np.arange(n_max + 1)
-    lam = (1.0 - mu**2) * mu ** (2 * n)
-    tail = mu ** (2 * (n_max + 1))
-    return lam, float(tail)
 
 
 def analytic_K(mu: float) -> float:

@@ -24,7 +24,8 @@ pair-source permutation-pair sum that enumerates S_n, its partners and its
 cycles on every call is the oracle of the one on per-n tables built once.
 The NS-gate reflectivities from a 41 x 41 grid polished by Nelder-Mead are
 the oracle of the search that solves the reduced system by bisection.
-The exchange-symmetry residual and the Schmidt-sum reconstruction are
+The exchange-symmetry residual, the Schmidt-sum reconstruction and the
+Gaussian model's geometric Schmidt spectrum with its truncated tail are
 kept here for the tests that check the package against them.  The JSA
 builders that make a new array at every N^2 stage (np.sinc, the
 three-factor Gaussian-beam product, the model exponent, normalized()'s
@@ -642,3 +643,14 @@ def ns_search_grid_simplex() -> focksim.NSSearchResult:
     if best is None:
         raise ValidationError("no (r, s) satisfied the map proportionality")
     return best
+
+
+def analytic_eigenvalues(mu: float, n_max: int) -> tuple:
+    """Geometric spectrum lambda_n = (1-mu^2) mu^(2n) for n = 0..n_max,
+    plus the truncated tail mass mu^(2(n_max+1))."""
+    if not 0.0 <= mu < 1.0:
+        raise ValidationError("need 0 <= mu < 1")
+    n = np.arange(n_max + 1)
+    lam = (1.0 - mu**2) * mu ** (2 * n)
+    tail = mu ** (2 * (n_max + 1))
+    return lam, float(tail)

@@ -378,6 +378,22 @@ def test_schmidt_negative_n_report_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_modes", [10 ** 15, focksim.MAX_SIXFOLD_MODES + 1])
+def test_fig9_n_modes_above_cap_exit_two(tmp_path, capsys, n_modes):
+    # 10**15 ended in a numpy out-of-memory traceback with exit code 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n-modes": n_modes}))
+    out = tmp_path / "out"
+    for given in (["--n-modes", str(n_modes)], ["--config", str(cfg)]):
+        code, cap = run(["reproduce", "fig9", *given, "--out", str(out)],
+                        capsys)
+        assert code == 2
+        err = json.loads(cap.err)
+        assert err["error"] == "ValidationError"
+        assert err["message"] == "n_modes must be at most 65536"
+        assert not out.exists()
+
+
 def test_homi_numeric_column(tmp_path):
     assert run(["homi", "--numeric", "--grid", "64", "--tau-points", "11",
                 "--out", str(tmp_path)]) == 0

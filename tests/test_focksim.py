@@ -5,6 +5,7 @@ multimodedness."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,6 +453,68 @@ def test_sixfold_layout_checks_the_shared_network(monkeypatch):
             focksim.ns_sixfold_rate(mu=0.5)
     finally:
         focksim._sixfold_layout.cache_clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(0.0, 0.75, exclude_max=True), n_modes=st.integers(1, 12))
+def test_sixfold_traces_by_length_equal_ladder_traces(mu, n_modes):
+    # the one shared ladder's trace per cycle length, read off for every
+    # cycle of S_3, is the per-source ladders' trace bit for bit, and the
+    # kept mass is _pair_weights' product of per-source masses
+    seen = []
+    pair_sum = focksim._pair_sum
+
+    def spy(layout, cycle_traces):
+        seen.append(list(cycle_traces))
+        return pair_sum(layout, cycle_traces)
+
+    weights, kept = focksim._pair_weights(
+        focksim.SIXFOLD_PAIRS, [focksim._sixfold_amplitudes(mu, n_modes)])
+    focksim._pair_sum = spy
+    try:
+        if 1.0 - kept > focksim.SIXFOLD_TRUNC_TOL:
+            with pytest.raises(ValidationError, match="raise n_modes"):
+                focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes)
+            assert not seen
+            return
+        got = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes)
+    finally:
+        focksim._pair_sum = pair_sum
+    assert [t.hex() for t in seen[0]] == \
+        [t.hex() for t in focksim._ladder_traces(3, weights)]
+    assert got.truncation_mass.hex() == (1.0 - kept).hex()
+
+
+def test_sixfold_layout_checks_distinct_channels(monkeypatch):
+    monkeypatch.setattr(focksim, "SIXFOLD_PAIRS", ((3, 0), (4, 0), (5, 2)))
+    focksim._sixfold_layout.cache_clear()
+    try:
+        with pytest.raises(ValidationError,
+                           match="source channels must be distinct"):
+            focksim.ns_sixfold_rate(mu=0.5)
+    finally:
+        focksim._sixfold_layout.cache_clear()
+
+
+def test_sixfold_rate_checks_unit_mass(monkeypatch):
+    monkeypatch.setattr(focksim, "_sixfold_amplitudes",
+                        lambda mu, n_modes: np.array([0.9, 0.6]))
+    with pytest.raises(ValidationError, match="unit mass"):
+        focksim.ns_sixfold_rate(mu=0.5, n_modes=2)
+
+
+@pytest.mark.parametrize("n_modes", [10 ** 15,
+                                     focksim.MAX_SIXFOLD_MODES + 1])
+def test_sixfold_n_modes_capped_before_allocation(n_modes):
+    tracemalloc.start()
+    try:
+        for call in (focksim.ns_sixfold_rate, focksim.sixfold_input):
+            with pytest.raises(ValidationError, match="at most 65536"):
+                call(0.5, n_modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_sixfold_rate_ignores_mutated_network():

@@ -264,7 +264,7 @@ def test_small_grids_do_not_load_numpy_random(tmp_path):
 def test_cooperativity_values():
     assert schmidt.cooperativity([1.0]) == 1.0
     assert schmidt.cooperativity([0.5, 0.5]) == pytest.approx(2.0, rel=1e-14)
-    lam, _ = schmidt.analytic_eigenvalues(0.5, 400)
+    lam, _ = oracles.analytic_eigenvalues(0.5, 400)
     assert schmidt.cooperativity(lam) == pytest.approx(5.0 / 3.0, rel=1e-12)
 
 
@@ -302,22 +302,22 @@ def test_analytic_mu_limits_and_monotonic():
 
 def test_analytic_eigenvalues_telescoping():
     for mu in (0.0, 0.3, 0.77, 0.95):
-        lam, tail = schmidt.analytic_eigenvalues(mu, 37)
+        lam, tail = oracles.analytic_eigenvalues(mu, 37)
         assert lam[0] == pytest.approx(1.0 - mu**2, rel=1e-14)
         assert float(lam.sum()) + tail == pytest.approx(1.0, abs=1e-12)
-    lam, tail = schmidt.analytic_eigenvalues(0.0, 5)
+    lam, tail = oracles.analytic_eigenvalues(0.0, 5)
     assert lam[0] == 1.0 and np.all(lam[1:] == 0.0) and tail == 0.0
     with pytest.raises(ValidationError):
-        schmidt.analytic_eigenvalues(1.0, 5)
+        oracles.analytic_eigenvalues(1.0, 5)
     with pytest.raises(ValidationError):
-        schmidt.analytic_eigenvalues(-0.1, 5)
+        oracles.analytic_eigenvalues(-0.1, 5)
 
 
 def test_analytic_K_closed_form():
     assert schmidt.analytic_K(0.0) == 1.0
     assert schmidt.analytic_K(MU_EQUAL) == pytest.approx(K_EQUAL, rel=1e-13)
     for mu in np.linspace(0.0, 0.9, 10):
-        lam, _ = schmidt.analytic_eigenvalues(mu, 200)
+        lam, _ = oracles.analytic_eigenvalues(mu, 200)
         assert schmidt.analytic_K(mu) == pytest.approx(
             schmidt.cooperativity(lam), rel=1e-10)
 
@@ -331,7 +331,7 @@ def test_svd_matches_analytic_over_width_ratios():
         dec = schmidt.schmidt_svd(jsa)
         mu = schmidt.analytic_mu(model)
         assert dec.K == pytest.approx(schmidt.analytic_K(mu), rel=1e-9)
-        lam, _ = schmidt.analytic_eigenvalues(mu, dec.n_modes - 1)
+        lam, _ = oracles.analytic_eigenvalues(mu, dec.n_modes - 1)
         assert np.max(np.abs(dec.eigenvalues - lam)) < 1e-9
 
 
