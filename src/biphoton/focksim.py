@@ -14,14 +14,14 @@ splits.  `pattern_probability` (the general path) and the Mach-Zehnder
 stage test run on it.
 
 Pair sources whose idlers go to their own trigger channels, untouched by
-the network and each counted once, have a closed form instead:
-`pair_source_probability` traces the spectrally blind idlers out, leaving
-each signal in a diagonal state, and sums over permutation pairs of the
-signal submatrix weighted by cycle traces of the Schmidt ladders (Tichy,
-PRA 91, 022316 (2015); Shchesnovich, PRA 91, 013844 (2015)).  It refuses
-any input that breaks those preconditions.  The sum takes cycle traces:
-`ns_sixfold_rate`'s sources share one ladder, so it needs three (one per
-cycle length), on the six-fold layout checked once per process.
+the network and each counted once, have a closed form instead: tracing
+the spectrally blind idlers out leaves each signal in a diagonal state,
+and the probability is a sum over permutation pairs of the signal
+submatrix weighted by cycle traces of the Schmidt ladders (Tichy, PRA 91,
+022316 (2015); Shchesnovich, PRA 91, 013844 (2015)).  `ns_sixfold_rate`'s
+three sources share one ladder, so the sum falls into three classes by
+cycle type: two network constants, checked and computed once per process,
+and three moments sum_n lambda_n^k of the ladder.
 
 All sources in one simulation must share a single orthonormal spectral
 basis; for identical Gaussian-model sources the Schmidt bases coincide
@@ -48,7 +48,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -299,137 +299,6 @@ def total_probability_check(network: LinearNetwork,
         for c in _compositions(inp.photon_number, network.n_channels))
 
 
-def pair_source_probability(network: LinearNetwork, pairs, weights,
-                            pattern: DetectionPattern) -> float:
-    """pattern_probability of from_pair_sources(pairs, weights) when every
-    idler sits on a channel the network leaves alone and is counted there.
-
-    Tracing out the spectrally blind idler detectors leaves signal j in the
-    diagonal state rho_j = sum_n lambda_jn |n><n|, lambda_jn = |w_jn|^2, so
-
-        P = (1 / prod_d m_d!) sum_{sigma, tau in S_n}
-            prod_k M[k, sigma k] conj(M[k, tau k])
-            prod_{cycles C of tau sigma^-1} sum_n prod_{j in C} lambda_jn
-
-    with M the unitary's rows for the pattern's non-idler counts (channel d
-    repeated m_d times) and columns for the signal inputs; the cycles act on
-    source labels (Tichy, PRA 91, 022316; Shchesnovich, PRA 91, 013844).
-    Ladders of unequal length are zero-padded.  Raises ValidationError
-    unless each idler's row and column of the unitary are zero off the
-    diagonal, the pattern counts exactly one photon on each idler channel,
-    the channels are distinct, each source's mass is at most 1, and the
-    pattern carries all 2n photons with 2n <= MAX_PERMANENT.  The checks
-    and the ladder-free terms (_pair_layout) precede the cycle traces
-    (_ladder_traces) and their sum (_pair_sum): a layout can be built once."""
-    pairs = [(int(s), int(i)) for s, i in pairs]
-    weights, _ = _pair_weights(pairs, weights)
-    return _pair_sum(_pair_layout(network.unitary, pairs, pattern.counts),
-                     _ladder_traces(len(pairs), weights))
-
-
-class _PairLayout(NamedTuple):
-    """The signal submatrix M, prod_d m_d!, |sum_sigma a_sigma|^2 and per
-    pi the Gram term sum_sigma conj(a_{pi sigma}) a_sigma, for the
-    permutation amplitudes a_sigma = prod_k M[k, sigma k]."""
-    sub: np.ndarray
-    norm: int
-    amp_sq: float
-    gram: np.ndarray
-
-
-def _pair_layout(u, pairs, counts) -> _PairLayout:
-    """pair_source_probability's checks of the unitary u, the pairs and
-    the pattern counts, then their _PairLayout with read-only arrays."""
-    n = len(pairs)
-    _check_pattern(u.shape[0], counts, 2 * n, (c for p in pairs for c in p))
-    idlers = [i for _, i in pairs]
-    for i in idlers:
-        if counts[i] != 1:
-            raise ValidationError(
-                f"pattern must count one photon on idler channel {i}")
-        if np.any(np.delete(u[i], i)) or np.any(np.delete(u[:, i], i)):
-            raise ValidationError(f"network mixes idler channel {i}")
-    rows = [d for d, c in enumerate(counts) if d not in idlers
-            for _ in range(c)]
-    sub = u[np.ix_(rows, [s for s, _ in pairs])]
-    perms, partners, _, _ = _perm_pairs(n)
-    amps = np.prod(sub[np.arange(n), perms], axis=1)
-    gram = np.array([np.vdot(amps[p], amps) for p in partners])
-    sub.setflags(write=False)
-    gram.setflags(write=False)
-    return _PairLayout(sub, math.prod(math.factorial(c) for c in counts),
-                       float(abs(np.sum(amps)) ** 2), gram)
-
-
-def _ladder_traces(n: int, weights) -> list:
-    """Per distinct cycle C of S_n, in _perm_pairs order, its trace sum_m
-    prod_{j in C} lambda_jm for per-source weights: one reduction over the
-    padded cycle rows (the pad row of lambda is ones; times 1.0 is exact)."""
-    _, _, cycle_rows, _ = _perm_pairs(n)
-    lam = np.zeros((n + 1, max(len(w) for w in weights)))
-    lam[n] = 1.0
-    for j, w in enumerate(weights):
-        lam[j, :len(w)] = np.abs(w) ** 2
-    return np.prod(lam[cycle_rows], axis=1).sum(axis=1).tolist()
-
-
-def _pair_sum(layout: _PairLayout, cycle_traces) -> float:
-    """The permutation-pair sum over a layout given the trace of each
-    distinct cycle in _perm_pairs order: the floor-split sum of the Gram
-    terms in permutation order, on Python complex values."""
-    _, _, _, cycle_ids = _perm_pairs(layout.sub.shape[1])
-    traces = [math.prod(map(cycle_traces.__getitem__, ids))
-              for ids in cycle_ids]
-    # The pi-sums of sum_sigma a_sigma conj(a_{pi sigma}) add up to
-    # |perm M|^2: splitting off the smallest cycle trace that way keeps a
-    # pattern that indistinguishable photons cannot reach dark to roundoff.
-    floor = min(traces)
-    total = floor * layout.amp_sq
-    for trace, g in zip(traces, layout.gram.tolist()):
-        total += (trace - floor) * g
-    return total.real / layout.norm
-
-
-@functools.cache
-def _perm_pairs(n: int):
-    """The ladder-independent tables of the permutation-pair sum over S_n:
-    the permutations as rows of a read-only (n!, n) array in
-    itertools.permutations order; the read-only (n!, n!) partner matrix,
-    partner[p, s] the row of perms[p] o perms[s] (tau = pi o sigma, so
-    tau sigma^-1 = pi); the distinct cycles as rows of a read-only array,
-    each in _cycles order, padded to length n with the index n; and per
-    permutation the rows of its cycles."""
-    perms = np.array(list(itertools.permutations(range(n))),
-                     dtype=np.intp).reshape(math.factorial(n), n)
-    # itertools lists permutations lexicographically, so their base-n codes
-    # ascend and a composition's code finds its row by binary search
-    code = n ** np.arange(n - 1, -1, -1)
-    partners = np.searchsorted(perms @ code, perms[:, perms] @ code)
-    per_perm = [[tuple(c) for c in _cycles(p)] for p in perms.tolist()]
-    cycles = tuple(dict.fromkeys(c for cs in per_perm for c in cs))
-    slot = {c: k for k, c in enumerate(cycles)}
-    cycle_ids = tuple(tuple(slot[c] for c in cs) for cs in per_perm)
-    cycle_rows = np.array([c + (n,) * (n - len(c)) for c in cycles],
-                          dtype=np.intp).reshape(len(cycles), n)
-    for table in (perms, partners, cycle_rows):
-        table.setflags(write=False)
-    return perms, partners, cycle_rows, cycle_ids
-
-
-def _cycles(perm):
-    """Cycles of a permutation given as a tuple of images."""
-    seen, out = set(), []
-    for start in range(len(perm)):
-        cycle, j = [], start
-        while j not in seen:
-            seen.add(j)
-            cycle.append(j)
-            j = perm[j]
-        if cycle:
-            out.append(cycle)
-    return out
-
-
 # ----------------------------------------------------------------------
 # NS gate
 # ----------------------------------------------------------------------
@@ -604,18 +473,81 @@ def sixfold_network() -> LinearNetwork:
 
 
 @functools.cache
-def _sixfold_layout() -> _PairLayout:
-    """sixfold_network()'s _pair_layout for SIXFOLD_PAIRS and SIXFOLD_PATTERN,
-    checked and built once per process; it keeps a copy of the submatrix."""
-    if len({c for p in SIXFOLD_PAIRS for c in p}) != 2 * len(SIXFOLD_PAIRS):
+def _sixfold_constants() -> Tuple[float, float, float]:
+    """(I, |det M|^2, |perm M|^2) / prod_d m_d! for sixfold_network(),
+    SIXFOLD_PAIRS and SIXFOLD_PATTERN, checked and computed once per
+    process.  M is the unitary's rows for the pattern's non-idler counts
+    (channel d repeated m_d times) and columns for the signal inputs, and
+    I = sum_sigma |a_sigma|^2 over a_sigma = prod_k M[k, sigma k].  Raises
+    ValidationError unless the channels are distinct, the pattern carries
+    every input photon (at most MAX_PERMANENT) with one on each idler
+    channel, and each idler's row and column of the unitary are zero off
+    the diagonal."""
+    pairs, counts = SIXFOLD_PAIRS, SIXFOLD_PATTERN.counts
+    channels = [c for p in pairs for c in p]
+    if len(set(channels)) != len(channels):
         raise ValidationError("source channels must be distinct")
-    return _pair_layout(sixfold_network().unitary, SIXFOLD_PAIRS,
-                        SIXFOLD_PATTERN.counts)
+    u = sixfold_network().unitary
+    _check_pattern(u.shape[0], counts, len(channels), channels)
+    idlers = [i for _, i in pairs]
+    for i in idlers:
+        if counts[i] != 1:
+            raise ValidationError(
+                f"pattern must count one photon on idler channel {i}")
+        if np.any(np.delete(u[i], i)) or np.any(np.delete(u[:, i], i)):
+            raise ValidationError(f"network mixes idler channel {i}")
+    rows = [d for d, c in enumerate(counts) if d not in idlers
+            for _ in range(c)]
+    sub = u[np.ix_(rows, [s for s, _ in pairs])]
+    perms = list(itertools.permutations(range(len(pairs))))
+    amps = [complex(math.prod(sub[k, s] for k, s in enumerate(sigma)))
+            for sigma in perms]
+    signs = [(-1) ** sum(a > b for a, b in itertools.combinations(sigma, 2))
+             for sigma in perms]
+    norm = math.prod(math.factorial(c) for c in counts)
+    return (sum(abs(a) ** 2 for a in amps) / norm,
+            abs(sum(sg * a for sg, a in zip(signs, amps))) ** 2 / norm,
+            abs(sum(amps)) ** 2 / norm)
 
 
-def _sixfold_amplitudes(mu: float, n_modes: int) -> np.ndarray:
-    """Schmidt amplitudes sqrt(1 - mu^2) (-mu)^n, n < n_modes, of one
-    sixfold source."""
+def _sixfold_rate_from_moments(p1: float, p2: float, p3: float) -> float:
+    """Six-fold rate of three identical sources whose ladder has the
+    moments p_k = sum_n lambda_n^k:
+
+        R = I (p1^3 - p3) + |det M|^2 (p3 - p1 p2) / 2
+            + |perm M|^2 (p1 p2 + p3) / 2
+
+    with _sixfold_constants.  Tracing out the spectrally blind idlers
+    leaves a sum over permutation pairs (sigma, tau) of a_sigma conj(a_tau)
+    weighted by the cycle traces of tau sigma^-1 (Tichy, PRA 91, 022316;
+    Shchesnovich, PRA 91, 013844): p1^3 for the identity, p1 p2 for a
+    transposition, p3 for a 3-cycle.  The sign character of S_3 separates
+    the Gram sums of the last two classes, T = (|perm|^2 - |det|^2) / 2 and
+    C = (|perm|^2 + |det|^2) / 2 - I."""
+    ident, det_sq, perm_sq = _sixfold_constants()
+    p12 = p1 * p2
+    return (ident * (p1 * p1 * p1 - p3) + 0.5 * det_sq * (p3 - p12)
+            + 0.5 * perm_sq * (p12 + p3))
+
+
+def _sixfold_moments(mu: float, n_modes: int) -> list:
+    """p_k = sum_{n < n_modes} lambda_n^k, k = 1, 2, 3, of the truncated
+    ladder lambda_n = (1 - mu^2) mu^(2n), in closed form on Python floats:
+    lambda_0^k (1 - x^n_modes) / (1 - x) with x = mu^(2k).  lambda_0^k is a
+    repeated product and the geometric factor is exactly 1.0 at n_modes = 1
+    or mu = 0, so there p1^3 == p1 p2 == p3 and the pattern stays dark."""
+    lam, x = 1.0 - mu * mu, mu * mu
+    lam_k, x_k, moments = 1.0, 1.0, []
+    for _ in range(3):
+        lam_k *= lam
+        x_k *= x
+        moments.append(lam_k * ((1.0 - x_k ** n_modes) / (1.0 - x_k)))
+    return moments
+
+
+def _check_sixfold_args(mu: float, n_modes: int) -> None:
+    """Refuse a Schmidt ratio outside [0, 1) and a mode count that is not
+    an integer from 1 to MAX_SIXFOLD_MODES, before anything is allocated."""
     if not 0.0 <= mu < 1.0:
         raise ValidationError("mu must lie in [0, 1)")
     if not isinstance(n_modes, (int, np.integer)) \
@@ -623,6 +555,12 @@ def _sixfold_amplitudes(mu: float, n_modes: int) -> np.ndarray:
         raise ValidationError("n_modes must be an integer of at least 1")
     if n_modes > MAX_SIXFOLD_MODES:
         raise ValidationError(f"n_modes must be at most {MAX_SIXFOLD_MODES}")
+
+
+def _sixfold_amplitudes(mu: float, n_modes: int) -> np.ndarray:
+    """Schmidt amplitudes sqrt(1 - mu^2) (-mu)^n, n < n_modes, of one
+    sixfold source."""
+    _check_sixfold_args(mu, n_modes)
     return math.sqrt(1.0 - mu * mu) * (-mu) ** np.arange(n_modes)
 
 
@@ -651,29 +589,30 @@ def ns_sixfold_rate(mu: float, n_modes: int = 8) -> SixfoldRate:
     For single-mode sources (K = 1) the NS-in-MZ circuit forbids the D1/D2
     coincidence exactly; spectral multimodedness (K > 1) leaks rate back
     in, growing with mu, the sources' Schmidt ratio (schmidt.analytic_mu of
-    a Gaussian model).
+    a Gaussian model).  The rate is a function of the ladder's moments
+    p_k = sum_n lambda_n^k (_sixfold_rate_from_moments).  With
+    |perm M|^2 = 5.9e-33 it reads as distinguishing information:
+
+        R = R_d (p1^3 - p3) - D (p1 p2 - p3),
+
+    R_d = I = 0.2108 the fully distinguishable rate (p2 = p3 = 0) and
+    D = |det M|^2 / 2 = 0.4179.  At full mass (p1 = 1), p2 = 1/K is the
+    sources' purity, and identical single-mode photons (p2 = p3 = 1) are
+    dark.
 
     The Schmidt ladder is truncated at n_modes per source; the neglected
     mass 1 - (sum_n lambda_n)^3 must stay below SIXFOLD_TRUNC_TOL or the
     call refuses (raise n_modes; the bar tolerates the slow mu = 0.7 tail
     at n_modes >= 6)."""
-    amps = _sixfold_amplitudes(mu, n_modes)
-    # one shared ladder: a k-cycle's trace is sum_m lambda_m^k (k = 1, 2, 3
-    # in one sum), and its padded row in _perm_pairs(3) holds 3 - k pads
-    by_length = np.multiply.accumulate([amps * amps] * 3).sum(axis=1).tolist()
-    mass = by_length[0]             # each source's kept mass
-    if mass > 1.0 + 1e-9:
-        raise ValidationError("source weights exceed unit mass")
-    truncation_mass = 1.0 - mass * mass * mass
+    _check_sixfold_args(mu, n_modes)
+    p1, p2, p3 = _sixfold_moments(float(mu), int(n_modes))
+    truncation_mass = 1.0 - p1 * p1 * p1
     if truncation_mass > SIXFOLD_TRUNC_TOL:
         raise ValidationError(
             f"truncated Schmidt mass {truncation_mass:.3g} exceeds "
             f"{SIXFOLD_TRUNC_TOL:g}; raise n_modes")
-    traces = [by_length[2 - row.count(3)]
-              for row in _perm_pairs(3)[2].tolist()]
-    return SixfoldRate(rate=_pair_sum(_sixfold_layout(), traces),
+    return SixfoldRate(rate=_sixfold_rate_from_moments(p1, p2, p3),
                        mu=float(mu),
                        cooperativity=analytic_K(mu),
                        n_modes=int(n_modes),
                        truncation_mass=truncation_mass)
-

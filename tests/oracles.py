@@ -21,7 +21,8 @@ permanents of block-diagonal channel matrices, one spectral-label split at
 a time, and two-mode Fock states go through a 2x2 splitter by their own
 creation-operator expansion: the oracles of the one expansion engine.  The
 pair-source permutation-pair sum that enumerates S_n, its partners and its
-cycles on every call is the oracle of the one on per-n tables built once.
+cycles on every call is the oracle of the six-fold rate's moment form, and
+its Gram terms grouped by cycle type that of the moment form's constants.
 The NS-gate reflectivities from a 41 x 41 grid polished by Nelder-Mead are
 the oracle of the search that solves the reduced system by bisection.
 The exchange-symmetry residual, the Schmidt-sum reconstruction and the
@@ -574,31 +575,77 @@ def apply_two_mode(state: dict, b: np.ndarray) -> dict:
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def pair_source_probability(network, pairs, weights, pattern) -> float:
-    """The cycle-trace permutation-pair sum with S_n, the partner of each
-    (pi, sigma) and every permutation's cycles enumerated on each call (no
-    input checks)."""
-    pairs = [(int(s), int(i)) for s, i in pairs]
-    weights, _ = focksim._pair_weights(pairs, weights)
-    n = len(pairs)
-    u = network.unitary
-    idlers = [i for _, i in pairs]
-    lam = np.zeros((n, max(len(w) for w in weights)))
-    for j, w in enumerate(weights):
-        lam[j, :len(w)] = np.abs(w) ** 2
-    rows = [d for d, c in enumerate(pattern.counts) if d not in idlers
-            for _ in range(c)]
-    sub = u[np.ix_(rows, [s for s, _ in pairs])]
+def cycles(perm):
+    """Cycles of a permutation given as a tuple of images."""
+    seen, out = set(), []
+    for start in range(len(perm)):
+        cycle, j = [], start
+        while j not in seen:
+            seen.add(j)
+            cycle.append(j)
+            j = perm[j]
+        if cycle:
+            out.append(cycle)
+    return out
+
+
+def perm_pairs(n):
+    """S_n in itertools.permutations order, the partner table
+    partner[p][s] = index of perms[p] o perms[s] (tau = pi o sigma, so
+    tau sigma^-1 = pi) and each permutation's cycles, enumerated on each
+    call."""
     perms = list(itertools.permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
+    partners = [[index[tuple(pi[k] for k in sigma)] for sigma in perms]
+                for pi in perms]
+    return perms, partners, [cycles(pi) for pi in perms]
+
+
+def pair_gram_terms(network, pairs, pattern):
+    """Per permutation pi of the sources, in perm_pairs order, (its cycles,
+    the Gram term sum_sigma conj(a_{pi sigma}) a_sigma), and
+    |sum_sigma a_sigma|^2, for the permutation amplitudes
+    a_sigma = prod_k M[k, sigma k] of the signal submatrix M (rows for the
+    pattern's non-idler counts, columns for the signal inputs)."""
+    n = len(pairs)
+    idlers = [i for _, i in pairs]
+    rows = [d for d, c in enumerate(pattern.counts) if d not in idlers
+            for _ in range(c)]
+    sub = network.unitary[np.ix_(rows, [s for s, _ in pairs])]
+    perms, partners, cycle_lists = perm_pairs(n)
     amps = np.array([np.prod(sub[range(n), p]) for p in perms])
-    traces = [math.prod(float(np.sum(np.prod(lam[c], axis=0)))
-                        for c in focksim._cycles(pi)) for pi in perms]
+    terms = [(cs, np.vdot(amps[partner], amps))
+             for partner, cs in zip(partners, cycle_lists)]
+    return terms, abs(np.sum(amps)) ** 2
+
+
+def pair_source_probability(network, pairs, weights, pattern) -> float:
+    """pattern_probability of from_pair_sources(pairs, weights) when every
+    idler sits on a channel the network leaves alone and is counted there
+    (no input checks).  Tracing out the spectrally blind idler detectors
+    leaves signal j in the diagonal state sum_n lambda_jn |n><n|, so
+
+        P = (1 / prod_d m_d!) sum_{sigma, tau in S_n}
+            prod_k M[k, sigma k] conj(M[k, tau k])
+            prod_{cycles C of tau sigma^-1} sum_n prod_{j in C} lambda_jn
+
+    (Tichy, PRA 91, 022316; Shchesnovich, PRA 91, 013844), with S_n, the
+    partners and the cycles enumerated on each call.  Ladders of unequal
+    length are zero-padded; the smallest cycle-trace product is split off
+    against |perm M|^2 so that a pattern indistinguishable photons cannot
+    reach stays dark to roundoff."""
+    pairs = [(int(s), int(i)) for s, i in pairs]
+    weights, _ = focksim._pair_weights(pairs, weights)
+    lam = np.zeros((len(pairs), max(len(w) for w in weights)))
+    for j, w in enumerate(weights):
+        lam[j, :len(w)] = np.abs(w) ** 2
+    terms, amp_sq = pair_gram_terms(network, pairs, pattern)
+    traces = [math.prod(float(np.sum(np.prod(lam[c], axis=0))) for c in cs)
+              for cs, _ in terms]
     floor = min(traces)
-    total = floor * abs(np.sum(amps)) ** 2
-    for pi, trace in zip(perms, traces):
-        partner = [index[tuple(pi[k] for k in sigma)] for sigma in perms]
-        total += (trace - floor) * np.vdot(amps[partner], amps)
+    total = floor * amp_sq
+    for trace, (_, gram) in zip(traces, terms):
+        total += (trace - floor) * gram
     norm = math.prod(math.factorial(c) for c in pattern.counts)
     return float(np.real(total)) / norm
 

@@ -333,7 +333,8 @@ def test_four_photon_dip_visibility_matches_spectral_purity(
 
 
 # ----------------------------------------------------------------------
-# pair sources with untouched idlers: cycle-trace formula vs enumerator
+# pair sources with untouched idlers: the cycle-trace oracle vs the
+# enumerator, and the six-fold rate's moment form vs both
 # ----------------------------------------------------------------------
 
 def _random_ladder(rng, length):
@@ -373,19 +374,14 @@ def test_pair_source_probability_matches_enumerator(n_src, n_extra, seed):
     inp = focksim.SpectralPhotonInput.from_pair_sources(pairs, weights)
     for pat in patterns:
         want = focksim.pattern_probability(net, inp, pat)
-        got = focksim.pair_source_probability(net, pairs, weights, pat)
+        got = oracles.pair_source_probability(net, pairs, weights, pat)
         assert abs(got - want) <= 1e-14
 
 
-@settings(max_examples=40, deadline=None)
-@given(n_src=st.integers(2, 4), n_extra=st.integers(0, 1),
-       seed=st.integers(0, 2**32 - 1))
-def test_pair_source_probability_equals_per_call_oracle(n_src, n_extra, seed):
-    # the per-n tables keep the per-call arithmetic order: equal, not close
-    net, pairs, weights, patterns = _random_pair_case(n_src, n_extra, seed)
-    for pat in patterns:
-        assert focksim.pair_source_probability(net, pairs, weights, pat) \
-            == oracles.pair_source_probability(net, pairs, weights, pat)
+def _close_to(got, want):
+    """The moment form's bar against a reference rate: it rounds in its own
+    order, so the last bits differ."""
+    return abs(got - want) <= 1e-15 + 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("n_modes", [6, 8])
@@ -398,109 +394,117 @@ def test_sixfold_rate_equals_per_call_oracle(n_modes):
             focksim.sixfold_network(), focksim.SIXFOLD_PAIRS,
             [focksim._sixfold_amplitudes(mu, n_modes)],
             focksim.SIXFOLD_PATTERN)
-        assert focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes).rate == want
+        assert _close_to(focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes).rate,
+                         want)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_perm_pairs_tables(n):
-    perms, partners, cycle_rows, cycle_ids = focksim._perm_pairs(n)
-    assert perms.tolist() == [list(p)
-                              for p in itertools.permutations(range(n))]
-    # each cycle row is the cycle in _cycles order, then the pad index n
-    cycles = [[j for j in row if j < n] for row in cycle_rows.tolist()]
-    assert cycle_rows.shape == (len(cycles), n)
-    for c, row in zip(cycles, cycle_rows.tolist()):
-        assert c and row == c + [n] * (n - len(c))
-    for p, pi in enumerate(perms):
-        for s, sigma in enumerate(perms):
-            assert np.array_equal(perms[partners[p, s]], pi[sigma])
-        assert [cycles[k] for k in cycle_ids[p]] == \
-            focksim._cycles(tuple(pi.tolist()))
-    assert len({tuple(c) for c in cycles}) == len(cycles)
-    for table in (perms, partners, cycle_rows):
-        assert not table.flags.writeable
+    perms, partners, cycle_lists = oracles.perm_pairs(n)
+    assert perms == list(itertools.permutations(range(n)))
+    for pi, row, cs in zip(perms, partners, cycle_lists):
+        for sigma, partner in zip(perms, row):
+            assert perms[partner] == tuple(np.array(pi)[list(sigma)].tolist())
+        # the cycles partition range(n), each from its smallest element on
+        assert sorted(j for c in cs for j in c) == list(range(n))
+        for c in cs:
+            assert c[0] == min(c)
+            assert [pi[j] for j in c] == c[1:] + c[:1]
+
+
+def test_sixfold_constants_group_gram_terms_by_cycle_type():
+    # I, T and C are the oracle's Gram terms summed over the identity, the
+    # transpositions and the 3-cycles of S_3
+    terms, amp_sq = oracles.pair_gram_terms(
+        focksim.sixfold_network(), focksim.SIXFOLD_PAIRS,
+        focksim.SIXFOLD_PATTERN)
+    by_type = {}
+    for cs, gram in terms:
+        key = max(len(c) for c in cs)
+        by_type[key] = by_type.get(key, 0.0) + gram
+    ident, det_sq, perm_sq = focksim._sixfold_constants()
+    want = {1: ident, 2: (perm_sq - det_sq) / 2,
+            3: (perm_sq + det_sq) / 2 - ident}
+    for key, gram in by_type.items():
+        assert abs(gram - want[key]) <= 1e-15
+    assert abs(perm_sq - amp_sq) <= 1e-15
+    assert ident == pytest.approx(0.21078643762690513, rel=1e-14)
+    assert det_sq == pytest.approx(0.8357864376269055, rel=1e-14)
+    assert 0.0 <= perm_sq < 1e-30
+    assert all(type(c) is float for c in (ident, det_sq, perm_sq))
 
 
 @settings(max_examples=60, deadline=None)
-@given(mu=st.floats(0.0, 0.75, exclude_max=True), n_modes=st.integers(1, 10))
+@given(mu=st.floats(0.0, 0.75, exclude_max=True), n_modes=st.integers(1, 12))
 def test_sixfold_rate_equals_per_call_oracle_property(mu, n_modes):
     amps = focksim._sixfold_amplitudes(mu, n_modes)
     assume(1.0 - float(np.sum(np.abs(amps) ** 2)) ** 3
-           <= focksim.SIXFOLD_TRUNC_TOL)
+           <= focksim.SIXFOLD_TRUNC_TOL - 1e-12)
     want = oracles.pair_source_probability(
         focksim.sixfold_network(), focksim.SIXFOLD_PAIRS, [amps],
         focksim.SIXFOLD_PATTERN)
     got = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes).rate
-    assert got.hex() == want.hex()
+    assert _close_to(got, want)
 
 
-def test_sixfold_layout_read_only():
-    layout = focksim._sixfold_layout()
-    for table in (layout.sub, layout.gram):
-        assert not table.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        layout.gram[0] = 0.0
+@settings(max_examples=20, deadline=None)
+@given(mu=st.floats(0.0, 0.75, exclude_max=True), n_modes=st.integers(1, 12))
+def test_sixfold_rate_matches_enumerator_property(mu, n_modes):
+    inp = focksim.sixfold_input(mu, n_modes)
+    assume(inp.truncation_mass <= focksim.SIXFOLD_TRUNC_TOL - 1e-12)
+    want = focksim.pattern_probability(
+        focksim.sixfold_network(), inp, focksim.SIXFOLD_PATTERN)
+    got = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes).rate
+    assert _close_to(got, want)
+
+
+def _refuses(monkeypatch, match, **layout):
+    """ns_sixfold_rate refuses with match once the six-fold layout's
+    module attributes are replaced by layout, and the constants rebuilt."""
+    for name, value in layout.items():
+        monkeypatch.setattr(focksim, name, value)
+    focksim._sixfold_constants.cache_clear()
+    try:
+        with pytest.raises(ValidationError, match=match):
+            focksim.ns_sixfold_rate(mu=0.5)
+    finally:
+        monkeypatch.undo()
+        focksim._sixfold_constants.cache_clear()
 
 
 def test_sixfold_layout_checks_the_shared_network(monkeypatch):
-    # the cached layout runs the idler check on the network it is built from
+    # the cached constants run the idler check on the network they are
+    # built from
     mixing = focksim.sixfold_network().bs(0, 3, 0.5)
-    monkeypatch.setattr(focksim, "sixfold_network", lambda: mixing)
-    focksim._sixfold_layout.cache_clear()
-    try:
-        with pytest.raises(ValidationError,
-                           match="network mixes idler channel"):
-            focksim.ns_sixfold_rate(mu=0.5)
-    finally:
-        focksim._sixfold_layout.cache_clear()
+    _refuses(monkeypatch, "network mixes idler channel",
+             sixfold_network=lambda: mixing)
 
 
 @settings(max_examples=60, deadline=None)
 @given(mu=st.floats(0.0, 0.75, exclude_max=True), n_modes=st.integers(1, 12))
 def test_sixfold_traces_by_length_equal_ladder_traces(mu, n_modes):
-    # the one shared ladder's trace per cycle length, read off for every
-    # cycle of S_3, is the per-source ladders' trace bit for bit, and the
-    # kept mass is _pair_weights' product of per-source masses
-    seen = []
-    pair_sum = focksim._pair_sum
-
-    def spy(layout, cycle_traces):
-        seen.append(list(cycle_traces))
-        return pair_sum(layout, cycle_traces)
-
+    # the closed-form moments are the one shared ladder's trace per cycle
+    # length, and the kept mass is _pair_weights' product of per-source
+    # masses; p1 <= 1, so no unit-mass check is needed
     weights, kept = focksim._pair_weights(
         focksim.SIXFOLD_PAIRS, [focksim._sixfold_amplitudes(mu, n_modes)])
-    focksim._pair_sum = spy
-    try:
-        if 1.0 - kept > focksim.SIXFOLD_TRUNC_TOL:
-            with pytest.raises(ValidationError, match="raise n_modes"):
-                focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes)
-            assert not seen
-            return
-        got = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes)
-    finally:
-        focksim._pair_sum = pair_sum
-    assert [t.hex() for t in seen[0]] == \
-        [t.hex() for t in focksim._ladder_traces(3, weights)]
-    assert got.truncation_mass.hex() == (1.0 - kept).hex()
+    lam = np.abs(weights[0]) ** 2
+    moments = focksim._sixfold_moments(mu, n_modes)
+    for k, p in enumerate(moments, start=1):
+        assert p == pytest.approx(float(np.sum(lam ** k)), rel=1e-14, abs=0.0)
+    assert moments[0] <= 1.0
+    assume(abs(1.0 - kept - focksim.SIXFOLD_TRUNC_TOL) > 1e-12)
+    if 1.0 - kept > focksim.SIXFOLD_TRUNC_TOL:
+        with pytest.raises(ValidationError, match="raise n_modes"):
+            focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes)
+        return
+    got = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes)
+    assert abs(got.truncation_mass - (1.0 - kept)) <= 1e-13
 
 
 def test_sixfold_layout_checks_distinct_channels(monkeypatch):
-    monkeypatch.setattr(focksim, "SIXFOLD_PAIRS", ((3, 0), (4, 0), (5, 2)))
-    focksim._sixfold_layout.cache_clear()
-    try:
-        with pytest.raises(ValidationError,
-                           match="source channels must be distinct"):
-            focksim.ns_sixfold_rate(mu=0.5)
-    finally:
-        focksim._sixfold_layout.cache_clear()
-
-
-def test_sixfold_rate_checks_unit_mass(monkeypatch):
-    monkeypatch.setattr(focksim, "_sixfold_amplitudes",
-                        lambda mu, n_modes: np.array([0.9, 0.6]))
-    with pytest.raises(ValidationError, match="unit mass"):
-        focksim.ns_sixfold_rate(mu=0.5, n_modes=2)
+    _refuses(monkeypatch, "source channels must be distinct",
+             SIXFOLD_PAIRS=((3, 0), (4, 0), (5, 2)))
 
 
 @pytest.mark.parametrize("n_modes", [10 ** 15,
@@ -529,7 +533,7 @@ def test_pair_source_probability_broadcasts_one_ladder():
     w = [0.8, -0.4j, 0.2]
     inp = focksim.SpectralPhotonInput.from_pair_sources(
         focksim.SIXFOLD_PAIRS, [w])
-    got = focksim.pair_source_probability(
+    got = oracles.pair_source_probability(
         net, focksim.SIXFOLD_PAIRS, [w], focksim.SIXFOLD_PATTERN)
     want = focksim.pattern_probability(net, inp, focksim.SIXFOLD_PATTERN)
     assert got == pytest.approx(want, rel=1e-12)
@@ -537,13 +541,20 @@ def test_pair_source_probability_broadcasts_one_ladder():
 
 def test_pair_source_dark_pattern_stays_dark():
     # single-mode sources: the NS-in-MZ circuit forbids the six-fold
-    # pattern, and the enumerator's |perm M|^2 is roundoff of order 1e-32
+    # pattern, and the enumerator's |perm M|^2 is roundoff of order 1e-32.
+    # One rung (any mu) or mu = 0 (any ladder) gives p1^3 == p1 p2 == p3
+    # exactly, so only the |perm M|^2 term is left.
     want = focksim.pattern_probability(
         focksim.sixfold_network(), focksim.sixfold_input(0.0, 1),
         focksim.SIXFOLD_PATTERN)
-    got = focksim.ns_sixfold_rate(mu=0.0, n_modes=1).rate
     assert want < 1e-30
-    assert 0.0 <= got < 1e-30
+    for mu in np.linspace(0.0, 1.0, 201, endpoint=False).tolist():
+        moments = focksim._sixfold_moments(mu, 1)
+        assert 0.0 <= focksim._sixfold_rate_from_moments(*moments) <= 1e-30
+        if 1.0 - moments[0] ** 3 <= focksim.SIXFOLD_TRUNC_TOL:
+            assert 0.0 <= focksim.ns_sixfold_rate(mu, 1).rate <= 1e-30
+    for n_modes in (*range(1, 13), 40, 300, focksim.MAX_SIXFOLD_MODES):
+        assert 0.0 <= focksim.ns_sixfold_rate(0.0, n_modes).rate <= 1e-30
 
 
 @pytest.mark.parametrize("mu, n_modes", [(0.5, 8), (0.7, 6), (0.3, 3)])
@@ -553,40 +564,44 @@ def test_sixfold_rate_matches_enumerator(mu, n_modes):
         focksim.SIXFOLD_PATTERN)
     got = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes)
     assert got.rate == pytest.approx(want, rel=1e-12)
-    assert got.truncation_mass == \
-        focksim.sixfold_input(mu, n_modes).truncation_mass
+    assert got.truncation_mass == pytest.approx(
+        focksim.sixfold_input(mu, n_modes).truncation_mass, rel=0.0, abs=1e-13)
 
 
-def test_pair_source_probability_preconditions():
-    net = focksim.sixfold_network()
-    pairs, pat = focksim.SIXFOLD_PAIRS, focksim.SIXFOLD_PATTERN
-    w = [[0.9, 0.3]]
+def test_sixfold_constants_preconditions(monkeypatch):
+    # the checks the closed form needs, run once on the six-fold layout:
     # a network that touches an idler channel
-    with pytest.raises(ValidationError, match="idler"):
-        focksim.pair_source_probability(net.bs(0, 6, 0.5), pairs, w, pat)
+    net = focksim.sixfold_network()
+    _refuses(monkeypatch, "idler", sixfold_network=lambda: net.bs(0, 6, 0.5))
     # an idler counted zero or two times
     for counts in ((0, 1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 0, 0)):
-        with pytest.raises(ValidationError, match="idler"):
-            focksim.pair_source_probability(
-                net, pairs, w, focksim.DetectionPattern(counts))
+        _refuses(monkeypatch, "idler",
+                 SIXFOLD_PATTERN=focksim.DetectionPattern(counts))
     # too many photons: seven pair sources need a 14-photon permanent
-    big = focksim.LinearNetwork.identity(14)
-    many = [(j, j + 7) for j in range(7)]
-    with pytest.raises(ValidationError, match="capped"):
-        focksim.pair_source_probability(
-            big, many, [[1.0]], focksim.DetectionPattern((1,) * 14))
-    # photon counts that do not match, shared channels, excess mass
-    with pytest.raises(ValidationError, match="photons"):
-        focksim.pair_source_probability(
-            net, pairs, w, focksim.DetectionPattern((1, 1, 1, 1, 1, 0, 0)))
-    with pytest.raises(ValidationError, match="distinct"):
-        focksim.pair_source_probability(
-            net, ((3, 0), (4, 0), (5, 2)), w, pat)
-    with pytest.raises(ValidationError, match="range"):
-        focksim.pair_source_probability(
-            net, ((3, 0), (4, 1), (5, 9)), w, pat)
-    with pytest.raises(ValidationError, match="unit mass"):
-        focksim.pair_source_probability(net, pairs, [[1.0, 0.5]], pat)
+    _refuses(monkeypatch, "capped",
+             sixfold_network=lambda: focksim.LinearNetwork.identity(14),
+             SIXFOLD_PAIRS=tuple((j, j + 7) for j in range(7)),
+             SIXFOLD_PATTERN=focksim.DetectionPattern((1,) * 14))
+    # photon counts that do not match, shared channels, channels off the
+    # network
+    _refuses(monkeypatch, "photons",
+             SIXFOLD_PATTERN=focksim.DetectionPattern((1, 1, 1, 1, 1, 0, 0)))
+    _refuses(monkeypatch, "distinct", SIXFOLD_PAIRS=((3, 0), (4, 0), (5, 2)))
+    _refuses(monkeypatch, "range", SIXFOLD_PAIRS=((3, 0), (4, 1), (5, 9)))
+
+
+def test_sixfold_rate_from_schmidt_spectrum():
+    # Schmidt <-> Fock: the model builder's SVD spectrum at mu = 0.5 gives
+    # the closed-form rate of the geometric ladder
+    model = spectra.GaussianSourceModel(sigma=2e13, sigma_F=4e13)
+    assert schmidt.analytic_mu(model) == 0.5
+    jsa = spectra.gaussian_model_jsa(
+        model, spectra.default_model_grid(model, n_points=256))
+    lam = schmidt.schmidt_svd(jsa).eigenvalues
+    got = focksim._sixfold_rate_from_moments(
+        *(float(np.sum(lam ** k)) for k in (1, 2, 3)))
+    want = focksim.ns_sixfold_rate(0.5, n_modes=40).rate
+    assert got == pytest.approx(want, rel=1e-8)
 
 
 # ----------------------------------------------------------------------
@@ -796,7 +811,7 @@ def test_sixfold_sign_and_phase_invariance():
         focksim.LinearNetwork.identity(7).bs(3, 4, 0.5),
         channels=(4, 5, 6)).bs(3, 4, 0.5)
     ladder = math.sqrt(1.0 - mu * mu) * (-mu) ** np.arange(n_modes)
-    flip = focksim.pair_source_probability(
+    flip = oracles.pair_source_probability(
         flipped, focksim.SIXFOLD_PAIRS, [ladder], focksim.SIXFOLD_PATTERN)
     std = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes).rate
     assert flip == pytest.approx(std, rel=1e-10)
