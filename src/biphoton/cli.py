@@ -623,7 +623,7 @@ def _beam_figure(args, tag, L, w0, fwhm_nm) -> dict:
     product *= trans_f
     del long_f, trans_f
     write("product", product)
-    jsa = spectra._finish(grid, grid, product)   # one complex copy, normalized
+    jsa = spectra._finish(grid, grid, product)   # normalized in place
     del product
     return {"w0": rep.waist, "L": L, "theta": theta, "pump_fwhm_nm": fwhm_nm,
             "K": schmidt.schmidt_svd(jsa).K,

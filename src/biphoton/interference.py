@@ -118,7 +118,7 @@ def reduced_signal_kernel(jsa: JointSpectralAmplitude) -> np.ndarray:
     f, mag = jsa.values.copy(), np.abs(jsa.values)
     f[mag < 2.0**-200 * mag.max()] = 0.0
     del mag   # gone before the product and f's conjugate exist
-    return (f @ f.conj().T) * jsa.grid_i.spacing
+    return (f @ f.conj().T) * jsa.grid_i.spacing   # real f: one syrk on f
 
 
 def two_crystal_homi_numeric(jsa: JointSpectralAmplitude,
@@ -143,10 +143,13 @@ def _dephasing(w, alpha, beta, taus) -> np.ndarray:
     """Re sum_ab w_ab (1 - e^{i (alpha_a - beta_b) tau}) for every tau: with
     x = alpha tau / 2, y = beta tau / 2, 1 - e^{i (2x - 2y)} is 2i e^{ix}
     e^{-iy} (cos x sin y - sin x cos y), two bilinear forms in w that one
-    (N, N) x (N, 2T) product gives on any grid pair, 0 at tau = 0 exactly."""
+    (N, N) x (N, 2T) product gives on any grid pair, 0 at tau = 0 exactly.
+    A real w multiplies the real and imaginary parts as one real product."""
     x, y = (np.multiply.outer(v, 0.5 * taus) for v in (alpha, beta))
     ey = np.exp(-1j * y)
-    ws, wc = np.hsplit(w @ np.hstack((ey * np.sin(y), ey * np.cos(y))), 2)
+    rhs = np.hstack((ey * np.sin(y), ey * np.cos(y)))
+    prod = w @ rhs if np.iscomplexobj(w) else (w @ rhs.view(float)).view(complex)
+    ws, wc = np.hsplit(prod, 2)
     s = np.sum(np.exp(1j * x) * (np.cos(x) * ws - np.sin(x) * wc), axis=0)
     return -2.0 * s.imag
 
@@ -178,7 +181,8 @@ def bell_analyzer_rates(pair: PolarizedPairState, tau):
     floats, an array tau arrays from one _dephasing evaluation."""
     f, g = _exchange_pair(pair)
     gs, gi, meas = pair.f.grid_s, pair.f.grid_i, pair.f.measure
-    w = f.conj()   # one buffer: conj(f) g^T, then f - g^T
+    # one new buffer: conj(f) g^T, then f - g^T (a real f's .conj() is f)
+    w = np.conjugate(f, dtype=np.result_type(f, g))
     w *= g.T
     deph = _dephasing(w, gs.omega0 - gi.omega0 + gs.detunings,
                       gi.detunings, np.atleast_1d(tau))

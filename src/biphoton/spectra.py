@@ -69,9 +69,10 @@ _P10 = None               # hi, lo of 10**q by q - _Q_MIN: filled as values need
 _TABLES = None            # digit and exponent words of _tables()
 _DIGIT_COLS = [1, *range(4, 20)]   # the 17 digits in a value's scientific text
 # Complex N_s x N_i arrays in a JSA's working set.  tracemalloc at N = 1024:
-# a build peaks at 3.0 (the model builder at 2.0), the numeric dip at 3.0
-# beside its JSA, a whole command at 4.2 at most (reproduce fig1; fig5 and
-# fig7 at 3.3 and 3.6, their product formed in the pump surface).
+# a Sellmeier-sinc or Gaussian-beam build peaks at 3.0 (the model builder at
+# 1.0; a built JSA is float64, half an array), the numeric dip at 1.3 beside
+# its JSA, a whole command at 3.5 at most (reproduce fig1; every other one at
+# 3.0 or less).
 WORKING_ARRAYS = 8
 
 
@@ -180,7 +181,7 @@ class JointSpectralAmplitude:
                 f"JSA values shape {v.shape} does not match grids "
                 f"({self.grid_s.n_points}, {self.grid_i.n_points})"
             )
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        if not np.isfinite(v).all():
             raise ValidationError("JSA contains non-finite entries")
 
     @property
@@ -233,16 +234,22 @@ def _boundary_leakage(values: np.ndarray) -> float:
 
 
 def _finish(grid_s, grid_i, values) -> JointSpectralAmplitude:
-    """The normalized JSA of a fresh real or complex array; a complex one is
-    divided by its norm in place."""
+    """The normalized JSA of a fresh real or complex array, divided by its
+    norm in place.  A real array stays float64, with the bits of numpy's
+    complex quotient (x + 0i) / (n + 0i) = (x + 0) * (1 / n): -0.0 becomes
+    +0.0 and a negative value that underflows stays -0.0."""
     warn = _boundary_leakage(values) > BOUNDARY_LEAK
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values, dtype=np.result_type(values, float))
     jsa = JointSpectralAmplitude(grid_s, grid_i, values, norm_flag=True,
                                  boundary_warning=warn)
     n = jsa.norm()
     if n == 0.0:
         raise ValidationError("cannot normalize an all-zero JSA")
-    values /= n
+    if np.iscomplexobj(values):
+        values /= n
+    else:
+        values += 0.0
+        values *= 1.0 / n
     return jsa
 
 

@@ -2,6 +2,7 @@
 determinism, exit codes, and the JSON error channel."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -452,7 +453,10 @@ def test_bell_csv_matches_per_delay_oracle(tmp_path, pairing):
     assert run(["jsa", *opts, "--out", str(tmp_path / "jsa")]) == 0
     assert run(["bell", *opts, "--pairing", pairing, "--tau-points", "9",
                 "--tau-max", "300fs", "--out", str(tmp_path / "bell")]) == 0
-    jsa = spectra.read_jsa_csv(str(tmp_path / "jsa" / "jsa.csv"))
+    back = spectra.read_jsa_csv(str(tmp_path / "jsa" / "jsa.csv"))
+    # the command's JSA is float64: rebuild it from the read-back real part
+    assert not back.values.imag.any()
+    jsa = dataclasses.replace(back, values=back.values.real.copy())
     pair = interference.PolarizedPairState(
         f=jsa, g=jsa.transposed() if pairing == "transpose" else jsa)
     rows = (tmp_path / "bell" / "bell.csv").read_text().splitlines()[1:]
@@ -570,14 +574,15 @@ def test_beam_figure_solves_the_cut_twice(tmp_path, monkeypatch, figure):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("figure, n", [("fig5", 512), ("fig7", 640)])
+@pytest.mark.parametrize("figure, n", [("fig5", 512), ("fig7", 640),
+                                       ("fig7", 512)])
 def test_beam_figure_working_set(tmp_path, figure, n):
     # the product is formed in the pump surface once the three factors are
-    # written, the other two go, and one complex copy is normalized: the
-    # Schmidt sketch then sets the peak (3.4 and 3.8 N x N complex arrays
-    # here, 3.9 and 4.1 in a fresh process; 5.4 and 5.8 when all four
-    # surfaces stayed).  fig7 is run past 512 points because there its
-    # rank-128 sketch is the full SVD.
+    # written, the other two go, and the product is normalized in place as
+    # a float64 JSA (3.1, 3.0 and 3.1 N x N complex arrays in a fresh
+    # process; 3.9, 4.1 and 5.0 with a complex copy, 5.4 and 5.8 when all
+    # four surfaces stayed).  At 512 points fig7's rank-128 sketch is the
+    # full SVD, whose N x N u and vh are real for a real JSA.
     tracemalloc.start()
     try:
         assert run(["reproduce", figure, "--grid", str(n),

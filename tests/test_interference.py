@@ -2,7 +2,9 @@
 reduced-kernel numeric vs brute-force quadruple sum), Bell-analyzer rates,
 and polarization fringes."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -410,3 +412,44 @@ def test_fringe_matches_per_angle_oracle(jsa_typeII):
         # at tb = pi/4 the 721-point scan holds both extrema
         assert interference.fringe_visibility(pair) == pytest.approx(
             oracles.fringe_visibility(pair), abs=1e-14)
+
+
+# ----------------------------------------------------------------------
+# inputs stay as given
+# ----------------------------------------------------------------------
+
+def test_consumers_leave_real_complex_and_mixed_inputs_unchanged(jsa_typeII):
+    # a real array's .conj() is the array itself: a consumer that conjugates
+    # and then writes in place would overwrite the caller's JSA
+    f = jsa_typeII
+    assert f.values.dtype == np.float64
+    turn = np.exp(1j * np.linspace(0.0, 2.0, f.grid_s.n_points))[:, None]
+    g = dataclasses.replace(f.transposed(), values=f.values.T * turn)
+    c = chirped_jsa(24, 24, omega0_offset=4e13)
+    pairs = [_pair(f), _pair(f, g), _pair(g, f.transposed(), sign="-"),
+             interference.PolarizedPairState(
+                 f=c, g=chirped_jsa(24, 24, omega0_offset=4e13, chirp=-1.1),
+                 sign="-")]
+    taus = np.array([0.0, -2e-13, 7e-14])
+    calls = []
+    for jsa in (f, g, c):
+        calls += [lambda jsa=jsa: schmidt.schmidt_svd(jsa),
+                  lambda jsa=jsa: interference.reduced_signal_kernel(jsa),
+                  lambda jsa=jsa: interference.two_crystal_homi_numeric(jsa,
+                                                                        taus)]
+    for pair in pairs:
+        calls += [lambda p=pair: interference.bell_analyzer_rates(p, 7e-14),
+                  lambda p=pair: interference.bell_analyzer_rates(p, taus),
+                  lambda p=pair: interference.fringe_visibility(p),
+                  lambda p=pair: interference.polarization_fringe(
+                      p, np.linspace(0.0, math.pi, 5), 0.3),
+                  lambda p=pair: interference.pair_overlap(p),
+                  lambda p=pair: interference.bell_condition_residual(p)]
+    inputs = [f, g, c] + [jsa for p in pairs for jsa in (p.f, p.g)]
+    before = [jsa.values.tobytes() for jsa in inputs]
+    for call in calls:
+        first = pickle.dumps(call())
+        assert [jsa.values.tobytes() for jsa in inputs] == before
+        assert pickle.dumps(call()) == first
+    # the ideal pairing stays ideal after every call above
+    assert interference.bell_analyzer_rates(pairs[0], 0.0)[0] == 0.0

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -216,6 +217,49 @@ def test_sketch_matches_full_svd_on_1024_grids(builder, bbo):
     dec, shapes = _decompose(jsa)
     assert shapes == [(64, 1024)]           # resolved in one sketch round
     _assert_matches_oracle(dec, oracles.schmidt_svd(jsa), jsa)
+
+
+def _jittered_builder_jsas(bbo, n, seed):
+    """One JSA of each builder on an n-point grid, its parameters jittered
+    by up to 10 % around the paper's defaults as spectral_grid's jobs draw
+    them."""
+    rng = random.Random(seed)
+    j = lambda: rng.uniform(0.9, 1.1)
+    theta, L = math.radians(3.0 * j()), 1e-3 * j()
+    p8 = spectra.PumpEnvelope.from_pump_fwhm(0.8, 15.0 * j())
+    g8 = spectra.default_pump_grid(p8, n_points=n, span_factor=3.0)
+    p4 = spectra.PumpEnvelope.from_pump_fwhm(0.4, 10.0 * j())
+    beam = spectra.BeamGeometry(
+        j() * design.factorable_waist(bbo, 0.4, L, theta), theta, L)
+    model = spectra.GaussianSourceModel(4e13 * j(), 4e13 * j())
+    return [
+        spectra.build_jsa_collinear(bbo, "II_eoe", L, p8, g8),
+        spectra.build_jsa_noncollinear_sinc(bbo, L, p8, theta, g8),
+        spectra.build_jsa_noncollinear_gaussian_beam(
+            bbo, p4, beam, spectra.default_pump_grid(p4, n_points=n,
+                                                     span_factor=3.0)),
+        spectra.gaussian_model_jsa(model, spectra.default_model_grid(
+            model, n_points=n))]
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_real_sketch_within_its_bound_and_as_complex_storage(bbo, n):
+    # a builder's float64 JSA takes the real sketch: each eigenvalue lies at
+    # most the unresolved mass (< KEEP_TOL, Weyl) below the full SVD's, and
+    # the same values stored complex give K to 1e-12 at the same final rank
+    slack = n * np.finfo(float).eps
+    for jsa in _jittered_builder_jsas(bbo, n, seed=n):
+        assert jsa.values.dtype == np.float64
+        dec, shapes = _decompose(jsa)
+        want = oracles.schmidt_svd(jsa)
+        k = min(dec.n_modes, want.n_modes)
+        below = want.eigenvalues[:k] - dec.eigenvalues[:k]
+        assert np.all(below >= -slack)
+        assert np.all(below <= schmidt.KEEP_TOL + slack)
+        stored = dataclasses.replace(jsa, values=jsa.values.astype(complex))
+        cdec, cshapes = _decompose(stored)
+        assert dec.K == pytest.approx(cdec.K, rel=1e-12, abs=0.0)
+        assert shapes[-1] == cshapes[-1]
 
 
 def test_sketch_reruns_bit_identical():

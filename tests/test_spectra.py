@@ -2,6 +2,7 @@
 sinc phase matching, the gaussian-beam factorized builder, filters, and
 the CSV dump format."""
 
+import dataclasses
 import io
 import json
 import math
@@ -240,7 +241,7 @@ def test_builders_bit_identical_to_new_array_oracles(bbo, n):
                                         math.cos(theta))),
             (spectra.build_jsa_noncollinear_gaussian_beam(bbo, p4, beam, g4),
              oracles.gaussian_beam_jsa(bbo, p4, beam, g4))]
-        sigma_f = 3e13 * j()   # the filter's complex array, divided in place
+        sigma_f = 3e13 * j()   # the filter's new array, divided in place
         t = np.exp(-2.0 * g8.detunings**2 / sigma_f**2)
         cases.append((spectra.apply_gaussian_filter(col, sigma_f)[0],
                       oracles.normalized_jsa(g8, col.values * t[:, None]
@@ -251,13 +252,71 @@ def test_builders_bit_identical_to_new_array_oracles(bbo, n):
             cases.append((spectra.gaussian_model_jsa(model, grid),
                            oracles.gaussian_model_jsa(model, grid)))
         for got, want in cases:
-            assert np.array_equal(got.values, want.values)
+            # float64, with the bits of the complex copy's quotient
+            assert got.values.dtype == np.float64
+            assert np.asarray(got.values, complex).tobytes() == \
+                want.values.tobytes()
             assert got.norm_flag and want.norm_flag
             assert got.boundary_warning == want.boundary_warning
         for got, want in zip(
                 spectra.noncollinear_gaussian_beam_factors(bbo, p4, beam, g4),
                 oracles.gaussian_beam_factors(bbo, p4, beam, g4)):
             assert np.array_equal(got, want)
+
+
+_edge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.225073858507201e-308, 1e-300, -1e-300, 1e300, -1e300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 5), half_span=st.sampled_from([1e-3, 1.0, 7e13]),
+       data=st.data())
+def test_finish_real_quotient_is_complex_quotient_property(n, half_span, data):
+    # a real array normalized in place keeps the bits of numpy's complex
+    # quotient (x + 0i) / (n + 0i): -0.0, subnormals, overflow of the norm
+    vals = np.array(data.draw(st.lists(_edge_floats, min_size=n * n,
+                                       max_size=n * n))).reshape(n, n)
+    grid = spectra.FrequencyGrid(0.0, half_span, n)
+    with np.errstate(all="ignore"):
+        try:
+            want = oracles.normalized_jsa(grid, vals)
+        except ValidationError:   # the norm is 0: both refuse
+            with pytest.raises(ValidationError, match="all-zero"):
+                spectra._finish(grid, grid, vals.copy())
+            return
+        got = spectra._finish(grid, grid, vals.copy())
+    assert got.values.dtype == np.float64
+    assert np.asarray(got.values, complex).tobytes() == want.values.tobytes()
+    assert got.boundary_warning == want.boundary_warning
+    # a complex array takes the complex quotient itself
+    with np.errstate(all="ignore"):
+        again = spectra._finish(grid, grid, vals.astype(complex))
+    assert again.values.tobytes() == want.values.tobytes()
+
+
+def test_complex_jsas_stay_complex_and_user_arrays_stay_as_given():
+    # builders give float64 (test_builders_bit_identical_to_new_array_oracles)
+    chirped = chirped_jsa(8, 6)
+    assert spectra.apply_gaussian_filter(chirped, 3e13)[0].values.dtype \
+        == np.complex128
+    for values in (chirped.values, chirped.values.real.copy()):
+        kept = spectra.JointSpectralAmplitude(chirped.grid_s, chirped.grid_i,
+                                              values)
+        assert kept.values is values   # a user's array is kept as given
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.nan), complex(1.0, -math.inf),
+                                 complex(math.inf, 0.0)])
+def test_jsa_refuses_non_finite_entries(bad):
+    grid = spectra.FrequencyGrid(0.0, 1.0, 3)
+    values = np.ones((3, 3), dtype=type(bad))
+    values[1, 2] = bad
+    with pytest.raises(ValidationError, match="JSA contains non-finite entries"):
+        spectra.JointSpectralAmplitude(grid, grid, values)
 
 
 @pytest.mark.parametrize("stage", ["collinear", "noncollinear-sinc",
@@ -468,7 +527,9 @@ def test_csv_writer_and_reader_match_per_cell_oracles(tmp_path, jsa_typeII):
         assert fast.read_bytes() == slow.read_bytes()
         back = spectra.read_jsa_csv(fast)
         assert _same_jsa(back, oracles.read_jsa_csv(fast))
-        assert _same_jsa(back, jsa)
+        # a built JSA is float64; the reader gives complex128
+        assert _same_jsa(back, dataclasses.replace(
+            jsa, values=np.asarray(jsa.values, dtype=complex)))
 
 
 def test_surface_csv_matches_per_cell_oracle(tmp_path, capsys):
