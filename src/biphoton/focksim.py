@@ -21,7 +21,8 @@ submatrix weighted by cycle traces of the Schmidt ladders (Tichy, PRA 91,
 022316 (2015); Shchesnovich, PRA 91, 013844 (2015)).  `ns_sixfold_rate`'s
 three sources share one ladder, so the sum falls into three classes by
 cycle type: two network constants, checked and computed once per process,
-and three moments sum_n lambda_n^k of the ladder.
+and the ladder's elementary symmetric sums e_1, e_2, e_3, whose positive
+weights leave nothing to cancel.
 
 All sources in one simulation must share a single orthonormal spectral
 basis; for identical Gaussian-model sources the Schmidt bases coincide
@@ -510,41 +511,6 @@ def _sixfold_constants() -> Tuple[float, float, float]:
             abs(sum(amps)) ** 2 / norm)
 
 
-def _sixfold_rate_from_moments(p1: float, p2: float, p3: float) -> float:
-    """Six-fold rate of three identical sources whose ladder has the
-    moments p_k = sum_n lambda_n^k:
-
-        R = I (p1^3 - p3) + |det M|^2 (p3 - p1 p2) / 2
-            + |perm M|^2 (p1 p2 + p3) / 2
-
-    with _sixfold_constants.  Tracing out the spectrally blind idlers
-    leaves a sum over permutation pairs (sigma, tau) of a_sigma conj(a_tau)
-    weighted by the cycle traces of tau sigma^-1 (Tichy, PRA 91, 022316;
-    Shchesnovich, PRA 91, 013844): p1^3 for the identity, p1 p2 for a
-    transposition, p3 for a 3-cycle.  The sign character of S_3 separates
-    the Gram sums of the last two classes, T = (|perm|^2 - |det|^2) / 2 and
-    C = (|perm|^2 + |det|^2) / 2 - I."""
-    ident, det_sq, perm_sq = _sixfold_constants()
-    p12 = p1 * p2
-    return (ident * (p1 * p1 * p1 - p3) + 0.5 * det_sq * (p3 - p12)
-            + 0.5 * perm_sq * (p12 + p3))
-
-
-def _sixfold_moments(mu: float, n_modes: int) -> list:
-    """p_k = sum_{n < n_modes} lambda_n^k, k = 1, 2, 3, of the truncated
-    ladder lambda_n = (1 - mu^2) mu^(2n), in closed form on Python floats:
-    lambda_0^k (1 - x^n_modes) / (1 - x) with x = mu^(2k).  lambda_0^k is a
-    repeated product and the geometric factor is exactly 1.0 at n_modes = 1
-    or mu = 0, so there p1^3 == p1 p2 == p3 and the pattern stays dark."""
-    lam, x = 1.0 - mu * mu, mu * mu
-    lam_k, x_k, moments = 1.0, 1.0, []
-    for _ in range(3):
-        lam_k *= lam
-        x_k *= x
-        moments.append(lam_k * ((1.0 - x_k ** n_modes) / (1.0 - x_k)))
-    return moments
-
-
 def _check_sixfold_args(mu: float, n_modes: int) -> None:
     """Refuse a Schmidt ratio outside [0, 1) and a mode count that is not
     an integer from 1 to MAX_SIXFOLD_MODES, before anything is allocated."""
@@ -589,30 +555,46 @@ def ns_sixfold_rate(mu: float, n_modes: int = 8) -> SixfoldRate:
     For single-mode sources (K = 1) the NS-in-MZ circuit forbids the D1/D2
     coincidence exactly; spectral multimodedness (K > 1) leaks rate back
     in, growing with mu, the sources' Schmidt ratio (schmidt.analytic_mu of
-    a Gaussian model).  The rate is a function of the ladder's moments
-    p_k = sum_n lambda_n^k (_sixfold_rate_from_moments).  With
-    |perm M|^2 = 5.9e-33 it reads as distinguishing information:
+    a Gaussian model).  Tracing out the spectrally blind idlers leaves a
+    sum over permutation pairs (sigma, tau) of a_sigma conj(a_tau) weighted
+    by the cycle traces of tau sigma^-1 (Tichy, PRA 91, 022316;
+    Shchesnovich, PRA 91, 013844), which the sign character of S_3 groups
+    by cycle type into I (p1^3 - p3) + |det M|^2 (p3 - p1 p2) / 2
+    + |perm M|^2 (p1 p2 + p3) / 2 (_sixfold_constants; p_k = sum_n
+    lambda_n^k).  In the ladder's elementary symmetric sums e_k that is
 
-        R = R_d (p1^3 - p3) - D (p1 p2 - p3),
+        R = (3 I - D) e1 e2 + 3 (D - I) e3
+            + |perm M|^2 (2 e1^3 - 5 e1 e2 + 3 e3) / 2,
 
-    R_d = I = 0.2108 the fully distinguishable rate (p2 = p3 = 0) and
-    D = |det M|^2 / 2 = 0.4179.  At full mass (p1 = 1), p2 = 1/K is the
-    sources' purity, and identical single-mode photons (p2 = p3 = 1) are
-    dark.
+    D = |det M|^2 / 2 = 0.4179 and I = 0.2108 the fully distinguishable
+    rate (e1 = 1, e2 = 1/2, e3 = 1/6).  3 I - D = 0.2145 and
+    3 (D - I) = 0.6213 are positive and |perm M|^2 = 5.9e-33 is roundoff,
+    so nothing cancels and small-mu rates keep full relative precision;
+    identical single-mode photons (e2 = e3 = 0) are dark.  For the ladder
+    lambda_n = lambda_0 x^n, lambda_0 = 1 - x, x = mu^2, n < N the e_k are
+    Gaussian binomials, e1 = lambda_0 (1 - x^N) / (1 - x),
+    e2 = e1 x (1 - x^(N-1)) / (1 + x) and
+    e3 = e2 x^2 (1 - x^(N-2)) / (1 + x + x^2), each exponent clamped at 0
+    so that one rung leaves e2 = e3 = 0 and two rungs e3 = 0 exactly.
 
     The Schmidt ladder is truncated at n_modes per source; the neglected
-    mass 1 - (sum_n lambda_n)^3 must stay below SIXFOLD_TRUNC_TOL or the
-    call refuses (raise n_modes; the bar tolerates the slow mu = 0.7 tail
-    at n_modes >= 6)."""
+    mass 1 - e1^3 must stay below SIXFOLD_TRUNC_TOL or the call refuses
+    (raise n_modes; the bar tolerates the slow mu = 0.7 tail at
+    n_modes >= 6)."""
     _check_sixfold_args(mu, n_modes)
-    p1, p2, p3 = _sixfold_moments(float(mu), int(n_modes))
-    truncation_mass = 1.0 - p1 * p1 * p1
+    mu, n = float(mu), int(n_modes)
+    x = mu * mu
+    e1 = (1.0 - x) * ((1.0 - x ** n) / (1.0 - x))
+    truncation_mass = 1.0 - e1 * e1 * e1
     if truncation_mass > SIXFOLD_TRUNC_TOL:
         raise ValidationError(
             f"truncated Schmidt mass {truncation_mass:.3g} exceeds "
             f"{SIXFOLD_TRUNC_TOL:g}; raise n_modes")
-    return SixfoldRate(rate=_sixfold_rate_from_moments(p1, p2, p3),
-                       mu=float(mu),
-                       cooperativity=analytic_K(mu),
-                       n_modes=int(n_modes),
-                       truncation_mass=truncation_mass)
+    e2 = e1 * x * (1.0 - x ** max(n - 1, 0)) / (1.0 + x)
+    e3 = e2 * x * x * (1.0 - x ** max(n - 2, 0)) / (1.0 + x + x * x)
+    ident, det_sq, perm_sq = _sixfold_constants()
+    d, e12 = 0.5 * det_sq, e1 * e2
+    rate = ((3.0 * ident - d) * e12 + 3.0 * (d - ident) * e3
+            + 0.5 * perm_sq * (2.0 * e1 * e1 * e1 - 5.0 * e12 + 3.0 * e3))
+    return SixfoldRate(rate=rate, mu=mu, cooperativity=analytic_K(mu),
+                       n_modes=n, truncation_mass=truncation_mass)

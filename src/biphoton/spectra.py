@@ -675,7 +675,7 @@ def _g17_bytes(x) -> np.ndarray:
     text = words.view(np.uint8)
     rows = np.flatnonzero(fast & (k >= -4) & (k < 17))
     xs = k[rows]
-    for xe in np.unique(xs).tolist():   # fixed notation, by exponent
+    for xe in sorted(set(xs.tolist())):   # fixed notation, by exponent
         at = rows[xs == xe]
         text[at] = _fixed(text[at], xe)
     if slow.any():

@@ -21,8 +21,10 @@ permanents of block-diagonal channel matrices, one spectral-label split at
 a time, and two-mode Fock states go through a 2x2 splitter by their own
 creation-operator expansion: the oracles of the one expansion engine.  The
 pair-source permutation-pair sum that enumerates S_n, its partners and its
-cycles on every call is the oracle of the six-fold rate's moment form, and
-its Gram terms grouped by cycle type that of the moment form's constants.
+cycles on every call is an oracle of the six-fold rate, its Gram terms
+grouped by cycle type that of the rate's network constants, and the
+cycle-type form over those constants in exact rationals the oracle of the
+rate's last bits.
 The NS-gate reflectivities from a 41 x 41 grid polished by Nelder-Mead are
 the oracle of the search that solves the reduced system by bisection.
 The exchange-symmetry residual, the Schmidt-sum reconstruction and the
@@ -41,6 +43,7 @@ import itertools
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -648,6 +651,22 @@ def pair_source_probability(network, pairs, weights, pattern) -> float:
         total += (trace - floor) * gram
     norm = math.prod(math.factorial(c) for c in pattern.counts)
     return float(np.real(total)) / norm
+
+
+def sixfold_rate_exact(lams) -> Fraction:
+    """ns_sixfold_rate's rate for a ladder shared by the three sources, in
+    exact rationals: the cycle-type form
+
+        I (p1^3 - p3) + |det M|^2 (p3 - p1 p2) / 2 + |perm M|^2 (p1 p2 + p3) / 2
+
+    with p_k = sum_n lambda_n^k, and the float constants of
+    focksim._sixfold_constants and any float lams taken as the rationals
+    they are."""
+    ident, det_sq, perm_sq = (Fraction(c) for c in focksim._sixfold_constants())
+    lams = [Fraction(lam) for lam in lams]
+    p1, p2, p3 = (sum(lam ** k for lam in lams) for k in (1, 2, 3))
+    return (ident * (p1 ** 3 - p3) + det_sq * (p3 - p1 * p2) / 2
+            + perm_sq * (p1 * p2 + p3) / 2)
 
 
 def _ns_map_residual(x) -> float:

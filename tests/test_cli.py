@@ -1060,3 +1060,21 @@ def test_command_runs_without_loading_scipy(argv, tmp_path):
                           text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_jsa_csv_write_leaves_numpy_ma_unloaded(tmp_path):
+    # the grid writer groups fixed-notation values by exponent without
+    # np.unique, which imports numpy.ma; a fresh interpreter writing a
+    # small JSA CSV must not see it
+    script = ("import sys\n"
+              "import biphoton.cli as cli\n"
+              "code = cli.main(['jsa', '--builder', 'collinear', '--grid',\n"
+              f"                 '32', '--out', {str(tmp_path)!r}])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biphoton.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "jsa.csv").stat().st_size > 0

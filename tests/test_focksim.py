@@ -6,10 +6,11 @@ multimodedness."""
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
@@ -334,7 +335,8 @@ def test_four_photon_dip_visibility_matches_spectral_purity(
 
 # ----------------------------------------------------------------------
 # pair sources with untouched idlers: the cycle-trace oracle vs the
-# enumerator, and the six-fold rate's moment form vs both
+# enumerator, and the six-fold rate's closed form vs both and vs exact
+# rationals
 # ----------------------------------------------------------------------
 
 def _random_ladder(rng, length):
@@ -379,8 +381,8 @@ def test_pair_source_probability_matches_enumerator(n_src, n_extra, seed):
 
 
 def _close_to(got, want):
-    """The moment form's bar against a reference rate: it rounds in its own
-    order, so the last bits differ."""
+    """The closed form's bar against a float reference rate: it rounds in
+    its own order, so the last bits differ."""
     return abs(got - want) <= 1e-15 + 1e-12 * abs(want)
 
 
@@ -482,17 +484,11 @@ def test_sixfold_layout_checks_the_shared_network(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(mu=st.floats(0.0, 0.75, exclude_max=True), n_modes=st.integers(1, 12))
-def test_sixfold_traces_by_length_equal_ladder_traces(mu, n_modes):
-    # the closed-form moments are the one shared ladder's trace per cycle
-    # length, and the kept mass is _pair_weights' product of per-source
-    # masses; p1 <= 1, so no unit-mass check is needed
-    weights, kept = focksim._pair_weights(
+def test_sixfold_truncation_mass_is_pair_weights_mass(mu, n_modes):
+    # the kept mass is _pair_weights' product of per-source masses, and the
+    # call refuses exactly when its loss exceeds the bar
+    _, kept = focksim._pair_weights(
         focksim.SIXFOLD_PAIRS, [focksim._sixfold_amplitudes(mu, n_modes)])
-    lam = np.abs(weights[0]) ** 2
-    moments = focksim._sixfold_moments(mu, n_modes)
-    for k, p in enumerate(moments, start=1):
-        assert p == pytest.approx(float(np.sum(lam ** k)), rel=1e-14, abs=0.0)
-    assert moments[0] <= 1.0
     assume(abs(1.0 - kept - focksim.SIXFOLD_TRUNC_TOL) > 1e-12)
     if 1.0 - kept > focksim.SIXFOLD_TRUNC_TOL:
         with pytest.raises(ValidationError, match="raise n_modes"):
@@ -500,6 +496,36 @@ def test_sixfold_traces_by_length_equal_ladder_traces(mu, n_modes):
         return
     got = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes)
     assert abs(got.truncation_mass - (1.0 - kept)) <= 1e-13
+
+
+def _exact_ladder(mu, n_modes):
+    """lambda_n = (1 - mu^2) mu^(2n), n < n_modes, of the float mu, in
+    exact rationals."""
+    m = Fraction(mu)
+    return [(1 - m * m) * m ** (2 * n) for n in range(n_modes)]
+
+
+_LOG_MU = st.floats(math.log(1e-12), math.log(0.75), exclude_max=True)
+
+
+@settings(max_examples=100, deadline=None)
+@example(mu=1e-6, n_modes=8)
+@example(mu=7e-9, n_modes=8)
+@given(mu=st.one_of(_LOG_MU.map(math.exp),
+                    st.floats(0.0, 0.75, exclude_max=True)),
+       n_modes=st.one_of(st.integers(1, 12), st.just(40)))
+def test_sixfold_rate_exact_to_last_bits_property(mu, n_modes):
+    # against the cycle-type form in exact rationals on the same float mu:
+    # nothing cancels in the closed form, so small-mu rates keep full
+    # relative precision
+    assume(mu < 0.75)
+    try:
+        got = focksim.ns_sixfold_rate(mu, n_modes).rate
+    except ValidationError:
+        assume(False)
+    want = oracles.sixfold_rate_exact(_exact_ladder(mu, n_modes))
+    assert got >= 0.0
+    assert abs(Fraction(got) - want) <= Fraction(4e-15) * want
 
 
 def test_sixfold_layout_checks_distinct_channels(monkeypatch):
@@ -542,17 +568,20 @@ def test_pair_source_probability_broadcasts_one_ladder():
 def test_pair_source_dark_pattern_stays_dark():
     # single-mode sources: the NS-in-MZ circuit forbids the six-fold
     # pattern, and the enumerator's |perm M|^2 is roundoff of order 1e-32.
-    # One rung (any mu) or mu = 0 (any ladder) gives p1^3 == p1 p2 == p3
-    # exactly, so only the |perm M|^2 term is left.
+    # One rung or mu = 0 (any ladder) gives e2 = e3 = 0 exactly, so only
+    # the |perm M|^2 term is left.  One rung is checked wherever
+    # ns_sixfold_rate takes it (mu <= 0.13; above, its truncated mass
+    # exceeds the bar and no public path computes it).
     want = focksim.pattern_probability(
         focksim.sixfold_network(), focksim.sixfold_input(0.0, 1),
         focksim.SIXFOLD_PATTERN)
     assert want < 1e-30
-    for mu in np.linspace(0.0, 1.0, 201, endpoint=False).tolist():
-        moments = focksim._sixfold_moments(mu, 1)
-        assert 0.0 <= focksim._sixfold_rate_from_moments(*moments) <= 1e-30
-        if 1.0 - moments[0] ** 3 <= focksim.SIXFOLD_TRUNC_TOL:
-            assert 0.0 <= focksim.ns_sixfold_rate(mu, 1).rate <= 1e-30
+    for mu in np.linspace(0.0, 0.2, 201).tolist():
+        if mu > 0.1302:
+            with pytest.raises(ValidationError, match="raise n_modes"):
+                focksim.ns_sixfold_rate(mu, 1)
+            continue
+        assert 0.0 <= focksim.ns_sixfold_rate(mu, 1).rate <= 1e-30
     for n_modes in (*range(1, 13), 40, 300, focksim.MAX_SIXFOLD_MODES):
         assert 0.0 <= focksim.ns_sixfold_rate(0.0, n_modes).rate <= 1e-30
 
@@ -598,8 +627,7 @@ def test_sixfold_rate_from_schmidt_spectrum():
     jsa = spectra.gaussian_model_jsa(
         model, spectra.default_model_grid(model, n_points=256))
     lam = schmidt.schmidt_svd(jsa).eigenvalues
-    got = focksim._sixfold_rate_from_moments(
-        *(float(np.sum(lam ** k)) for k in (1, 2, 3)))
+    got = float(oracles.sixfold_rate_exact(lam.tolist()))
     want = focksim.ns_sixfold_rate(0.5, n_modes=40).rate
     assert got == pytest.approx(want, rel=1e-8)
 
