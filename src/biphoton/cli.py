@@ -446,12 +446,15 @@ def cmd_schmidt(args):
 
 def cmd_homi(args):
     model = spectra.GaussianSourceModel(sigma=args.sigma, sigma_F=args.sigma_f)
+    jsa = _model_jsa(args)[1] if args.numeric else None
+    _check_scan("--tau-points", args.tau_points,
+                0 if jsa is None else jsa.grid_s.n_points)
     taus = interference.default_tau_grid(model, n=args.tau_points,
                                          span_widths=args.tau_span)
     ana = interference.homi_dip_analytic(model, taus)
     num = None
-    if args.numeric:
-        num = interference.two_crystal_homi_numeric(_model_jsa(args)[1], taus)
+    if jsa is not None:
+        num = interference.two_crystal_homi_numeric(jsa, taus)
     out = _outdir(args)
     header, cols = ["tau_s", "rate_analytic"], [taus, ana.rates]
     if num:
@@ -470,6 +473,22 @@ def cmd_homi(args):
     return summary, [f"V = {ana.visibility:.6f}, baseline = {ana.baseline:.6f}"]
 
 
+# Bytes one delay or angle of a scan holds beside any grid work: its float64
+# vectors and its line of the CSV table (tracemalloc: about 160)
+_SCAN_BYTES = 192
+
+
+def _check_scan(flag: str, count: int, n: int = 0) -> None:
+    """Refuse a scan of count delays or angles (flag) that would exceed
+    physical memory, before any of it is allocated: _SCAN_BYTES a point
+    and, for a numeric delay scan of an n-point JSA, _dephasing's (n, count)
+    arrays."""
+    spectra.check_memory(
+        count * (_SCAN_BYTES + interference.DELAY_ARRAYS * 16 * n),
+        f"{flag} {count}" + (f" on a {n}-point grid" if n else ""),
+        f"use a smaller {flag}")
+
+
 def _make_pair(args, jsa) -> interference.PolarizedPairState:
     g = jsa.transposed() if args.pairing == "transpose" else jsa
     sign = getattr(args, "sign", "+")
@@ -481,6 +500,7 @@ def cmd_bell(args):
         raise ValidationError(
             f"--tau-max must be finite and > 0, got {args.tau_max!r}")
     jsa, _ = _build_jsa(args)
+    _check_scan("--tau-points", args.tau_points, jsa.grid_s.n_points)
     pair = _make_pair(args, jsa)
     taus = np.linspace(-args.tau_max, args.tau_max, args.tau_points)
     out = _outdir(args)
@@ -497,6 +517,7 @@ def cmd_bell(args):
 
 def cmd_polcorr(args):
     jsa, _ = _build_jsa(args)
+    _check_scan("--scan-points", args.scan_points)
     pair = _make_pair(args, jsa)
     thetas = np.linspace(0.0, math.pi, args.scan_points)
     out = _outdir(args)

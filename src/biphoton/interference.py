@@ -30,6 +30,12 @@ from .errors import ValidationError
 from .schmidt import schmidt_svd
 from .spectra import GaussianSourceModel, JointSpectralAmplitude
 
+# Side of the square tiles the Bell analyzer copies g^T in (a whole
+# transposed copy misses the TLB on about every element); its pass over f
+# and g^T then handles _TILE**2 cells at a time, whose three blocks (f, g^T
+# and |f - g^T|) stay in L2
+_TILE = 128
+
 
 @dataclass(frozen=True)
 class PolarizedPairState:
@@ -139,6 +145,11 @@ def two_crystal_homi_numeric(jsa: JointSpectralAmplitude,
     return DipCurve(taus=taus, rates=rates, visibility=visibility, baseline=1.0)
 
 
+# Complex (N, T) arrays _dephasing holds at once for N rows of w and T
+# delays (tracemalloc: 9.5)
+DELAY_ARRAYS = 10
+
+
 def _dephasing(w, alpha, beta, taus) -> np.ndarray:
     """Re sum_ab w_ab (1 - e^{i (alpha_a - beta_b) tau}) for every tau: with
     x = alpha tau / 2, y = beta tau / 2, 1 - e^{i (2x - 2y)} is 2i e^{ix}
@@ -181,13 +192,31 @@ def bell_analyzer_rates(pair: PolarizedPairState, tau):
     floats, an array tau arrays from one _dephasing evaluation."""
     f, g = _exchange_pair(pair)
     gs, gi, meas = pair.f.grid_s, pair.f.grid_i, pair.f.measure
-    # one new buffer: conj(f) g^T, then f - g^T (a real f's .conj() is f)
-    w = np.conjugate(f, dtype=np.result_type(f, g))
-    w *= g.T
+    # g^T is read once, a tile at a time, into a C-order buffer w.  Then,
+    # _TILE**2 cells at a time while they are in cache, f - g^T goes to sq
+    # (its modulus for complex values, through one block-sized temporary)
+    # and conj(f) g^T over w (a real f's .conj() is f itself).  sq is
+    # squared and summed as one array, the bits of
+    # np.sum(np.abs(f - g.T) ** 2).
+    n, m = f.shape
+    w = np.empty(f.shape, np.result_type(f, g))
+    for a in range(0, n, _TILE):
+        for b in range(0, m, _TILE):
+            w[a:a + _TILE, b:b + _TILE] = g[b:b + _TILE, a:a + _TILE].T
+    sq = np.empty(f.shape, w.real.dtype)
+    step = max(1, _TILE * _TILE // m)
+    for a in range(0, n, step):
+        rows = slice(a, a + step)
+        if np.iscomplexobj(w):
+            np.abs(f[rows] - w[rows], out=sq[rows])
+        else:
+            np.subtract(f[rows], w[rows], out=sq[rows])
+        np.multiply(f[rows].conj(), w[rows], out=w[rows])
+    diff2 = float(np.sum(np.square(sq, out=sq)))
+    del sq   # gone before _dephasing's temporaries exist
     deph = _dephasing(w, gs.omega0 - gi.omega0 + gs.detunings,
                       gi.detunings, np.atleast_1d(tau))
-    diff2 = np.abs(np.subtract(f, g.T, out=w)) ** 2   # squared in place
-    r_plus = 0.25 * (float(np.sum(diff2)) + 2.0 * deph) * meas
+    r_plus = 0.25 * (diff2 + 2.0 * deph) * meas
     r_minus = 0.5 * float(np.vdot(f, f).real + np.vdot(g, g).real) * meas \
         - r_plus
     return ((float(r_plus[0]), float(r_minus[0])) if np.ndim(tau) == 0

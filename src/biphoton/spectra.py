@@ -210,19 +210,24 @@ class JointSpectralAmplitude:
                        values=self.values.T.copy())
 
 
-def _check_memory(grid: FrequencyGrid) -> None:
-    """Refuse a square JSA on ``grid`` whose estimated working set exceeds
+def check_memory(need: float, what: str, remedy: str) -> None:
+    """Refuse a working set of about `need` bytes (for `what`) that exceeds
     the machine's physical memory, before anything is allocated."""
-    n = grid.n_points
-    need = WORKING_ARRAYS * 16 * n * n
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):   # no sysconf: no estimate
         return
     if need > have:
         raise ValidationError(
-            f"a {n} x {n} grid needs about {need / 2**30:.3g} GiB, more than "
-            f"the {have / 2**30:.3g} GiB of physical memory; use a smaller grid")
+            f"{what} needs about {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory; {remedy}")
+
+
+def _check_memory(grid: FrequencyGrid) -> None:
+    """check_memory for a square JSA on grid."""
+    n = grid.n_points
+    check_memory(WORKING_ARRAYS * 16 * n * n, f"a {n} x {n} grid",
+                 "use a smaller grid")
 
 
 def _boundary_leakage(values: np.ndarray) -> float:
@@ -701,10 +706,12 @@ def _fixed(text, xe):
     return out
 
 
-def _grid_text(nu_s, nu_i, values, lo, hi):
+def _grid_text(nu_s, nu_i, values, lo, hi, re_im=False):
     """The text of grid rows lo..hi-1 in pieces of whole rows of about
     _CELLS cells: each cell's nu_s, nu_i and value texts (_g17_bytes) and
-    separators, made in one byte matrix whose NULs are then deleted."""
+    separators, made in one byte matrix whose NULs are then deleted.  With
+    re_im, a real value's text is followed by ',0', the im of +0.0, in
+    the last NULs of its field (a text fills 24 of its _G17 bytes at most)."""
     parts = 2 if np.iscomplexobj(values) else 1
     nu = [_g17_bytes(v) for v in (nu_s, nu_i)]
     step = max(1, _CELLS // max(1, len(nu_i)))
@@ -718,13 +725,16 @@ def _grid_text(nu_s, nu_i, values, lo, hi):
         cells[:, :, 2:] = _g17_bytes(block.view(np.float64)).reshape(
             b - a, len(nu_i), parts, _G17)
         cells[..., -1] = 44               # ',' in place of each text's last NUL
+        if re_im and parts == 1:
+            cells[:, :, -1, -3:-1] = 44, 48   # ',0'
         cells[:, :, -1, -1] = 10          # '\n'
         yield cells.tobytes().translate(None, b"\0")
 
 
-def write_grid_rows(fh, nu_s, nu_i, values) -> None:
+def write_grid_rows(fh, nu_s, nu_i, values, re_im=False) -> None:
     """One "nu_s,nu_i,<value>" line per grid cell in %.17g (re,im for complex
-    values), each number's text made in numpy by _g17_bytes, whole rows
+    values, and for real ones with re_im, their im written as the '0' of
+    +0.0), each number's text made in numpy by _g17_bytes, whole rows
     of about _CELLS cells at a time.  The rows go in one block per CPU,
     at most one per row: forked children make the text of the blocks after
     the first while the parent writes the first, then their text follows in
@@ -734,7 +744,8 @@ def write_grid_rows(fh, nu_s, nu_i, values) -> None:
     n = len(nu_s)
     k = max(1, min(_cpu_count(), n))
     blocks = [(n * j // k, n * (j + 1) // k) for j in range(k)]
-    pieces = _blockwise(blocks, lambda b: _grid_text(nu_s, nu_i, values, *b))
+    pieces = _blockwise(blocks, lambda b: _grid_text(nu_s, nu_i, values, *b,
+                                                      re_im))
     try:
         for text in pieces:
             fh.write(text.decode())
@@ -743,7 +754,9 @@ def write_grid_rows(fh, nu_s, nu_i, values) -> None:
 
 
 def write_jsa_csv(jsa: JointSpectralAmplitude, path) -> None:
-    """Header comments carry the grid; rows are nu_s,nu_i,re,im."""
+    """Header comments carry the grid; rows are nu_s,nu_i,re,im.  A float64
+    JSA is written as it is stored, its im as the '0' of +0.0: the bytes of
+    the same values stored complex."""
     gs, gi = jsa.grid_s, jsa.grid_i
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# omega0_rad_s={gs.omega0:.17g}\n")
@@ -753,8 +766,8 @@ def write_jsa_csv(jsa: JointSpectralAmplitude, path) -> None:
         fh.write(f"# omega0_i_rad_s={gi.omega0:.17g}\n")
         fh.write(f"# normalized={int(jsa.norm_flag)}\n")
         fh.write("nu_s,nu_i,re,im\n")
-        write_grid_rows(fh, gs.detunings, gi.detunings,
-                        np.asarray(jsa.values, dtype=complex))
+        write_grid_rows(fh, gs.detunings, gi.detunings, jsa.values,
+                        re_im=True)
 
 
 def _read_header(path):

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -1000,6 +1001,38 @@ def test_oversized_grid_exit_two_before_allocating(tmp_path, capsys, argv):
     assert "physical memory" in err["message"]
     assert peak < 4 * 2**20
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(
+    os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") > 50 * 2**30,
+    reason="the counts below need 53-179 GiB; more physical memory fits them")
+@pytest.mark.parametrize("argv", [
+    ["bell", "--tau-points", "2000000"],
+    ["homi", "--numeric", "--tau-points", "2000000"],
+    ["homi", "--tau-points", "1000000000"],
+    ["polcorr", "--scan-points", "300000000"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv[:-1]))
+def test_oversized_point_count_exit_two_before_allocating(tmp_path, argv):
+    # each ended in an _ArrayMemoryError traceback under a 3 GB address
+    # space: the delay and angle vectors, their table lines and the (N, 2T)
+    # dephasing arrays are now sized against physical memory first
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3_072_000_000,) * 2)
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biphoton.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "biphoton.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ValidationError" and err["exit_code"] == 2
+    assert err["message"].startswith(f"{argv[-2]} {argv[-1]} ")
+    assert "physical memory" in err["message"]
+    assert proc.stdout == "" and not out.exists()
 
 
 def test_missing_temporary_directory_exit_two(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ and polarization fringes."""
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,56 @@ def test_delay_scans_match_per_delay_oracles_property(
     dip = interference.two_crystal_homi_numeric(f, taus)
     assert np.max(np.abs(dip.rates - oracles.homi_rates(f, taus))) < 1e-14
     assert dip.rates[taus == 0.0][0] == 1.0 - dip.visibility
+
+
+@pytest.mark.parametrize("tile", [1, 5, 16, 128])
+def test_bell_rates_bitwise_on_every_layout_and_value_type(monkeypatch, tile):
+    # g^T is copied once, in tiles (1 x 1, 5 x 5 with a 2-wide edge, 16 x 16,
+    # one), then handled with f a block of rows at a time (1, 1, 6 and all
+    # 37 rows): g C-ordered, a .T view (g^T C-ordered) or neither, real or
+    # complex f and g, give the bits of the by-temporaries oracle and leave
+    # both inputs as given
+    monkeypatch.setattr(interference, "_TILE", tile)
+    c = chirped_jsa(37, 37, omega0_offset=4e13)
+    r = dataclasses.replace(c, values=np.abs(c.values))
+    assert r.values.dtype == np.float64 and r.norm_flag
+    taus = np.array([0.0, -2e-13, 7e-14, 1.5e-12])
+    for f in (r, c):
+        for v in (r.values, c.values):
+            for g_values in (v.T.copy(), v.copy().T,
+                             np.repeat(v.T, 2, axis=1)[:, ::2]):
+                pair = interference.PolarizedPairState(
+                    f=f, g=dataclasses.replace(f, values=g_values))
+                before = [f.values.tobytes(), g_values.tobytes()]
+                got = interference.bell_analyzer_rates(pair, taus)
+                want = oracles.bell_analyzer_rates_by_temporaries(pair, taus)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                assert interference.bell_analyzer_rates(pair, taus[2]) == \
+                    oracles.bell_analyzer_rates_by_temporaries(pair, taus[2])
+                assert [f.values.tobytes(), g_values.tobytes()] == before
+
+
+def test_bell_analyzer_peak_at_n1024():
+    # a float64 pair holds w (g^T, then conj(f) g^T) and |f - g^T|, the two
+    # float64 N x N arrays the analyzer held before it read g^T once; a
+    # complex pair holds a complex w and one block of f - g^T besides
+    n = 1024
+    model = spectra.GaussianSourceModel(4e13, 2e13)
+    f = spectra.gaussian_model_jsa(model, spectra.default_model_grid(model, n))
+    turn = np.exp(1j * np.linspace(0.0, 2.0, n))[:, None]
+    c = dataclasses.replace(f, values=f.values * turn)
+    taus = np.linspace(-1e-12, 1e-12, 9)
+    for jsa, arrays, block in ((f, 2, 0), (c, 3, 16 * interference._TILE ** 2)):
+        pair = interference.PolarizedPairState(f=jsa, g=jsa.transposed())
+        for tau in (taus, 3e-13):
+            tracemalloc.start()
+            try:
+                interference.bell_analyzer_rates(pair, tau)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= arrays * 8 * n * n + block + 4096
 
 
 def test_bell_rates_need_square_grids():

@@ -790,6 +790,58 @@ def test_csv_writers_match_oracles_in_blocks(tmp_path, monkeypatch, capsys,
             jsa.grid_s, jsa.grid_i, np.abs(jsa.values))
 
 
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("cells", [5, 1 << 13])
+def test_float64_jsa_writes_the_bytes_of_its_complex_copy(
+        tmp_path, monkeypatch, blocks, cells):
+    # a float64 JSA is written without a complex copy, its im as the '0'
+    # of +0.0 after each re text: -0.0, subnormals, the ~1e-308 tails of a
+    # Gaussian-beam build and every other %.17g layout give the bytes of
+    # the same values stored complex128
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    monkeypatch.setattr(spectra, "_CELLS", cells)
+    rng = np.random.default_rng(blocks * cells)
+    bits = rng.integers(0, 2 ** 64, size=9 * 8, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+         -2.225073858507201e-308, 1.3e-308, -4.9e-309, 1e-300, 1e290],
+        _every_layout(rng, 9 * 8), bits[np.isfinite(bits)]])[:9 * 16]
+    values = values.reshape(9, 16)
+    assert values.dtype == np.float64
+    grid_s = spectra.FrequencyGrid(2.35e15, 1.5e14, 9)
+    grid_i = spectra.FrequencyGrid(2.36e15, 1.2e14, 16)
+    real = spectra.JointSpectralAmplitude(grid_s, grid_i, values)
+    both = dataclasses.replace(real, values=values.astype(complex))
+    for jsa, name in ((real, "real.csv"), (both, "complex.csv")):
+        spectra.write_jsa_csv(jsa, tmp_path / name)
+    text = (tmp_path / "real.csv").read_bytes()
+    assert text == (tmp_path / "complex.csv").read_bytes()
+    oracles.write_jsa_csv(real, tmp_path / "slow.csv")
+    assert text == (tmp_path / "slow.csv").read_bytes()
+    assert _same_jsa(spectra.read_jsa_csv(tmp_path / "real.csv"), both)
+
+
+def test_float64_jsa_write_peak_at_n1024(tmp_path, bbo):
+    # the complex copy of the JSA was 1.36 complex N x N arrays of
+    # tracemalloc peak beside it (1.30 at these parameters); without it
+    # the pieces of text are all that is left
+    n = 1024
+    p4 = spectra.PumpEnvelope.from_pump_fwhm(0.4, 10.0)
+    theta = math.radians(3.0)
+    beam = spectra.BeamGeometry(design.factorable_waist(bbo, 0.4, 1e-3, theta),
+                                theta, 1e-3)
+    jsa = spectra.build_jsa_noncollinear_gaussian_beam(
+        bbo, p4, beam, spectra.default_pump_grid(p4, n))
+    assert jsa.values.dtype == np.float64
+    tracemalloc.start()
+    try:
+        spectra.write_jsa_csv(jsa, tmp_path / "j.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * 16 * n * n
+
+
 def _g17_texts(x):
     """The texts spectra._g17_bytes makes for x, with their NULs deleted."""
     text = spectra._g17_bytes(x)
@@ -924,10 +976,10 @@ def test_write_grid_rows_formatter_error_reaches_the_caller(
     monkeypatch.setattr(spectra, "_cpu_count", lambda: 2)
     fmt = spectra._grid_text
 
-    def failing(nu_s, nu_i, values, lo, hi):
+    def failing(nu_s, nu_i, values, lo, hi, *args):
         if (lo > 0) == in_worker:
             raise RuntimeError("formatter broke")
-        return fmt(nu_s, nu_i, values, lo, hi)
+        return fmt(nu_s, nu_i, values, lo, hi, *args)
 
     monkeypatch.setattr(spectra, "_grid_text", failing)
     raised = ValidationError if in_worker else RuntimeError
@@ -1005,7 +1057,7 @@ def test_csv_error_in_its_own_block_kills_workers_still_making_theirs(
     # at once: the call returns within seconds only if they are killed
     monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
 
-    def failing(nu_s, nu_i, values, lo, hi):
+    def failing(nu_s, nu_i, values, lo, hi, *args):
         if lo > 0:   # only a worker's block starts past row 0
             time.sleep(60)
         raise RuntimeError("parent block broke")
