@@ -19,10 +19,12 @@ the spectrally blind idlers out leaves each signal in a diagonal state,
 and the probability is a sum over permutation pairs of the signal
 submatrix weighted by cycle traces of the Schmidt ladders (Tichy, PRA 91,
 022316 (2015); Shchesnovich, PRA 91, 013844 (2015)).  `ns_sixfold_rate`'s
-three sources share one ladder, so the sum falls into three classes by
-cycle type: two network constants, checked and computed once per process,
-and the ladder's elementary symmetric sums e_1, e_2, e_3, whose positive
-weights leave nothing to cancel.
+three sources share one ladder, so the sum falls into classes by cycle
+type, whose network constants are exact numbers in the NS gate's central
+reflectivity s: the rate is (5/4) s e_1 e_2 + (3/2) sqrt(s) e_3 in the
+ladder's elementary symmetric sums e_k, two positive terms with nothing
+to cancel, and exactly 0 for identical single-mode photons.  The tests
+derive the constants from `sixfold_network()` and pin them to these forms.
 
 All sources in one simulation must share a single orthonormal spectral
 basis; for identical Gaussian-model sources the Schmidt bases coincide
@@ -44,7 +46,6 @@ makes the conditional-phase construction work, succeeding 25% of the time.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -465,50 +466,18 @@ SIXFOLD_PATTERN = DetectionPattern((1, 1, 1, 1, 1, 1, 0))
 SIXFOLD_TRUNC_TOL = 0.05                   # largest truncated Schmidt mass
 MAX_SIXFOLD_MODES = 2 ** 16                # longest ladder, checked before use
 
+# ns_sixfold_rate's weights of e1 e2 and e3, from sixfold_network()'s
+# exact constants (see its docstring)
+_SIXFOLD_W12 = 1.25 * IDEAL_NS_S
+_SIXFOLD_W3 = 1.5 * math.sqrt(IDEAL_NS_S)
+
+
 def sixfold_network() -> LinearNetwork:
     """Two balanced splitters on (3, 4) bracketing an ideal NS gate on
     (4, 5, 6): the Mach-Zehnder-with-NS circuit fed by three pair sources."""
     net = LinearNetwork.identity(7).bs(3, 4, 0.5)
     net = ns_network(NSGateConfig(), base=net, channels=(4, 5, 6))
     return net.bs(3, 4, 0.5)
-
-
-@functools.cache
-def _sixfold_constants() -> Tuple[float, float, float]:
-    """(I, |det M|^2, |perm M|^2) / prod_d m_d! for sixfold_network(),
-    SIXFOLD_PAIRS and SIXFOLD_PATTERN, checked and computed once per
-    process.  M is the unitary's rows for the pattern's non-idler counts
-    (channel d repeated m_d times) and columns for the signal inputs, and
-    I = sum_sigma |a_sigma|^2 over a_sigma = prod_k M[k, sigma k].  Raises
-    ValidationError unless the channels are distinct, the pattern carries
-    every input photon (at most MAX_PERMANENT) with one on each idler
-    channel, and each idler's row and column of the unitary are zero off
-    the diagonal."""
-    pairs, counts = SIXFOLD_PAIRS, SIXFOLD_PATTERN.counts
-    channels = [c for p in pairs for c in p]
-    if len(set(channels)) != len(channels):
-        raise ValidationError("source channels must be distinct")
-    u = sixfold_network().unitary
-    _check_pattern(u.shape[0], counts, len(channels), channels)
-    idlers = [i for _, i in pairs]
-    for i in idlers:
-        if counts[i] != 1:
-            raise ValidationError(
-                f"pattern must count one photon on idler channel {i}")
-        if np.any(np.delete(u[i], i)) or np.any(np.delete(u[:, i], i)):
-            raise ValidationError(f"network mixes idler channel {i}")
-    rows = [d for d, c in enumerate(counts) if d not in idlers
-            for _ in range(c)]
-    sub = u[np.ix_(rows, [s for s, _ in pairs])]
-    perms = list(itertools.permutations(range(len(pairs))))
-    amps = [complex(math.prod(sub[k, s] for k, s in enumerate(sigma)))
-            for sigma in perms]
-    signs = [(-1) ** sum(a > b for a, b in itertools.combinations(sigma, 2))
-             for sigma in perms]
-    norm = math.prod(math.factorial(c) for c in counts)
-    return (sum(abs(a) ** 2 for a in amps) / norm,
-            abs(sum(sg * a for sg, a in zip(signs, amps))) ** 2 / norm,
-            abs(sum(amps)) ** 2 / norm)
 
 
 def _check_sixfold_args(mu: float, n_modes: int) -> None:
@@ -560,17 +529,19 @@ def ns_sixfold_rate(mu: float, n_modes: int = 8) -> SixfoldRate:
     by the cycle traces of tau sigma^-1 (Tichy, PRA 91, 022316;
     Shchesnovich, PRA 91, 013844), which the sign character of S_3 groups
     by cycle type into I (p1^3 - p3) + |det M|^2 (p3 - p1 p2) / 2
-    + |perm M|^2 (p1 p2 + p3) / 2 (_sixfold_constants; p_k = sum_n
-    lambda_n^k).  In the ladder's elementary symmetric sums e_k that is
+    + |perm M|^2 (p1 p2 + p3) / 2 (p_k = sum_n lambda_n^k).  For this
+    network I = 13/8 - sqrt(2), D = |det M|^2 / 2 = 9/8 - sqrt(2)/2 and
+    |perm M|^2 = 0 exactly (tests/oracles.py derives them from the
+    network; tests/test_focksim.py pins them), so in the ladder's
+    elementary symmetric sums e_k the rate is
 
-        R = (3 I - D) e1 e2 + 3 (D - I) e3
-            + |perm M|^2 (2 e1^3 - 5 e1 e2 + 3 e3) / 2,
+        R = (3 I - D) e1 e2 + 3 (D - I) e3 = (5/4) s e1 e2 + (3/2) sqrt(s) e3
 
-    D = |det M|^2 / 2 = 0.4179 and I = 0.2108 the fully distinguishable
-    rate (e1 = 1, e2 = 1/2, e3 = 1/6).  3 I - D = 0.2145 and
-    3 (D - I) = 0.6213 are positive and |perm M|^2 = 5.9e-33 is roundoff,
-    so nothing cancels and small-mu rates keep full relative precision;
-    identical single-mode photons (e2 = e3 = 0) are dark.  For the ladder
+    in the NS gate's central reflectivity s = IDEAL_NS_S = (sqrt(2) - 1)^2.
+    Both weights are positive, so nothing cancels and small-mu rates keep
+    full relative precision; identical single-mode photons (e2 = e3 = 0)
+    give exactly 0, and fully distinguishable ones (e1 = 1, e2 = 1/2,
+    e3 = 1/6) give I.  For the ladder
     lambda_n = lambda_0 x^n, lambda_0 = 1 - x, x = mu^2, n < N the e_k are
     Gaussian binomials, e1 = lambda_0 (1 - x^N) / (1 - x),
     e2 = e1 x (1 - x^(N-1)) / (1 + x) and
@@ -592,9 +563,6 @@ def ns_sixfold_rate(mu: float, n_modes: int = 8) -> SixfoldRate:
             f"{SIXFOLD_TRUNC_TOL:g}; raise n_modes")
     e2 = e1 * x * (1.0 - x ** max(n - 1, 0)) / (1.0 + x)
     e3 = e2 * x * x * (1.0 - x ** max(n - 2, 0)) / (1.0 + x + x * x)
-    ident, det_sq, perm_sq = _sixfold_constants()
-    d, e12 = 0.5 * det_sq, e1 * e2
-    rate = ((3.0 * ident - d) * e12 + 3.0 * (d - ident) * e3
-            + 0.5 * perm_sq * (2.0 * e1 * e1 * e1 - 5.0 * e12 + 3.0 * e3))
-    return SixfoldRate(rate=rate, mu=mu, cooperativity=analytic_K(mu),
-                       n_modes=n, truncation_mass=truncation_mass)
+    return SixfoldRate(rate=_SIXFOLD_W12 * e1 * e2 + _SIXFOLD_W3 * e3, mu=mu,
+                       cooperativity=analytic_K(mu), n_modes=n,
+                       truncation_mass=truncation_mass)

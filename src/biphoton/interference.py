@@ -6,11 +6,15 @@ are probabilities conditioned on one pair per source, so that
 Rc+ + Rc- = 1.  Absolute pair-production rates are out of scope.
 
 Closed forms for the two-width Gaussian model source (sigma along the sum
-frequency, per-arm filter sigma_F):
+frequency, per-arm filter sigma_F), in r = sigma / sigma_F:
 
-    V   = sqrt(1 - sigma_F^4 / (sigma_F^2 + sigma^2)^2)
-    R0  = 2 sigma_F^2 / (2 sigma_F^2 + sigma^2)
-    Rc(tau) = R0 [1 - V exp(-sigma^2 sigma_F^2 tau^2 / (8 (sigma_F^2 + sigma^2)))]
+    V   = sqrt(1 - sigma_F^4 / (sigma_F^2 + sigma^2)^2) = r sqrt(2 + r^2) / (1 + r^2)
+    R0  = 2 sigma_F^2 / (2 sigma_F^2 + sigma^2) = 2 / (2 + r^2)
+    Rc(tau) = R0 [1 - V exp(-(tau / w)^2)],  w = sqrt(8) sqrt(1 + r^2) / sigma
+
+Each is evaluated as a quotient of sums of positive terms, with hypot in
+place of square roots of sums, so nothing cancels, and nothing overflows
+while r is a finite float.
 
 The numeric dip evaluates the four-frequency coincidence integral through
 the reduced single-photon kernel rho(w, w') = int f(w, v) conj(f(w', v)) dv,
@@ -68,29 +72,23 @@ class DipCurve:
 # ----------------------------------------------------------------------
 
 def homi_visibility_analytic(model: GaussianSourceModel) -> float:
-    if math.isinf(model.sigma_F):
+    """r sqrt(2 + r^2) / (1 + r^2) as hypot(sqrt 2, r) / (r + 1/r); 0 with
+    no filter (r = 0)."""
+    r = model.ratio
+    if r == 0.0:
         return 0.0
-    q = model.sigma_F**2 / (model.sigma_F**2 + model.sigma**2)
-    return math.sqrt(max(0.0, 1.0 - q * q))
+    return math.hypot(math.sqrt(2.0), r) / (r + 1.0 / r)
 
 
 def homi_baseline_analytic(model: GaussianSourceModel) -> float:
-    if math.isinf(model.sigma_F):
-        return 1.0
-    return 2.0 * model.sigma_F**2 / (2.0 * model.sigma_F**2 + model.sigma**2)
-
-
-def _dip_exponent_coeff(model: GaussianSourceModel) -> float:
-    """c in Rc = R0 (1 - V exp(-c tau^2))."""
-    if math.isinf(model.sigma_F):
-        return model.sigma**2 / 8.0
-    return (model.sigma**2 * model.sigma_F**2
-            / (8.0 * (model.sigma_F**2 + model.sigma**2)))
+    r = model.ratio
+    return 2.0 / (2.0 + r * r)
 
 
 def analytic_dip_width(model: GaussianSourceModel) -> float:
-    """1/e half-width of the dip: sqrt(8 (sigma^2+sigma_F^2)) / (sigma sigma_F)."""
-    return 1.0 / math.sqrt(_dip_exponent_coeff(model))
+    """1/e half-width of the dip: sqrt(8 (sigma^2+sigma_F^2)) / (sigma sigma_F),
+    evaluated as sqrt(8) hypot(1/sigma, 1/sigma_F)."""
+    return math.sqrt(8.0) * math.hypot(1.0 / model.sigma, 1.0 / model.sigma_F)
 
 
 def default_tau_grid(model: GaussianSourceModel, n: int = 41,
@@ -107,8 +105,7 @@ def homi_dip_analytic(model: GaussianSourceModel,
     taus = np.asarray(taus, dtype=float)
     r0 = homi_baseline_analytic(model)
     v = homi_visibility_analytic(model)
-    c = _dip_exponent_coeff(model)
-    rates = r0 * (1.0 - v * np.exp(-c * taus**2))
+    rates = r0 * (1.0 - v * np.exp(-(taus / analytic_dip_width(model)) ** 2))
     return DipCurve(taus=taus, rates=rates, visibility=v, baseline=r0)
 
 
@@ -146,8 +143,8 @@ def two_crystal_homi_numeric(jsa: JointSpectralAmplitude,
 
 
 # Complex (N, T) arrays _dephasing holds at once for N rows of w and T
-# delays (tracemalloc: 9.5)
-DELAY_ARRAYS = 10
+# delays (tracemalloc: 6.0 at N = 512, 6.25 at N = 128)
+DELAY_ARRAYS = 7
 
 
 def _dephasing(w, alpha, beta, taus) -> np.ndarray:
@@ -159,7 +156,9 @@ def _dephasing(w, alpha, beta, taus) -> np.ndarray:
     x, y = (np.multiply.outer(v, 0.5 * taus) for v in (alpha, beta))
     ey = np.exp(-1j * y)
     rhs = np.hstack((ey * np.sin(y), ey * np.cos(y)))
+    del y, ey   # gone before the product exists
     prod = w @ rhs if np.iscomplexobj(w) else (w @ rhs.view(float)).view(complex)
+    del rhs     # gone before the last sum's temporaries exist
     ws, wc = np.hsplit(prod, 2)
     s = np.sum(np.exp(1j * x) * (np.cos(x) * ws - np.sin(x) * wc), axis=0)
     return -2.0 * s.imag

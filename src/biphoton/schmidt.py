@@ -150,14 +150,21 @@ def cooperativity(eigenvalues) -> float:
 # ----------------------------------------------------------------------
 
 def analytic_mu(model: GaussianSourceModel) -> float:
+    """Schmidt ratio 1 + r^2 - r sqrt(2 + r^2), r = sigma / sigma_F, as the
+    reciprocal of 1 + r^2 + r sqrt(2 + r^2): nothing cancels at large r,
+    and the sum overflows only where mu underflows."""
     r = model.ratio
-    return 1.0 + r**2 - math.sqrt(2.0 * r**2 + r**4)
+    return 1.0 / (1.0 + r * r + r * math.hypot(math.sqrt(2.0), r))
 
 
 def analytic_K(mu: float) -> float:
+    """(1 + mu^2) / (1 - mu^2).  From mu = 1/2 on, 1 - mu is exact and
+    1 - mu^2 is taken as (1 - mu)(1 + mu), so K keeps its precision as
+    mu -> 1; below, 1 - mu^2 >= 3/4 cancels nothing and rounds less."""
     if not 0.0 <= mu < 1.0:
         raise ValidationError("need 0 <= mu < 1")
-    return (1.0 + mu**2) / (1.0 - mu**2)
+    return (1.0 + mu * mu) / (1.0 - mu * mu if mu < 0.5
+                              else (1.0 - mu) * (1.0 + mu))
 
 
 # ----------------------------------------------------------------------

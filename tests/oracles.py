@@ -22,9 +22,13 @@ a time, and two-mode Fock states go through a 2x2 splitter by their own
 creation-operator expansion: the oracles of the one expansion engine.  The
 pair-source permutation-pair sum that enumerates S_n, its partners and its
 cycles on every call is an oracle of the six-fold rate, its Gram terms
-grouped by cycle type that of the rate's network constants, and the
-cycle-type form over those constants in exact rationals the oracle of the
-rate's last bits.
+grouped by cycle type that of the network constants derived from the
+circuit, and the cycle-type form over those constants' exact values (sqrt(2)
+to 50 digits) in exact rationals the oracle of the rate's last bits and,
+for the untruncated ladder, of its limit.  The Gaussian model's Schmidt
+ratio, visibility and baseline from their textbook forms in the widths,
+in `decimal` far beyond their cancellation, are the oracles of the forms
+in sigma / sigma_F.
 The NS-gate reflectivities from a 41 x 41 grid polished by Nelder-Mead are
 the oracle of the search that solves the reduced system by bisection.
 The exchange-symmetry residual, the Schmidt-sum reconstruction and the
@@ -38,6 +42,7 @@ the in-place ones.
 """
 
 import csv
+import decimal
 import io
 import itertools
 import math
@@ -653,20 +658,104 @@ def pair_source_probability(network, pairs, weights, pattern) -> float:
     return float(np.real(total)) / norm
 
 
+def sixfold_constants(network, pairs, pattern) -> tuple:
+    """(I, |det M|^2, |perm M|^2) / prod_d m_d! of a three-source layout,
+    the network constants of the cycle-type form of its pair-source rate.
+    M is the unitary's rows for the pattern's non-idler counts (channel d
+    repeated m_d times) and columns for the signal inputs, and
+    I = sum_sigma |a_sigma|^2 over a_sigma = prod_k M[k, sigma k].  Raises
+    ValidationError unless the channels are distinct, the pattern carries
+    every input photon (at most MAX_PERMANENT) with one on each idler
+    channel, and each idler's row and column of the unitary are zero off
+    the diagonal."""
+    channels = [c for p in pairs for c in p]
+    if len(set(channels)) != len(channels):
+        raise ValidationError("source channels must be distinct")
+    u, counts = network.unitary, pattern.counts
+    focksim._check_pattern(u.shape[0], counts, len(channels), channels)
+    idlers = [i for _, i in pairs]
+    for i in idlers:
+        if counts[i] != 1:
+            raise ValidationError(
+                f"pattern must count one photon on idler channel {i}")
+        if np.any(np.delete(u[i], i)) or np.any(np.delete(u[:, i], i)):
+            raise ValidationError(f"network mixes idler channel {i}")
+    rows = [d for d, c in enumerate(counts) if d not in idlers
+            for _ in range(c)]
+    sub = u[np.ix_(rows, [s for s, _ in pairs])]
+    perms = list(itertools.permutations(range(len(pairs))))
+    amps = [complex(math.prod(sub[k, s] for k, s in enumerate(sigma)))
+            for sigma in perms]
+    signs = [(-1) ** sum(a > b for a, b in itertools.combinations(sigma, 2))
+             for sigma in perms]
+    norm = math.prod(math.factorial(c) for c in counts)
+    return (sum(abs(a) ** 2 for a in amps) / norm,
+            abs(sum(sg * a for sg, a in zip(signs, amps))) ** 2 / norm,
+            abs(sum(amps)) ** 2 / norm)
+
+
+def _sqrt2_fraction(digits: int = 50) -> Fraction:
+    """sqrt(2) to `digits` significant decimal digits, as a Fraction."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return Fraction(decimal.Decimal(2).sqrt())
+
+
+# The six-fold layout's constants in closed form, in the ideal NS gate's
+# sqrt(2) (derived from sixfold_network(); test_focksim pins the network's
+# floats to them): I = 13/8 - sqrt(2), |det M|^2 = 9/4 - sqrt(2) and
+# |perm M|^2 = 0, the dark single-mode pattern
+SQRT2 = _sqrt2_fraction()
+SIXFOLD_CONSTANTS = (Fraction(13, 8) - SQRT2, Fraction(9, 4) - SQRT2, 0)
+
+
 def sixfold_rate_exact(lams) -> Fraction:
     """ns_sixfold_rate's rate for a ladder shared by the three sources, in
     exact rationals: the cycle-type form
 
         I (p1^3 - p3) + |det M|^2 (p3 - p1 p2) / 2 + |perm M|^2 (p1 p2 + p3) / 2
 
-    with p_k = sum_n lambda_n^k, and the float constants of
-    focksim._sixfold_constants and any float lams taken as the rationals
-    they are."""
-    ident, det_sq, perm_sq = (Fraction(c) for c in focksim._sixfold_constants())
+    with p_k = sum_n lambda_n^k, the constants SIXFOLD_CONSTANTS (sqrt(2)
+    to 50 digits) and any float lams taken as the rationals they are."""
+    ident, det_sq, perm_sq = SIXFOLD_CONSTANTS
     lams = [Fraction(lam) for lam in lams]
     p1, p2, p3 = (sum(lam ** k for lam in lams) for k in (1, 2, 3))
     return (ident * (p1 ** 3 - p3) + det_sq * (p3 - p1 * p2) / 2
             + perm_sq * (p1 * p2 + p3) / 2)
+
+
+def sixfold_rate_untruncated(mu: float) -> Fraction:
+    """The six-fold rate of the untruncated geometric ladder
+    lambda_n = (1 - x) x^n, x = mu^2, in exact rationals:
+
+        R = (5/4) s x / (1 + x) + (3/2) sqrt(s) x^3 / ((1 + x)(1 + x + x^2))
+
+    with s = (sqrt(2) - 1)^2 = 3 - 2 sqrt(2) the NS gate's central
+    reflectivity."""
+    x = Fraction(mu) ** 2
+    return (Fraction(5, 4) * (3 - 2 * SQRT2) * x / (1 + x)
+            + Fraction(3, 2) * (SQRT2 - 1) * x ** 3 / ((1 + x) * (1 + x + x * x)))
+
+
+def gaussian_model_exact(sigma: float, sigma_F: float) -> dict:
+    """mu, V and the baseline R0 of the two-width Gaussian model from the
+    textbook forms in the widths themselves,
+
+        mu = 1 + r^2 - sqrt(2 r^2 + r^4),  r = sigma / sigma_F,
+        V  = sqrt(1 - q^2),  q = sigma_F^2 / (sigma_F^2 + sigma^2),
+        R0 = 2 sigma_F^2 / (2 sigma_F^2 + sigma^2),
+
+    and K = 1 / V, evaluated in `decimal` with 50 digits beyond the
+    4 |log10 r| that the cancellations in mu and V cost, as Fractions."""
+    s, f = decimal.Decimal(sigma), decimal.Decimal(sigma_F)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50 + 4 * abs((s / f).adjusted())
+        r2 = (s / f) ** 2
+        q = f * f / (f * f + s * s)
+        v = (1 - q * q).sqrt()
+        return {"mu": Fraction(1 + r2 - (2 * r2 + r2 * r2).sqrt()),
+                "V": Fraction(v), "K": Fraction(1 / v),
+                "baseline": Fraction(2 * f * f / (2 * f * f + s * s))}
 
 
 def _ns_map_residual(x) -> float:

@@ -416,6 +416,31 @@ def test_homi_unfiltered_sentinel(tmp_path):
     assert doc["K_analytic"] == math.inf
 
 
+@pytest.mark.parametrize("sigma, sigma_f", [
+    ("4e13", "4e5"), ("4e13", "4e9"), ("4e13", "1e160"), ("1e160", "4e13"),
+    ("4e13", "1e-160"), ("1e-160", "4e13"), ("1e150", "1e-150"),
+    ("1e-150", "1e150"), ("1e-150", "1e-150"), ("1e150", "1e150")])
+def test_homi_at_extreme_widths_ends_cleanly(tmp_path, capsys, sigma, sigma_f):
+    # a narrow filter on a pure source exited 2 from mu = -2, and 1e160
+    # widths ended in an OverflowError traceback; any warning fails here
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, cap = run(["homi", "--sigma", sigma, "--sigma-f", sigma_f,
+                         "--out", str(out)], capsys)
+    assert code in (0, 2)
+    if code == 2:
+        assert json.loads(cap.err)["exit_code"] == 2
+        return
+    assert cap.err == ""
+    doc = json.loads((out / "homi.json").read_text())
+    for key in ("mu", "visibility_analytic", "baseline_analytic"):
+        assert 0.0 <= doc[key] <= 1.0
+    assert 0.0 < doc["dip_width_s"] < math.inf
+    rows = (out / "homi.csv").read_text().splitlines()[1:]
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
 def test_homi_numeric_needs_finite_filter(tmp_path, capsys):
     # the grid amplitude goes through the model builder's finite check
     out = tmp_path / "out"

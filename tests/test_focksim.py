@@ -5,6 +5,7 @@ multimodedness."""
 
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -416,24 +417,37 @@ def test_perm_pairs_tables(n):
 
 def test_sixfold_constants_group_gram_terms_by_cycle_type():
     # I, T and C are the oracle's Gram terms summed over the identity, the
-    # transpositions and the 3-cycles of S_3
-    terms, amp_sq = oracles.pair_gram_terms(
-        focksim.sixfold_network(), focksim.SIXFOLD_PAIRS,
-        focksim.SIXFOLD_PATTERN)
+    # transpositions and the 3-cycles of S_3; the network's constants are
+    # the closed forms ns_sixfold_rate's two weights are built from
+    layout = (focksim.sixfold_network(), focksim.SIXFOLD_PAIRS,
+              focksim.SIXFOLD_PATTERN)
+    terms, amp_sq = oracles.pair_gram_terms(*layout)
     by_type = {}
     for cs, gram in terms:
         key = max(len(c) for c in cs)
         by_type[key] = by_type.get(key, 0.0) + gram
-    ident, det_sq, perm_sq = focksim._sixfold_constants()
+    ident, det_sq, perm_sq = oracles.sixfold_constants(*layout)
     want = {1: ident, 2: (perm_sq - det_sq) / 2,
             3: (perm_sq + det_sq) / 2 - ident}
     for key, gram in by_type.items():
         assert abs(gram - want[key]) <= 1e-15
     assert abs(perm_sq - amp_sq) <= 1e-15
-    assert ident == pytest.approx(0.21078643762690513, rel=1e-14)
-    assert det_sq == pytest.approx(0.8357864376269055, rel=1e-14)
+    exact = oracles.SIXFOLD_CONSTANTS
+    assert exact == (Fraction(13, 8) - oracles.SQRT2,
+                     Fraction(9, 4) - oracles.SQRT2, 0)
+    assert abs(Fraction(ident) - exact[0]) <= Fraction(2e-15)
+    assert abs(Fraction(det_sq) - exact[1]) <= Fraction(2e-15)
     assert 0.0 <= perm_sq < 1e-30
-    assert all(type(c) is float for c in (ident, det_sq, perm_sq))
+    # (3 I - D, 3 (D - I)) = ((5/4) s, (3/2) sqrt(s)),
+    # s = (sqrt(2) - 1)^2 = 3 - 2 sqrt(2)
+    s = 3 - 2 * oracles.SQRT2
+    d = exact[1] / 2
+    assert 3 * exact[0] - d == Fraction(5, 4) * s
+    assert 3 * (d - exact[0]) == Fraction(3, 2) * (oracles.SQRT2 - 1)
+    for w, w_exact in ((focksim._SIXFOLD_W12, Fraction(5, 4) * s),
+                       (focksim._SIXFOLD_W3,
+                        Fraction(3, 2) * (oracles.SQRT2 - 1))):
+        assert abs(Fraction(w) - w_exact) <= Fraction(1e-15) * w_exact
 
 
 @settings(max_examples=60, deadline=None)
@@ -458,28 +472,6 @@ def test_sixfold_rate_matches_enumerator_property(mu, n_modes):
         focksim.sixfold_network(), inp, focksim.SIXFOLD_PATTERN)
     got = focksim.ns_sixfold_rate(mu=mu, n_modes=n_modes).rate
     assert _close_to(got, want)
-
-
-def _refuses(monkeypatch, match, **layout):
-    """ns_sixfold_rate refuses with match once the six-fold layout's
-    module attributes are replaced by layout, and the constants rebuilt."""
-    for name, value in layout.items():
-        monkeypatch.setattr(focksim, name, value)
-    focksim._sixfold_constants.cache_clear()
-    try:
-        with pytest.raises(ValidationError, match=match):
-            focksim.ns_sixfold_rate(mu=0.5)
-    finally:
-        monkeypatch.undo()
-        focksim._sixfold_constants.cache_clear()
-
-
-def test_sixfold_layout_checks_the_shared_network(monkeypatch):
-    # the cached constants run the idler check on the network they are
-    # built from
-    mixing = focksim.sixfold_network().bs(0, 3, 0.5)
-    _refuses(monkeypatch, "network mixes idler channel",
-             sixfold_network=lambda: mixing)
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,15 +501,18 @@ _LOG_MU = st.floats(math.log(1e-12), math.log(0.75), exclude_max=True)
 
 
 @settings(max_examples=100, deadline=None)
+@example(mu=0.0, n_modes=8)
+@example(mu=1e-12, n_modes=8)
 @example(mu=1e-6, n_modes=8)
 @example(mu=7e-9, n_modes=8)
 @given(mu=st.one_of(_LOG_MU.map(math.exp),
                     st.floats(0.0, 0.75, exclude_max=True)),
        n_modes=st.one_of(st.integers(1, 12), st.just(40)))
 def test_sixfold_rate_exact_to_last_bits_property(mu, n_modes):
-    # against the cycle-type form in exact rationals on the same float mu:
-    # nothing cancels in the closed form, so small-mu rates keep full
-    # relative precision
+    # against the cycle-type form in exact rationals on the same float mu,
+    # with the network's exact constants: nothing cancels in the closed
+    # form, so small-mu rates keep full relative precision, and mu = 0 is
+    # exactly dark
     assume(mu < 0.75)
     try:
         got = focksim.ns_sixfold_rate(mu, n_modes).rate
@@ -525,12 +520,45 @@ def test_sixfold_rate_exact_to_last_bits_property(mu, n_modes):
         assume(False)
     want = oracles.sixfold_rate_exact(_exact_ladder(mu, n_modes))
     assert got >= 0.0
-    assert abs(Fraction(got) - want) <= Fraction(4e-15) * want
+    if want < Fraction(sys.float_info.min):
+        # below the normal range (mu < 3e-154) a float has no relative
+        # precision left to hold
+        assert abs(Fraction(got) - want) < Fraction(sys.float_info.min)
+    else:
+        assert abs(Fraction(got) - want) <= Fraction(4e-15) * want
 
 
-def test_sixfold_layout_checks_distinct_channels(monkeypatch):
-    _refuses(monkeypatch, "source channels must be distinct",
-             SIXFOLD_PAIRS=((3, 0), (4, 0), (5, 2)))
+_SWEEP_MUS = (0.0, *np.geomspace(1e-12, 0.75, 100, endpoint=False).tolist(),
+              *np.arange(0.05, 0.75, 0.05).tolist())
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 5, 8, 12, 40])
+def test_sixfold_rate_within_2e15_of_exact_constants(n_modes):
+    # mu = 0, log-uniform mu from 1e-12 up to 0.75 and steps of 0.05
+    checked = 0
+    for mu in _SWEEP_MUS:
+        try:
+            got = focksim.ns_sixfold_rate(mu, n_modes).rate
+        except ValidationError:
+            continue
+        want = oracles.sixfold_rate_exact(_exact_ladder(mu, n_modes))
+        assert abs(Fraction(got) - want) <= Fraction(2e-15) * want
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("mu, n_modes, rel", [
+    (0.5, 60, 1e-15), (0.3, 40, 1e-15), (0.7, 120, 1e-15),
+    (0.5, 8, 1.2e-4), (0.7, 8, 0.0165)])
+def test_sixfold_rate_reaches_untruncated_limit(mu, n_modes, rel):
+    # R_inf = (5/4) s x / (1 + x) + (3/2) sqrt(s) x^3 / ((1 + x)(1 + x + x^2)),
+    # x = mu^2, the rate of the whole geometric ladder; a truncated ladder
+    # stays below it, by less as n_modes grows
+    limit = oracles.sixfold_rate_untruncated(mu)
+    rates = [Fraction(focksim.ns_sixfold_rate(mu, n).rate)
+             for n in (n_modes - 1, n_modes)]
+    assert rates[0] <= rates[1] <= limit * (1 + Fraction(1e-15))
+    assert limit - rates[1] <= Fraction(rel) * limit
 
 
 @pytest.mark.parametrize("n_modes", [10 ** 15,
@@ -568,10 +596,10 @@ def test_pair_source_probability_broadcasts_one_ladder():
 def test_pair_source_dark_pattern_stays_dark():
     # single-mode sources: the NS-in-MZ circuit forbids the six-fold
     # pattern, and the enumerator's |perm M|^2 is roundoff of order 1e-32.
-    # One rung or mu = 0 (any ladder) gives e2 = e3 = 0 exactly, so only
-    # the |perm M|^2 term is left.  One rung is checked wherever
-    # ns_sixfold_rate takes it (mu <= 0.13; above, its truncated mass
-    # exceeds the bar and no public path computes it).
+    # One rung or mu = 0 (any ladder) gives e2 = e3 = 0 exactly, so the
+    # rate is exactly 0.  One rung is checked wherever ns_sixfold_rate
+    # takes it (mu <= 0.13; above, its truncated mass exceeds the bar and
+    # no public path computes it).
     want = focksim.pattern_probability(
         focksim.sixfold_network(), focksim.sixfold_input(0.0, 1),
         focksim.SIXFOLD_PATTERN)
@@ -581,9 +609,9 @@ def test_pair_source_dark_pattern_stays_dark():
             with pytest.raises(ValidationError, match="raise n_modes"):
                 focksim.ns_sixfold_rate(mu, 1)
             continue
-        assert 0.0 <= focksim.ns_sixfold_rate(mu, 1).rate <= 1e-30
+        assert focksim.ns_sixfold_rate(mu, 1).rate == 0.0
     for n_modes in (*range(1, 13), 40, 300, focksim.MAX_SIXFOLD_MODES):
-        assert 0.0 <= focksim.ns_sixfold_rate(0.0, n_modes).rate <= 1e-30
+        assert focksim.ns_sixfold_rate(0.0, n_modes).rate == 0.0
 
 
 @pytest.mark.parametrize("mu, n_modes", [(0.5, 8), (0.7, 6), (0.3, 3)])
@@ -597,26 +625,34 @@ def test_sixfold_rate_matches_enumerator(mu, n_modes):
         focksim.sixfold_input(mu, n_modes).truncation_mass, rel=0.0, abs=1e-13)
 
 
-def test_sixfold_constants_preconditions(monkeypatch):
-    # the checks the closed form needs, run once on the six-fold layout:
+def _refuses(match, network=None, pairs=focksim.SIXFOLD_PAIRS,
+             pattern=focksim.SIXFOLD_PATTERN):
+    """The constants' derivation refuses the layout with match."""
+    with pytest.raises(ValidationError, match=match):
+        oracles.sixfold_constants(network or focksim.sixfold_network(),
+                                  pairs, pattern)
+
+
+def test_sixfold_constants_preconditions():
+    # the checks the cycle-type grouping needs, on six-fold layouts:
     # a network that touches an idler channel
     net = focksim.sixfold_network()
-    _refuses(monkeypatch, "idler", sixfold_network=lambda: net.bs(0, 6, 0.5))
+    _refuses("idler", network=net.bs(0, 6, 0.5))
+    _refuses("network mixes idler channel", network=net.bs(0, 3, 0.5))
     # an idler counted zero or two times
     for counts in ((0, 1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 0, 0)):
-        _refuses(monkeypatch, "idler",
-                 SIXFOLD_PATTERN=focksim.DetectionPattern(counts))
+        _refuses("idler", pattern=focksim.DetectionPattern(counts))
     # too many photons: seven pair sources need a 14-photon permanent
-    _refuses(monkeypatch, "capped",
-             sixfold_network=lambda: focksim.LinearNetwork.identity(14),
-             SIXFOLD_PAIRS=tuple((j, j + 7) for j in range(7)),
-             SIXFOLD_PATTERN=focksim.DetectionPattern((1,) * 14))
+    _refuses("capped", network=focksim.LinearNetwork.identity(14),
+             pairs=tuple((j, j + 7) for j in range(7)),
+             pattern=focksim.DetectionPattern((1,) * 14))
     # photon counts that do not match, shared channels, channels off the
     # network
-    _refuses(monkeypatch, "photons",
-             SIXFOLD_PATTERN=focksim.DetectionPattern((1, 1, 1, 1, 1, 0, 0)))
-    _refuses(monkeypatch, "distinct", SIXFOLD_PAIRS=((3, 0), (4, 0), (5, 2)))
-    _refuses(monkeypatch, "range", SIXFOLD_PAIRS=((3, 0), (4, 1), (5, 9)))
+    _refuses("photons",
+             pattern=focksim.DetectionPattern((1, 1, 1, 1, 1, 0, 0)))
+    _refuses("source channels must be distinct",
+             pairs=((3, 0), (4, 0), (5, 2)))
+    _refuses("range", pairs=((3, 0), (4, 1), (5, 9)))
 
 
 def test_sixfold_rate_from_schmidt_spectrum():

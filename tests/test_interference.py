@@ -325,6 +325,26 @@ def test_bell_analyzer_peak_at_n1024():
             assert peak <= arrays * 8 * n * n + block + 4096
 
 
+@pytest.mark.parametrize("complex_w", [False, True])
+def test_dephasing_peak_within_delay_arrays(complex_w):
+    # x, the (N, 2T) product and the last sum's temporaries: y, e^{-iy} and
+    # the right-hand side are gone before the product and the sum exist
+    n, t = 512, 1000
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((n, n))
+    if complex_w:
+        w = w + 1j * rng.standard_normal((n, n))
+    nu, taus = np.linspace(-1.0, 1.0, n), np.linspace(-3.0, 3.0, t)
+    tracemalloc.start()
+    try:
+        interference._dephasing(w, nu, nu, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 16 * n * t
+    assert peak <= interference.DELAY_ARRAYS * 16 * n * t
+
+
 def test_bell_rates_need_square_grids():
     f = chirped_jsa(20, 30)
     pair = interference.PolarizedPairState(f=f, g=f)
