@@ -352,15 +352,22 @@ def _model_jsa(args, **span):
     return model, spectra.gaussian_model_jsa(model, grid)
 
 
+def _model_mu_K(model) -> dict:
+    """The model's mu and K_analytic, inf where mu rounds to 1 (sigma_F /
+    sigma above about 1e16)."""
+    mu = schmidt.analytic_mu(model)
+    return {"mu": mu, "K_analytic": math.inf if mu >= 1.0
+            else schmidt.analytic_K(mu)}
+
+
 def _build_jsa(args):
     """(jsa, extras dict) from the common builder options."""
     extras = {}
     span = {} if args.span_factor is None else {"span_factor": args.span_factor}
     if args.builder == "model":
         model, jsa = _model_jsa(args, **span)
-        mu = schmidt.analytic_mu(model)
         extras["model"] = {"sigma": model.sigma, "sigma_F": model.sigma_F,
-                           "mu": mu, "K_analytic": schmidt.analytic_K(mu)}
+                           **_model_mu_K(model)}
     else:
         material, _, pump = _cli_source(args)
         grid = spectra.default_pump_grid(pump, n_points=args.grid, **span)
@@ -460,13 +467,11 @@ def cmd_homi(args):
     if num:
         header, cols = header + ["rate_numeric"], cols + [num.rates]
     _write(os.path.join(out, "homi.csv"), _table_csv(header, zip(*cols)))
-    mu = schmidt.analytic_mu(model)
     summary = {
         "visibility_analytic": ana.visibility,
         "baseline_analytic": ana.baseline,
         "dip_width_s": interference.analytic_dip_width(model),
-        "K_analytic": math.inf if mu >= 1.0 else schmidt.analytic_K(mu),
-        "mu": mu,
+        **_model_mu_K(model),
     }
     if num:
         summary["visibility_numeric"] = num.visibility

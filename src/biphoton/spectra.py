@@ -48,10 +48,11 @@ BOUNDARY_LEAK = 1e-3
 # Weak-focusing bar of the Gaussian-beam model: (w0/L) / (sqrt(gamma)
 # sin^2 theta) must reach it (design.validate_waist_regime reports the ratio).
 REGIME_FACTOR = 10.0
-# CSV round trip: bytes of one JSA reader piece and of one worker-file read
+# CSV round trip: bytes of one worker-file read, and of one JSA reader piece
+# (an N=1024 read then peaks 2.3 MiB above its result; 1 MiB pieces read up
+# to 10 % faster but left spectral_grid's peak RSS 4 MB higher)
 _CHUNK = 1 << 20
-# a JSA body row as read: nu_s, nu_i as text (any %.17g fits), re, im
-_TEXT_ROW = np.dtype([("nu", "S32", (2,)), ("v", "f8", (2,))])
+_PIECE = 1 << 18
 # Grid cells whose text a CSV writer makes in one pass: the temporaries
 # stay near 3 MB, and larger pieces write an N=1024 JSA no faster
 _CELLS = 1 << 13
@@ -62,12 +63,16 @@ _CELLS = 1 << 13
 # (where the Dekker split overflows) goes to Python's own '%.17g'.
 _G17 = 28                 # bytes a value's text is made in; the text is 24 at most
 _G17_TIE = 1e-9           # the double-double is good to about 1e-14 here
+# (and to about 1e-15 of an ulp in the reader's fast path, _g17_parse)
 _G17_BIG = 1e290
 _Q_MIN, _Q_MAX = -280, 345
 _Q_SCALED = 227           # past this q, |x| times 2**700 and 10**q times 2**-700
 _P10 = None               # hi, lo of 10**q by q - _Q_MIN: filled as values need them
 _TABLES = None            # digit and exponent words of _tables()
 _DIGIT_COLS = [1, *range(4, 20)]   # the 17 digits in a value's scientific text
+_U = np.uint64
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], _U)  # first k bytes
+_ZEROS = _U(0x3030303030303030)   # eight ASCII '0's
 # Complex N_s x N_i arrays in a JSA's working set.  tracemalloc at N = 1024:
 # a Sellmeier-sinc or Gaussian-beam build peaks at 3.0 (the model builder at
 # 1.0; a built JSA is float64, half an array), the numeric dip at 1.3 beside
@@ -145,6 +150,13 @@ class GaussianSourceModel:
             raise ValidationError("model needs sigma > 0")
         if not self.sigma_F > 0:
             raise ValidationError("model needs sigma_F > 0 (inf = no filter)")
+        s, f = self.sigma, self.sigma_F   # unfiltered, sigma_F/sigma is inf
+        for what, v in (("1/sigma", 1 / s), ("1/sigma_F", 1 / f),
+                        ("sigma/sigma_F", s / f),
+                        ("sigma_F/sigma", 0.0 if f == NO_FILTER else f / s)):
+            if not math.isfinite(v):
+                raise ValidationError(f"model needs a finite {what}, got "
+                                      f"sigma={s!r}, sigma_F={f!r}")
 
     @property
     def ratio(self) -> float:
@@ -802,13 +814,13 @@ def _line_ranges(fh, start: int, end: int, k: int):
 
 
 def _pieces(fh, lo: int, hi: int):
-    """Bytes lo..hi of fh in pieces of about _CHUNK bytes, each ending on a
+    """Bytes lo..hi of fh in pieces of about _PIECE bytes, each ending on a
     line end, with "\r" read as "\n" (universal newlines; the empty line
     this leaves after "\r\n" is skipped like any empty line)."""
     fh.seek(lo)
     left, carry = hi - lo, b""
     while left > 0:
-        data = fh.read(min(_CHUNK, left))
+        data = fh.read(min(_PIECE, left))
         if not data:
             break
         left -= len(data)
@@ -828,37 +840,136 @@ def _data_lines(piece: bytes) -> int:
     return int(np.count_nonzero((heads != 10) & (heads != 35)))
 
 
+def _words(w, at):
+    """The 8 bytes at each offset of `at` in a piece, first byte lowest,
+    read by w, its sliding '<u8' view; bytes past its end read as 0."""
+    if not len(at) or at.max() < len(w):
+        return w[at]
+    last = np.minimum(at, len(w) - 1)
+    half = (np.minimum(at - last, 8) * 4).astype(_U)
+    return w[last] >> half >> half
+
+
+def _digits(v):
+    """(n, ok): the number the 8 ASCII digits of each word v spell, first
+    digit lowest, by Lemire's SWAR steps; ok where all 8 are digits."""
+    ok = ((v + _U(0x4646464646464646)) | (v - _ZEROS)) & _U(0x8080808080808080)
+    v = v - _ZEROS
+    v = v * _U(10) + (v >> _U(8))
+    m = _U(0xFF000000FF)
+    v = ((v & m) * _U(100 + (10**6 << 32))
+         + (v >> _U(16) & m) * _U(1 + (10**4 << 32))) >> _U(32)
+    return v.astype(np.int64), ok == 0
+
+
+def _g17_parse(w, at, end):
+    """(x, ok): x where ok is the value of the field at..end-1 of a piece in
+    %.17g's form [-]d[.ddd]e±dd[d]: its 17 digits m times 10**q in double-
+    double (_pow10) round to x = p + t, kept where (p - x) + t lies inside
+    the half ulp on its side by _G17_TIE of it.  Near ties, other forms and
+    q outside _Q_MIN.._Q_SCALED are left."""
+    head = _words(w, at)
+    neg = head & _U(255) == 45                     # '-'
+    s = at + neg
+    head >>= neg.astype(_U) * _U(8)
+    lead = (head & _U(255)) - _U(48)
+    tail = _words(w, np.maximum(end - 5, 0))       # the last 5 bytes
+    two = tail >> _U(8) & _U(255) == 101           # 'e' of e±dd, else e±ddd
+    sh = two.astype(_U) * _U(8)
+    sign = tail >> sh >> _U(8) & _U(255)
+    pre = end - 5 + two - s                        # bytes before the 'e'
+    k = np.clip(pre - 2, 0, 16)                    # digits after the '.'
+    k1 = np.minimum(k, 8)
+    # the 8 + 8 digits after the '.' and the exponent's, in three words
+    keep = np.stack([_KEEP[k1], _KEEP[k - k1], ~_KEEP[5 + two]])
+    v = np.stack([_words(w, s + 2), _words(w, s + 10), tail << _U(24)])
+    (f1, f2, ex), ok = _digits(v & keep | _ZEROS & ~keep)
+    q = np.where(sign == 45, -ex, ex) - 16
+    ok = (ok.all(axis=0) & (lead < 10) & (tail >> sh & _U(255) == 101)
+          & ((sign == 43) | (sign == 45)) & (_Q_MIN <= q) & (q <= _Q_SCALED)
+          & ((pre == 1) | (pre >= 3) & (pre <= 18)
+             & (head >> _U(8) & _U(255) == 46)))        # '.'
+    m = np.where(ok, lead.astype(np.int64) * 10**16 + f1 * 10**8 + f2, 0)
+    hi, lo, hh, hl = _pow10(np.where(ok, q, 0))
+    mh = m.astype(np.float64)
+    ml = (m - mh.astype(np.int64)).astype(np.float64)   # m = mh + ml exactly
+    p = mh * hi
+    ah, al = _split(mh)
+    t = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + (mh * lo + ml * hi)
+    x = p + t
+    d = (p - x) + t
+    xi = x.view(np.int64)   # x >= 0: its neighbours are xi -+ 1
+    step = np.where(d < 0, x - (xi - 1).view(np.float64),
+                    (xi + 1).view(np.float64) - x)
+    ok &= np.abs(d) < (0.5 - _G17_TIE) * step
+    return np.where(neg, -x, x), ok
+
+
+def _g17_piece(piece: bytes, first: int, grids, texts):
+    """(m, 2) re/im of a piece of m lines nu_s,nu_i,re,im of grid cells first..
+    with nu_s, nu_i their grid's own %.17g text (texts), else None.  re, im
+    go through _g17_parse, a one-digit field is its digit, the rest go to
+    float() if made of digits, '.', '+', '-', 'e' and 'E' (else None)."""
+    if len(piece) < 8 or b"#" in piece:
+        return None
+    a = np.frombuffer(piece, np.uint8)
+    w = np.ndarray((len(a) - 7,), "<u8", piece, 0, (1,))   # words at each byte
+    ends = np.flatnonzero(a == 10)
+    if not len(ends) or ends[-1] != len(a) - 1:
+        ends = np.append(ends, len(a))
+    m, c = len(ends), np.flatnonzero(a == 44)
+    if len(c) != 3 * m or first + m > grids[0].n_points * grids[1].n_points:
+        return None
+    # nu_s and nu_i equal to their texts, which hold no ',' or '\n', put
+    # the 3m commas 3 in each line: no line is blank or has other fields
+    c, starts = c.reshape(m, 3), np.append(0, ends[:-1] + 1)
+    for at, end, (lens, keep, words), cell in zip(
+            (starts, c[:, 0] + 1), c[:, :2].T, texts,
+            np.divmod(np.arange(first, first + m), grids[1].n_points)):
+        if not ((end - at == lens[cell]).all() and (
+                _words(w, at[:, None] + [0, 8, 16]) & keep[cell]
+                == words[cell]).all()):
+            return None
+    at, end = (c[:, 1:] + 1).ravel(), np.column_stack([c[:, 2], ends]).ravel()
+    x = a[np.minimum(at, len(a) - 1)].astype(np.float64) - 48   # one digit
+    ok = (end - at == 1) & (x >= 0) & (x <= 9)
+    rest = np.flatnonzero(end - at != 1)
+    x[rest], ok[rest] = _g17_parse(w, at[rest], end[rest])
+    for i in np.flatnonzero(~ok).tolist():
+        field = piece[at[i]:end[i]]
+        if field.translate(None, b"0123456789.+-eE"):
+            return None
+        try:
+            x[i] = float(field)
+        except ValueError:
+            return None
+    return x.reshape(m, 2)
+
+
 def _piece_values(path, piece: bytes, first: int, grids, texts):
     """(m, 2) re/im of the data rows in one piece whose first row is grid
-    cell `first`.  Each cell's nu_s and nu_i must lie within 1e-9 of their
-    grid's half span of the cell's detunings; rows past the grid are left
-    to the row count."""
-    def cells(m):
-        n_i = grids[1].n_points
-        return np.divmod(np.arange(first, min(first + m, grids[0].n_points * n_i)),
-                         n_i)
-
+    cell `first`, by _g17_piece or else np.loadtxt: then each cell's nu_s
+    and nu_i must lie within 1e-9 of their grid's half span of the cell's
+    detunings; rows past the grid are left to the row count."""
+    values = _g17_piece(piece, first, grids, texts)
+    if values is not None:
+        return values
     try:
-        text = piece.decode("utf-8")
         with warnings.catch_warnings():   # a piece may hold no data rows
             warnings.simplefilter("ignore", UserWarning)
-            try:
-                rows = np.loadtxt(io.StringIO(text), delimiter=",",
-                                  dtype=_TEXT_ROW, ndmin=1)
-                if all(np.array_equal(rows["nu"][:len(c), k], texts[k][c])
-                       for k, c in enumerate(cells(len(rows)))):
-                    return rows["v"]
-            except ValueError:
-                pass
-            # nu not written as the grid's own %.17g text: parse four
-            # floats and compare the values
-            body = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+            body = np.loadtxt(io.StringIO(piece.decode("utf-8")),
+                              delimiter=",", ndmin=2)
     except ValueError as exc:   # ragged or non-numeric rows
         raise ValidationError(f"{path}: bad JSA data row: {exc}") from None
-    if len(body) and body.shape[1] != 4:
+    if not len(body):
+        return np.empty((0, 2))
+    if body.shape[1] != 4:
         raise ValidationError(f"{path}: bad JSA data row: "
                               f"{body.shape[1]} fields, not 4")
-    for k, c in enumerate(cells(len(body))):
+    n_i = grids[1].n_points
+    cells = np.divmod(np.arange(first, min(first + len(body),
+                                           grids[0].n_points * n_i)), n_i)
+    for k, c in enumerate(cells):
         off = np.max(np.abs(body[:len(c), k] - grids[k].detunings[c]),
                      initial=0.0)
         if not off / grids[k].half_span <= 1e-9:
@@ -875,8 +986,8 @@ def read_jsa_csv(path) -> JointSpectralAmplitude:
     The body is read in one byte range per CPU, split on line ends: forked
     children parse the ranges after the first (each first counts the rows
     before its range) while the parent parses the first, and their values
-    are copied into the result in row order.  Only re/im are converted to
-    floats as long as nu_s/nu_i are the grid's own %.17g text."""
+    are copied into the result in row order.  Rows written as write_jsa_csv
+    writes them are parsed in numpy (_g17_piece), any others by np.loadtxt."""
     header, start = _read_header(path)
     try:
         n_s = int(header["n_s"])
@@ -889,9 +1000,12 @@ def read_jsa_csv(path) -> JointSpectralAmplitude:
     except KeyError as exc:
         raise ValidationError(f"{path}: missing JSA header field {exc}") from None
     grids = (grid_s, grid_i)
-    # S32 as in the rows: two widths compare through a copy (+8 MB peak RSS)
-    texts = [_g17_slow(g.detunings).astype(_TEXT_ROW["nu"].base)
-             for g in grids]
+    texts = []   # each grid's %.17g texts: lengths, masks, NUL-padded words
+    for g in grids:
+        b = _g17_slow(g.detunings).view(np.uint8).reshape(-1, _G17)[:, :24]
+        n = np.count_nonzero(b, axis=1)
+        texts.append((n, _KEEP[np.clip(n[:, None] - [0, 8, 16], 0, 8)],
+                      b.copy().view("<u8")))
 
     def values(lo, hi):
         with open(path, "rb") as fh:

@@ -419,10 +419,13 @@ def test_homi_unfiltered_sentinel(tmp_path):
 @pytest.mark.parametrize("sigma, sigma_f", [
     ("4e13", "4e5"), ("4e13", "4e9"), ("4e13", "1e160"), ("1e160", "4e13"),
     ("4e13", "1e-160"), ("1e-160", "4e13"), ("1e150", "1e-150"),
-    ("1e-150", "1e150"), ("1e-150", "1e-150"), ("1e150", "1e150")])
+    ("1e-150", "1e150"), ("1e-150", "1e-150"), ("1e150", "1e150"),
+    ("1e10", "1e-300"), ("1e-320", "4e13")])
 def test_homi_at_extreme_widths_ends_cleanly(tmp_path, capsys, sigma, sigma_f):
     # a narrow filter on a pure source exited 2 from mu = -2, and 1e160
-    # widths ended in an OverflowError traceback; any warning fails here
+    # widths ended in an OverflowError traceback; a sigma/sigma_F past
+    # 1.8e308 and a subnormal sigma exited 0 with nan in homi.json and
+    # homi.csv; any warning fails here
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -439,6 +442,18 @@ def test_homi_at_extreme_widths_ends_cleanly(tmp_path, capsys, sigma, sigma_f):
     assert 0.0 < doc["dip_width_s"] < math.inf
     rows = (out / "homi.csv").read_text().splitlines()[1:]
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+def test_model_builder_at_mu_one_agrees_with_homi(tmp_path):
+    # sigma_F/sigma = 1e20: mu rounds to 1, and jsa exited 2 from analytic_K
+    widths = ["--sigma", "4e5", "--sigma-f", "4e25"]
+    assert run(["jsa", "--builder", "model", *widths, "--grid", "64",
+                "--out", str(tmp_path / "jsa")]) == 0
+    assert run(["homi", *widths, "--out", str(tmp_path / "homi")]) == 0
+    model = json.loads((tmp_path / "jsa" / "jsa.json").read_text())["model"]
+    homi = json.loads((tmp_path / "homi" / "homi.json").read_text())
+    assert model["mu"] == homi["mu"] == 1.0
+    assert model["K_analytic"] == homi["K_analytic"] == math.inf
 
 
 def test_homi_numeric_needs_finite_filter(tmp_path, capsys):

@@ -3,6 +3,7 @@ sinc phase matching, the gaussian-beam factorized builder, filters, and
 the CSV dump format."""
 
 import dataclasses
+import decimal
 import io
 import json
 import math
@@ -179,6 +180,20 @@ def test_model_invalid_widths():
         spectra.GaussianSourceModel(sigma=-1.0, sigma_F=1.0)
     with pytest.raises(ValidationError):
         spectra.GaussianSourceModel(sigma=1.0, sigma_F=0.0)
+
+
+@pytest.mark.parametrize("sigma, sigma_F, what", [
+    (1e10, 1e-300, "sigma/sigma_F"), (1e-300, 1e10, "sigma_F/sigma"),
+    (1e-320, 4e13, "1/sigma"), (4e13, 1e-320, "1/sigma_F"),
+    (1e-320, math.inf, "1/sigma"), (math.inf, 4e13, "sigma/sigma_F"),
+    (math.inf, math.inf, "sigma/sigma_F")])
+def test_model_refuses_widths_past_float_range(sigma, sigma_F, what):
+    # their ratio or a reciprocal overflowed into nan visibilities and dips
+    with pytest.raises(ValidationError, match=f"finite {what}, got "
+                       f"sigma={sigma!r}, sigma_F={sigma_F!r}"):
+        spectra.GaussianSourceModel(sigma=sigma, sigma_F=sigma_F)
+    # unfiltered, sigma_F / sigma is inf by design
+    assert spectra.GaussianSourceModel(1e-300, math.inf).ratio == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -751,6 +766,7 @@ def test_read_jsa_csv_in_pieces_without_rows(tmp_path, monkeypatch, blocks):
     # its block
     monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
     monkeypatch.setattr(spectra, "_CHUNK", 64)
+    monkeypatch.setattr(spectra, "_PIECE", 64)
     jsa = chirped_jsa(7, 5)
     path = tmp_path / "j.csv"
     spectra.write_jsa_csv(jsa, path)
@@ -768,6 +784,194 @@ def test_read_jsa_csv_rejects_nan_detunings(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match="disagree with the header grid"):
         spectra.read_jsa_csv(path)
+
+
+# ----------------------------------------------------------------------
+# the reader's numpy path for the writer's own %.17g text
+# ----------------------------------------------------------------------
+
+_bit_patterns = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: float(np.array(b, np.uint64).view(np.float64))).filter(
+        math.isfinite)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blocks=st.integers(1, 3), complex_=st.booleans(),
+       n_s=st.integers(2, 6), n_i=st.integers(2, 6), data=st.data())
+def test_read_jsa_csv_keeps_every_bit_property(tmp_path, monkeypatch, blocks,
+                                               complex_, n_s, n_i, data):
+    # any finite value, written by write_jsa_csv, reads back with the bits
+    # of the loadtxt reader: +-0, subnormals, ~1e-308 tails, 1e+-300 and
+    # every exponent between, through the numpy path or float()
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    size = n_s * n_i * (2 if complex_ else 1)
+    vals = np.array(data.draw(st.lists(
+        st.one_of(_bit_patterns, _edge_floats, st.floats(1e-20, 1e-10),
+                  st.floats(-1e300, -1e-300)),
+        min_size=size, max_size=size)))
+    jsa = spectra.JointSpectralAmplitude(
+        spectra.FrequencyGrid(2.35e15, 1.5e14, n_s),
+        spectra.FrequencyGrid(2.36e15, 1.2e14, n_i),
+        (vals.view(complex) if complex_ else vals).reshape(n_s, n_i))
+    path = tmp_path / "bits.csv"
+    spectra.write_jsa_csv(jsa, path)
+    got = spectra.read_jsa_csv(path)
+    assert _same_jsa(got, oracles.read_jsa_csv_loadtxt(path))
+    assert got.values.tobytes() == np.asarray(jsa.values, complex).tobytes()
+
+
+def _sci17(digits: int, exp10: int) -> str:
+    """The 17-digit integer `digits` times 10**(exp10 - 16) as
+    'd.dddddddddddddddde±xx', %.17g's scientific form with its zeros."""
+    text = str(digits)
+    assert len(text) == 17
+    return f"{text[0]}.{text[1:]}e{exp10:+03d}"
+
+
+def _midpoint_texts(x: float):
+    """(texts, ties): 17-digit texts at, just under and just over the exact
+    decimal midpoints of x and its two neighbours, and one unit of the 17th
+    digit beyond each: at most 1/22 ulp and often far less from a tie.
+    ties are the texts that are a midpoint exactly."""
+    texts, ties = [], []
+    with decimal.localcontext(prec=1200):
+        for y in (math.nextafter(x, 0.0), math.nextafter(x, math.inf)):
+            mid = (decimal.Decimal(x) + decimal.Decimal(y)) / 2
+            e = mid.adjusted()
+            digits = mid.scaleb(16 - e)
+            low = int(digits.to_integral_value(decimal.ROUND_FLOOR))
+            texts += [_sci17(d, e) for d in range(low - 1, low + 3)
+                      if 10 ** 16 <= d < 10 ** 17]
+            if digits == low:
+                ties.append(_sci17(low, e))
+    return texts, ties
+
+
+def _read_re_texts(tmp_path, texts):
+    """Write a 6 x 4 JSA, put each text in the re column of one row, and
+    read it back: every value as float(text) gives it, the rest unmoved."""
+    jsa = chirped_jsa(6, 4)
+    path = tmp_path / "texts.csv"
+    spectra.write_jsa_csv(jsa, path)
+    lines = path.read_text().splitlines()
+    want = jsa.values.ravel().copy()
+    for k, text in enumerate(texts):
+        row = 6 + (5 * k) % 24
+        fields = lines[row].split(",")
+        fields[2] = text
+        lines[row] = ",".join(fields)
+        want[row - 6] = complex(float(text), want[row - 6].imag)
+    path.write_text("\n".join(lines) + "\n")
+    got = spectra.read_jsa_csv(path)
+    assert got.values.ravel().tobytes() == want.tobytes()
+    assert _same_jsa(got, oracles.read_jsa_csv_loadtxt(path))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x=st.one_of(st.floats(2.0 ** 52, 1e17),   # exact 17-digit midpoints
+                   st.integers(-1000, 1000).map(lambda k: 2.0 ** k),
+                   st.floats(1e-20, 1e-10), st.floats(1e-260, 1e240),
+                   st.floats(2.2250738585072014e-308, 1e300)),
+       negative=st.booleans(), blocks=st.integers(1, 2))
+def test_read_jsa_csv_at_decimal_ties(tmp_path, monkeypatch, x, negative,
+                                      blocks):
+    # re texts at and next to the midpoints between adjacent doubles (below
+    # a power of two, half as far apart as above it), the nu columns the
+    # grid's own: each reads as float() reads it, and the numpy path
+    # leaves every exact tie to float()
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    texts, ties = _midpoint_texts(x)
+    sign = "-" if negative else ""
+    _read_re_texts(tmp_path, [sign + t for t in texts])
+    for tie in ties:
+        field = (sign + tie).encode() + b"\n"
+        w = np.ndarray((len(field) - 7,), "<u8", field, 0, (1,))
+        assert not spectra._g17_parse(w, np.array([0]),
+                                      np.array([len(field) - 1]))[1][0]
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_read_jsa_csv_fixed_notation_and_other_texts(tmp_path, monkeypatch,
+                                                     blocks):
+    # texts %.17g writes in fixed notation, and forms it never writes
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    _read_re_texts(tmp_path, [
+        "0.5", "123.25", "0.000123", "-0.000123", "12345678901234567",
+        "0", "-0", "7", "-7", "1e-300", "5e-324", "4.9406564584124654e-324",
+        "2.2250738585072014e-308", "1.7976931348623157e+308", "1E-14",
+        "1.5e-014", "+1.5e-14", "1.e-14", ".5e-14",
+        "1.2345678901234567890e-14", "0.00000000000000000000e-14", "1.5e-5",
+        "9.9999999999999999e+22"])
+
+
+@pytest.mark.parametrize("col, text", [(2, t) for t in (
+    "1.2345678x01234567e-14", "1.234567890123456x7e-14", "x.5e-14",
+    "1.5e-1x", "1.5e-x4", "1.5e*14", "1.5f-14", "1.5x-100", "1..5e-14",
+    "--1.5e-14", "1.5e+-14", "1.5e-1234", "1.5-14", "1.5e", "e-14", "", "-",
+    " 1.5e-14", "1.5e-14 ", "1_5e-14", "1.5e-14e-14", "0x1p-40", "nan",
+    "inf")] + [(col, t) for col in (0, 1) for t in (
+        "{}1", "{}0", "{}.0", "{}e0", "0{}", "+{}", "{} ", "{}x")])
+def test_read_jsa_csv_refuses_what_loadtxt_refuses(tmp_path, col, text):
+    # a damaged re text, or a nu text ({} the grid's own) other than the
+    # grid's: refused by both readers, or read by both alike
+    jsa = chirped_jsa(6, 4)
+    path = tmp_path / "bad.csv"
+    spectra.write_jsa_csv(jsa, path)
+    lines = path.read_text().split("\n")
+    fields = lines[14].split(",")
+    fields[col] = text.format(fields[col])
+    lines[14] = ",".join(fields)
+    path.write_text("\n".join(lines))
+    got = _read_or_none(spectra.read_jsa_csv, path)
+    want = _read_or_none(oracles.read_jsa_csv_loadtxt, path)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert _same_jsa(got, want)
+
+
+def _builder_jsas(bbo, n):
+    """A JSA of every builder on n points."""
+    theta = math.radians(3.0)
+    p8 = spectra.PumpEnvelope.from_pump_fwhm(0.8, 15.0)
+    g8 = spectra.default_pump_grid(p8, n_points=n)
+    p4 = spectra.PumpEnvelope.from_pump_fwhm(0.4, 10.0)
+    beam = spectra.BeamGeometry(design.factorable_waist(bbo, 0.4, 1e-3, theta),
+                                theta, 1e-3)
+    model = spectra.GaussianSourceModel(4e13, 4e13)
+    return [spectra.gaussian_model_jsa(model, spectra.default_model_grid(
+                model, n_points=n)),
+            spectra.build_jsa_collinear(bbo, "II_eoe", 1e-3, p8, g8),
+            spectra.build_jsa_noncollinear_sinc(bbo, 1e-3, p8, theta, g8),
+            spectra.build_jsa_noncollinear_gaussian_beam(
+                bbo, p4, beam, spectra.default_pump_grid(p4, n_points=n))]
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_read_jsa_csv_of_every_builder_never_calls_loadtxt(
+        tmp_path, monkeypatch, bbo, blocks):
+    # a silent fall-back to np.loadtxt keeps the values right and loses
+    # the speed: in a worker its call ends the read with its error
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: blocks)
+    calls = []
+
+    def loadtxt(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("np.loadtxt called")
+
+    for k, jsa in enumerate(_builder_jsas(bbo, 64)):
+        chirp = np.exp(1j * np.linspace(0.0, 3.0, 64))
+        for values in (jsa.values, jsa.values * chirp):
+            path = tmp_path / f"b{k}.csv"
+            spectra.write_jsa_csv(dataclasses.replace(jsa, values=values),
+                                  path)
+            with monkeypatch.context() as m:
+                m.setattr(np, "loadtxt", loadtxt)
+                got = spectra.read_jsa_csv(path)
+            assert got.values.tobytes() == \
+                np.asarray(values, complex).tobytes()
+    assert calls == []
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
